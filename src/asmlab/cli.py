@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; all solvers currently run single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser(

@@ -4,15 +4,23 @@ The graph of order k has the distinct (k-1)-mers of the reads as vertices
 and the distinct k-mers as edges, each edge directed from its (k-1)-prefix
 to its (k-1)-suffix. A walk spells a string; the central solver finds a
 minimum-length walk using every edge at least once (an open-walk variant
-of the directed Chinese Postman Problem) by duplicating edges along
-shortest paths chosen with a min-cost assignment between out-of-balance
-vertices, then emitting a lexicographically minimal Eulerian walk of the
-augmented multigraph. A subset-state breadth-first oracle double-checks
-small instances and can count all optimal walks.
+of the directed Chinese Postman Problem):
+
+- two or more sources, or two or more sinks, rule a covering walk out in
+  O(V), before any search;
+- one min-cost assignment between out-of-balance units, with a dummy start
+  row and a dummy end column, prices the shortest paths to duplicate;
+- every optimum spells its start vertex first, so only the smallest
+  optimal start is kept and each of its optimal ends is realized once,
+  by a smallest-successor-first Hierholzer walk; the smallest string wins.
+
+A subset-state breadth-first oracle double-checks small instances and can
+count all optimal walks.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 from collections import deque
 from dataclasses import dataclass
@@ -31,8 +39,10 @@ from asmlab.sequence import ReadSet, decode_kmer, spectrum_of_set
 logger = logging.getLogger(__name__)
 
 ORACLE_EDGE_LIMIT = 16
-_START_ENUM_CAP = 64       # candidate circuit starts tried for the lex tie-break
-_REALIZE_CAP = 64          # optimal (start, end) options realized for the tie-break
+_NO_PATH = 1 << 30         # assignment cost of a pair with no duplication path
+
+# BFS tree of one deficit vertex: depth and parent of each reachable vertex
+_Tree = dict[str, tuple[int, Optional[str]]]
 
 
 class DeBruijnGraph:
@@ -252,193 +262,140 @@ def is_edge_covering(walk: Walk) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_distances(graph: DeBruijnGraph, source: str) -> dict[str, int]:
-    dist = {source: 0}
+def _bfs_tree(graph: DeBruijnGraph, source: str) -> _Tree:
+    """Depth and parent of every vertex reachable from ``source``. Successors
+    are scanned in sorted order, so each parent is the lexicographically
+    earliest on some shortest path."""
+    tree: _Tree = {source: (0, None)}
     queue = deque([source])
     while queue:
         v = queue.popleft()
         for w in graph.successors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
+            if w not in tree:
+                tree[w] = (tree[v][0] + 1, v)
                 queue.append(w)
-    return dist
+    return tree
 
 
-def _bfs_path(graph: DeBruijnGraph, source: str, target: str) -> list[str]:
-    """A deterministic shortest vertex path (successors scanned in sorted
-    order, so the first-discovered parent is the lexicographically earliest)."""
-    parent: dict[str, Optional[str]] = {source: None}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        if v == target:
-            path = [v]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return path[::-1]
-        for w in graph.successors(v):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    raise NoCoveringWalkError(f"no directed path from {source!r} to {target!r}")
-
-
-def _balances(graph: DeBruijnGraph) -> dict[str, int]:
-    return {v: graph.out_degree(v) - graph.in_degree(v) for v in graph.vertices
-            if graph.out_degree(v) - graph.in_degree(v) != 0}
-
-
-class _Multigraph:
-    """Mutable edge-copy counts used by the Euler stage."""
-
-    def __init__(self, graph: DeBruijnGraph):
-        self.out: dict[str, dict[str, int]] = {}
-        self.ins: dict[str, dict[str, int]] = {}
-        self.balance: dict[str, int] = {}
-        self.degree: dict[str, int] = {}
-        self.total = 0
-        for e in graph.edge_kmers:
-            self.add(e[:-1], e[1:])
-
-    def add(self, u: str, w: str) -> None:
-        self.out.setdefault(u, {})
-        self.ins.setdefault(w, {})
-        self.out[u][w] = self.out[u].get(w, 0) + 1
-        self.ins[w][u] = self.ins[w].get(u, 0) + 1
-        self.balance[u] = self.balance.get(u, 0) + 1
-        self.balance[w] = self.balance.get(w, 0) - 1
-        self.degree[u] = self.degree.get(u, 0) + 1
-        self.degree[w] = self.degree.get(w, 0) + 1
-        self.total += 1
-
-    def consume(self, u: str, w: str) -> None:
-        self.out[u][w] -= 1
-        self.ins[w][u] -= 1
-        self.balance[u] -= 1
-        self.balance[w] += 1
-        self.degree[u] -= 1
-        self.degree[w] -= 1
-        self.total -= 1
-
-    def restore(self, u: str, w: str) -> None:
-        self.out[u][w] += 1
-        self.ins[w][u] += 1
-        self.balance[u] += 1
-        self.balance[w] -= 1
-        self.degree[u] += 1
-        self.degree[w] += 1
-        self.total += 1
-
-    def successors(self, v: str) -> list[str]:
-        return sorted(w for w, c in self.out.get(v, {}).items() if c > 0)
-
-    def out_total(self, v: str) -> int:
-        return sum(c for c in self.out.get(v, {}).values() if c > 0)
-
-    def feasible_continuation(self, cur: str, end: str) -> bool:
-        """Can an Eulerian walk of the remaining copies run from ``cur`` to
-        ``end``? Balance plus weak connectivity of the active vertices."""
-        if self.total == 0:
-            return cur == end
-        if self.out_total(cur) == 0:
-            return False
-        # a virtual end->cur edge must balance every vertex
-        for v, b in self.balance.items():
-            expected = (1 if v == cur else 0) - (1 if v == end else 0)
-            if b != expected:
-                return False
-        active = sum(1 for v, d in self.degree.items() if d > 0)
-        seen = {cur}
-        queue = deque([cur])
-        reached = 1 if self.degree.get(cur, 0) > 0 else 0
-        while queue:
-            v = queue.popleft()
-            for w, c in self.out.get(v, {}).items():
-                if c > 0 and w not in seen:
-                    seen.add(w)
-                    reached += 1
-                    queue.append(w)
-            for w, c in self.ins.get(v, {}).items():
-                if c > 0 and w not in seen:
-                    seen.add(w)
-                    reached += 1
-                    queue.append(w)
-        return reached == active
-
-
-def _lexmin_euler(multi: _Multigraph, start: str, end: str) -> list[str]:
-    """Lexicographically smallest Eulerian walk of the multigraph.
-
-    Successive spelled symbols are exactly the last characters of the
-    chosen edges, so greedily taking the smallest feasible successor yields
-    the lexicographically smallest spelled string from this start.
-    """
-    if not multi.feasible_continuation(start, end) and multi.total > 0:
-        raise NoCoveringWalkError(
-            f"no Eulerian walk from {start!r} to {end!r} in the augmented graph"
-        )
-    path = [start]
-    cur = start
-    while multi.total > 0:
-        succs = multi.successors(cur)
-        chosen = None
-        if len(succs) == 1:
-            chosen = succs[0]
-            multi.consume(cur, chosen)
+def _euler_path(graph: DeBruijnGraph, start: str, dups: list[tuple[str, str]],
+                trees: dict[str, _Tree]) -> list[str]:
+    """Lexicographically smallest Euler walk, as a vertex path, from
+    ``start`` over every edge plus, per duplication pair (d, s), the path to
+    s in d's BFS tree: Hierholzer's algorithm leaving by the smallest unused
+    successor copy, with the post-order reversed."""
+    heaps = {v: list(graph.successors(v)) for v in graph.vertices}  # sorted, so heaps
+    copies = graph.num_edges
+    for d, w in dups:
+        while w != d:
+            u = trees[d][w][1]
+            heapq.heappush(heaps[u], w)
+            copies += 1
+            w = u
+    stack, post = [start], []
+    while stack:
+        heap = heaps[stack[-1]]
+        if heap:
+            stack.append(heapq.heappop(heap))
         else:
-            for w in succs:
-                multi.consume(cur, w)
-                if multi.feasible_continuation(w, end):
-                    chosen = w
-                    break
-                multi.restore(cur, w)
-        if chosen is None:
-            raise NoCoveringWalkError("Eulerian walk construction got stuck")
-        path.append(chosen)
-        cur = chosen
-    return path
+            post.append(stack.pop())
+    if len(post) != copies + 1:
+        raise NoCoveringWalkError(
+            f"the Euler walk from {start!r} used {len(post) - 1} of {copies} edge copies"
+        )
+    return post[::-1]
 
 
 def _vertex_path_to_walk(graph: DeBruijnGraph, path: Sequence[str]) -> Walk:
     return Walk(graph, tuple(u + w[-1] for u, w in zip(path, path[1:])))
 
 
-def _deficits_and_surpluses(balance: dict[str, int]) -> tuple[list[str], list[str]]:
+def _deficits_and_surpluses(graph: DeBruijnGraph) -> tuple[list[str], list[str]]:
+    """One unit per missing out-edge (deficit) or in-edge (surplus), sorted."""
     deficits, surpluses = [], []
-    for v in sorted(balance):
-        b = balance[v]
-        if b < 0:
-            deficits.extend([v] * (-b))
-        elif b > 0:
-            surpluses.extend([v] * b)
+    for v in graph.vertices:
+        b = graph.out_degree(v) - graph.in_degree(v)
+        deficits.extend([v] * -b)      # a non-positive repeat is empty
+        surpluses.extend([v] * b)
     return deficits, surpluses
 
 
+def _path_costs(deficit_units: list[str], surplus_units: list[str],
+                trees: dict[str, _Tree]) -> np.ndarray:
+    """Duplication-path lengths deficit -> surplus, ``_NO_PATH`` where the
+    surplus is unreachable."""
+    cost = np.full((len(deficit_units), len(surplus_units)), _NO_PATH, dtype=np.int64)
+    for i, d in enumerate(deficit_units):
+        tree = trees[d]
+        for j, s in enumerate(surplus_units):
+            if s in tree:
+                cost[i, j] = tree[s][0]
+    return cost
+
+
 def _assignment_cost(deficit_units: list[str], surplus_units: list[str],
-                     dist: dict[str, dict[str, int]]
+                     trees: dict[str, _Tree]
                      ) -> Optional[tuple[int, list[tuple[str, str]]]]:
     """Min-cost perfect matching of duplication paths deficit -> surplus.
 
     Returns (total cost, matched pairs) or None when no finite-cost perfect
     matching exists.
     """
-    n = len(deficit_units)
-    if n == 0:
+    if not deficit_units:
         return 0, []
-    big = 1 << 30
-    cost = np.full((n, n), big, dtype=np.int64)
-    for i, d in enumerate(deficit_units):
-        row = dist[d]
-        for j, s in enumerate(surplus_units):
-            c = row.get(s)
-            if c is not None:
-                cost[i, j] = c
+    cost = _path_costs(deficit_units, surplus_units, trees)
     rows, cols = linear_sum_assignment(cost)
     total = int(cost[rows, cols].sum())
-    if total >= big:
+    if total >= _NO_PATH:
         return None
     pairs = [(deficit_units[i], surplus_units[j]) for i, j in zip(rows, cols)]
     return total, pairs
+
+
+def _open_walk_cost(paths: np.ndarray, surplus_units: list[str],
+                    start: Optional[str] = None) -> Optional[int]:
+    """Least duplication cost of an open walk from ``start`` (default: any
+    surplus vertex), or None. A dummy start row takes the surplus unit the
+    walk leaves first and a dummy end column the deficit unit it ends at;
+    dummy-to-dummy (a closed walk) is forbidden, since dropping any matched
+    pair of a closed option gives a cheaper open one."""
+    n = len(surplus_units)
+    cost = np.full((n + 1, n + 1), _NO_PATH, dtype=np.int64)
+    cost[:n, :n] = paths
+    cost[n, :n] = [0 if start in (None, s) else _NO_PATH for s in surplus_units]
+    cost[:n, n] = 0
+    rows, cols = linear_sum_assignment(cost)
+    total = int(cost[rows, cols].sum())
+    return None if total >= _NO_PATH else total
+
+
+def _duplication_plan(graph: DeBruijnGraph):
+    """Imbalance units, their BFS trees, the path-cost matrix and the
+    optimal open-walk duplication cost of a weakly connected graph.
+
+    Raises :class:`NoCoveringWalkError` when no covering walk exists: in
+    O(V) for two or more sources or sinks (a covering walk starts at every
+    source and ends at every sink), otherwise when no finite-cost
+    assignment exists. A balanced graph returns no units and cost 0.
+    """
+    for kind, ends in (("sources", graph.sources()), ("sinks", graph.sinks())):
+        if len(ends) > 1:
+            shown = ", ".join(ends[:5]) + ("..." if len(ends) > 5 else "")
+            raise NoCoveringWalkError(
+                f"graph has {len(ends)} {kind} ({shown}); a covering walk "
+                "has one start and one end"
+            )
+    deficits, surpluses = _deficits_and_surpluses(graph)
+    if not deficits:
+        return deficits, surpluses, {}, None, 0
+    trees = {d: _bfs_tree(graph, d) for d in set(deficits)}
+    paths = _path_costs(deficits, surpluses, trees)
+    best = _open_walk_cost(paths, surpluses)
+    if best is None:
+        raise NoCoveringWalkError(
+            "the graph is connected but its imbalance pattern admits no "
+            "edge-covering walk (a required duplication path is missing)"
+        )
+    return deficits, surpluses, trees, paths, best
 
 
 def covering_walk_feasibility(graph: DeBruijnGraph) -> tuple[bool, str]:
@@ -448,41 +405,13 @@ def covering_walk_feasibility(graph: DeBruijnGraph) -> tuple[bool, str]:
     components = graph.weakly_connected_components()
     if len(components) > 1:
         return False, f"{len(components)} weakly-connected components"
-    balance = _balances(graph)
-    deficits, surpluses = _deficits_and_surpluses(balance)
+    try:
+        deficits = _duplication_plan(graph)[0]
+    except NoCoveringWalkError as err:
+        return False, str(err)
     if not deficits:
         return True, "balanced (closed walk exists)"
-    dist = {d: _bfs_distances(graph, d) for d in set(deficits)}
-    options = _enumerate_options(deficits, surpluses, dist)
-    if options:
-        return True, "imbalances repairable by edge duplication"
-    return False, "imbalance pattern admits no covering walk"
-
-
-def _enumerate_options(deficits: list[str], surpluses: list[str],
-                       dist: dict[str, dict[str, int]]
-                       ) -> list[tuple[int, Optional[str], Optional[str], list[tuple[str, str]]]]:
-    """All feasible (cost, start, end, duplications) choices.
-
-    ``start``/``end`` are None for the closed-walk option. For open walks
-    one surplus unit serves as the start and one deficit unit as the end;
-    the remaining units are matched by shortest duplication paths.
-    """
-    options = []
-    closed = _assignment_cost(deficits, surpluses, dist)
-    if closed is not None:
-        options.append((closed[0], None, None, closed[1]))
-    for sigma in sorted(set(surpluses)):
-        rest_s = list(surpluses)
-        rest_s.remove(sigma)
-        for delta in sorted(set(deficits)):
-            rest_d = list(deficits)
-            rest_d.remove(delta)
-            solved = _assignment_cost(rest_d, rest_s, dist)
-            if solved is not None:
-                options.append((solved[0], sigma, delta, solved[1]))
-    options.sort(key=lambda o: (o[0], o[1] or "", o[2] or ""))
-    return options
+    return True, "imbalances repairable by edge duplication"
 
 
 def shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
@@ -492,8 +421,8 @@ def shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
     :class:`DisconnectedGraphError` carrying the per-component subgraphs.
     Among equal-length optima the walk spelling the lexicographically
     smallest string is returned (for distinct equal-cost duplication
-    choices, one deterministic representative per start/end option is
-    realized and the smallest spelled string among them wins).
+    choices, one deterministic representative per optimal end is realized
+    from the smallest optimal start and the smallest spelled string wins).
     """
     if graph.num_edges == 0:
         raise ValueError("graph has no edges; nothing to cover")
@@ -501,58 +430,26 @@ def shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
     if len(components) > 1:
         raise DisconnectedGraphError([graph.subgraph(c) for c in components])
 
-    balance = _balances(graph)
-    deficits, surpluses = _deficits_and_surpluses(balance)
-
-    candidates: list[tuple[Optional[str], Optional[str], list[tuple[str, str]]]] = []
+    deficits, surpluses, trees, paths, best = _duplication_plan(graph)
     if not deficits:
-        candidates.append((None, None, []))
-    else:
-        dist = {d: _bfs_distances(graph, d) for d in set(deficits)}
-        options = _enumerate_options(deficits, surpluses, dist)
-        if not options:
-            raise NoCoveringWalkError(
-                "the graph is connected but its imbalance pattern admits no "
-                "edge-covering walk (a required duplication path is missing)"
-            )
-        best_cost = options[0][0]
-        chosen = [o for o in options if o[0] == best_cost][:_REALIZE_CAP]
-        candidates.extend((start, end, dups) for _, start, end, dups in chosen)
+        # a closed walk spells its start first: the smallest vertex wins
+        start = next(v for v in graph.vertices if graph.out_degree(v) > 0)
+        return _vertex_path_to_walk(graph, _euler_path(graph, start, [], {}))
 
-    best_text: Optional[str] = None
-    best_path: Optional[list[str]] = None
-    for start, end, dups in candidates:
-        for path in _realize_candidate(graph, start, end, dups):
-            text = path[0] + "".join(v[-1] for v in path[1:])
-            if best_text is None or text < best_text:
-                best_text, best_path = text, path
-    assert best_path is not None
-    return _vertex_path_to_walk(graph, best_path)
-
-
-def _realize_candidate(graph: DeBruijnGraph, start: Optional[str],
-                       end: Optional[str], dups: list[tuple[str, str]]):
-    """Yield Euler vertex paths for one duplication choice.
-
-    Open walks have a fixed start; closed walks try every start vertex (up
-    to a cap) so the lexicographic tie-break can consider each rotation.
-    """
-    def fresh() -> _Multigraph:
-        multi = _Multigraph(graph)
-        for d, s in dups:
-            path = _bfs_path(graph, d, s)
-            for u, w in zip(path, path[1:]):
-                multi.add(u, w)
-        return multi
-
-    if start is not None:
-        yield _lexmin_euler(fresh(), start, end)
-        return
-    starts = [v for v in graph.vertices if graph.out_degree(v) > 0]
-    if len(starts) > _START_ENUM_CAP:
-        starts = starts[:1]
-    for s in starts:
-        yield _lexmin_euler(fresh(), s, s)
+    # every optimum spells its start vertex first and all have one length
+    start = next(s for s in sorted(set(surpluses))
+                 if _open_walk_cost(paths, surpluses, s) == best)
+    rest_s = list(surpluses)
+    rest_s.remove(start)
+    candidates = []
+    for end in sorted(set(deficits)):
+        rest_d = list(deficits)
+        rest_d.remove(end)
+        solved = _assignment_cost(rest_d, rest_s, trees)
+        if solved is not None and solved[0] == best:
+            candidates.append(_euler_path(graph, start, solved[1], trees))
+    # equal-length vertex paths from one start order as their spellings do
+    return _vertex_path_to_walk(graph, min(candidates))
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,6 @@ def _correct_one(read: str, k: int, threshold: int,
         if best_base != current:
             changed = True
             codes[i] = best_base
-            delta = best_base - current
             for s in spans:
                 shift = 2 * (k - 1 - (i - s))
                 packs[s] = (packs[s] & ~(3 << shift)) | (best_base << shift)

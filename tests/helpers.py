@@ -8,7 +8,14 @@ is meaningful evidence.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
+from typing import Optional, Sequence
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from asmlab.errors import DisconnectedGraphError, NoCoveringWalkError
+from asmlab.graph import DeBruijnGraph, Walk
 
 
 def naive_spectrum(s: str, k: int) -> Counter:
@@ -107,3 +114,320 @@ def coverage_marking_oracle(contigs: list[str], truth: str) -> float:
                 hit[i] = True
             start = truth.find(c, start + 1)
     return sum(hit) / len(truth) if truth else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Reference covering-walk solver
+# ---------------------------------------------------------------------------
+# The shortest edge-covering walk solver as it stood before the single
+# assignment / Hierholzer rewrite in ``asmlab.graph``, frozen here so the
+# differential test keeps comparing against it whatever later edits do to
+# the library. It sweeps every (start, end) assignment, tries every closed
+# walk rotation and builds each Euler walk greedily with a connectivity
+# search per branch.
+
+_START_ENUM_CAP = 64       # candidate circuit starts tried for the lex tie-break
+_REALIZE_CAP = 64          # optimal (start, end) options realized for the tie-break
+
+
+def _bfs_distances(graph: DeBruijnGraph, source: str) -> dict[str, int]:
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in graph.successors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def _bfs_path(graph: DeBruijnGraph, source: str, target: str) -> list[str]:
+    """A deterministic shortest vertex path (successors scanned in sorted
+    order, so the first-discovered parent is the lexicographically earliest)."""
+    parent: dict[str, Optional[str]] = {source: None}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        if v == target:
+            path = [v]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for w in graph.successors(v):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    raise NoCoveringWalkError(f"no directed path from {source!r} to {target!r}")
+
+
+def _balances(graph: DeBruijnGraph) -> dict[str, int]:
+    return {v: graph.out_degree(v) - graph.in_degree(v) for v in graph.vertices
+            if graph.out_degree(v) - graph.in_degree(v) != 0}
+
+
+class _Multigraph:
+    """Mutable edge-copy counts used by the Euler stage."""
+
+    def __init__(self, graph: DeBruijnGraph):
+        self.out: dict[str, dict[str, int]] = {}
+        self.ins: dict[str, dict[str, int]] = {}
+        self.balance: dict[str, int] = {}
+        self.degree: dict[str, int] = {}
+        self.total = 0
+        for e in graph.edge_kmers:
+            self.add(e[:-1], e[1:])
+
+    def add(self, u: str, w: str) -> None:
+        self.out.setdefault(u, {})
+        self.ins.setdefault(w, {})
+        self.out[u][w] = self.out[u].get(w, 0) + 1
+        self.ins[w][u] = self.ins[w].get(u, 0) + 1
+        self.balance[u] = self.balance.get(u, 0) + 1
+        self.balance[w] = self.balance.get(w, 0) - 1
+        self.degree[u] = self.degree.get(u, 0) + 1
+        self.degree[w] = self.degree.get(w, 0) + 1
+        self.total += 1
+
+    def consume(self, u: str, w: str) -> None:
+        self.out[u][w] -= 1
+        self.ins[w][u] -= 1
+        self.balance[u] -= 1
+        self.balance[w] += 1
+        self.degree[u] -= 1
+        self.degree[w] -= 1
+        self.total -= 1
+
+    def restore(self, u: str, w: str) -> None:
+        self.out[u][w] += 1
+        self.ins[w][u] += 1
+        self.balance[u] += 1
+        self.balance[w] -= 1
+        self.degree[u] += 1
+        self.degree[w] += 1
+        self.total += 1
+
+    def successors(self, v: str) -> list[str]:
+        return sorted(w for w, c in self.out.get(v, {}).items() if c > 0)
+
+    def out_total(self, v: str) -> int:
+        return sum(c for c in self.out.get(v, {}).values() if c > 0)
+
+    def feasible_continuation(self, cur: str, end: str) -> bool:
+        """Can an Eulerian walk of the remaining copies run from ``cur`` to
+        ``end``? Balance plus weak connectivity of the active vertices."""
+        if self.total == 0:
+            return cur == end
+        if self.out_total(cur) == 0:
+            return False
+        # a virtual end->cur edge must balance every vertex
+        for v, b in self.balance.items():
+            expected = (1 if v == cur else 0) - (1 if v == end else 0)
+            if b != expected:
+                return False
+        active = sum(1 for v, d in self.degree.items() if d > 0)
+        seen = {cur}
+        queue = deque([cur])
+        reached = 1 if self.degree.get(cur, 0) > 0 else 0
+        while queue:
+            v = queue.popleft()
+            for w, c in self.out.get(v, {}).items():
+                if c > 0 and w not in seen:
+                    seen.add(w)
+                    reached += 1
+                    queue.append(w)
+            for w, c in self.ins.get(v, {}).items():
+                if c > 0 and w not in seen:
+                    seen.add(w)
+                    reached += 1
+                    queue.append(w)
+        return reached == active
+
+
+def _lexmin_euler(multi: _Multigraph, start: str, end: str) -> list[str]:
+    """Lexicographically smallest Eulerian walk of the multigraph.
+
+    Successive spelled symbols are exactly the last characters of the
+    chosen edges, so greedily taking the smallest feasible successor yields
+    the lexicographically smallest spelled string from this start.
+    """
+    if not multi.feasible_continuation(start, end) and multi.total > 0:
+        raise NoCoveringWalkError(
+            f"no Eulerian walk from {start!r} to {end!r} in the augmented graph"
+        )
+    path = [start]
+    cur = start
+    while multi.total > 0:
+        succs = multi.successors(cur)
+        chosen = None
+        if len(succs) == 1:
+            chosen = succs[0]
+            multi.consume(cur, chosen)
+        else:
+            for w in succs:
+                multi.consume(cur, w)
+                if multi.feasible_continuation(w, end):
+                    chosen = w
+                    break
+                multi.restore(cur, w)
+        if chosen is None:
+            raise NoCoveringWalkError("Eulerian walk construction got stuck")
+        path.append(chosen)
+        cur = chosen
+    return path
+
+
+def _vertex_path_to_walk(graph: DeBruijnGraph, path: Sequence[str]) -> Walk:
+    return Walk(graph, tuple(u + w[-1] for u, w in zip(path, path[1:])))
+
+
+def _deficits_and_surpluses(balance: dict[str, int]) -> tuple[list[str], list[str]]:
+    deficits, surpluses = [], []
+    for v in sorted(balance):
+        b = balance[v]
+        if b < 0:
+            deficits.extend([v] * (-b))
+        elif b > 0:
+            surpluses.extend([v] * b)
+    return deficits, surpluses
+
+
+def _assignment_cost(deficit_units: list[str], surplus_units: list[str],
+                     dist: dict[str, dict[str, int]]
+                     ) -> Optional[tuple[int, list[tuple[str, str]]]]:
+    """Min-cost perfect matching of duplication paths deficit -> surplus.
+
+    Returns (total cost, matched pairs) or None when no finite-cost perfect
+    matching exists.
+    """
+    n = len(deficit_units)
+    if n == 0:
+        return 0, []
+    big = 1 << 30
+    cost = np.full((n, n), big, dtype=np.int64)
+    for i, d in enumerate(deficit_units):
+        row = dist[d]
+        for j, s in enumerate(surplus_units):
+            c = row.get(s)
+            if c is not None:
+                cost[i, j] = c
+    rows, cols = linear_sum_assignment(cost)
+    total = int(cost[rows, cols].sum())
+    if total >= big:
+        return None
+    pairs = [(deficit_units[i], surplus_units[j]) for i, j in zip(rows, cols)]
+    return total, pairs
+
+
+def covering_walk_feasibility(graph: DeBruijnGraph) -> tuple[bool, str]:
+    """Whether a single edge-covering walk exists, with a reason when not."""
+    if graph.num_edges == 0:
+        return False, "graph has no edges"
+    components = graph.weakly_connected_components()
+    if len(components) > 1:
+        return False, f"{len(components)} weakly-connected components"
+    balance = _balances(graph)
+    deficits, surpluses = _deficits_and_surpluses(balance)
+    if not deficits:
+        return True, "balanced (closed walk exists)"
+    dist = {d: _bfs_distances(graph, d) for d in set(deficits)}
+    options = _enumerate_options(deficits, surpluses, dist)
+    if options:
+        return True, "imbalances repairable by edge duplication"
+    return False, "imbalance pattern admits no covering walk"
+
+
+def _enumerate_options(deficits: list[str], surpluses: list[str],
+                       dist: dict[str, dict[str, int]]
+                       ) -> list[tuple[int, Optional[str], Optional[str], list[tuple[str, str]]]]:
+    """All feasible (cost, start, end, duplications) choices.
+
+    ``start``/``end`` are None for the closed-walk option. For open walks
+    one surplus unit serves as the start and one deficit unit as the end;
+    the remaining units are matched by shortest duplication paths.
+    """
+    options = []
+    closed = _assignment_cost(deficits, surpluses, dist)
+    if closed is not None:
+        options.append((closed[0], None, None, closed[1]))
+    for sigma in sorted(set(surpluses)):
+        rest_s = list(surpluses)
+        rest_s.remove(sigma)
+        for delta in sorted(set(deficits)):
+            rest_d = list(deficits)
+            rest_d.remove(delta)
+            solved = _assignment_cost(rest_d, rest_s, dist)
+            if solved is not None:
+                options.append((solved[0], sigma, delta, solved[1]))
+    options.sort(key=lambda o: (o[0], o[1] or "", o[2] or ""))
+    return options
+
+
+def reference_shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
+    """A minimum-length walk visiting every edge at least once.
+
+    Works on weakly-connected graphs; disconnected input raises
+    :class:`DisconnectedGraphError` carrying the per-component subgraphs.
+    Among equal-length optima the walk spelling the lexicographically
+    smallest string is returned (for distinct equal-cost duplication
+    choices, one deterministic representative per start/end option is
+    realized and the smallest spelled string among them wins).
+    """
+    if graph.num_edges == 0:
+        raise ValueError("graph has no edges; nothing to cover")
+    components = graph.weakly_connected_components()
+    if len(components) > 1:
+        raise DisconnectedGraphError([graph.subgraph(c) for c in components])
+
+    balance = _balances(graph)
+    deficits, surpluses = _deficits_and_surpluses(balance)
+
+    candidates: list[tuple[Optional[str], Optional[str], list[tuple[str, str]]]] = []
+    if not deficits:
+        candidates.append((None, None, []))
+    else:
+        dist = {d: _bfs_distances(graph, d) for d in set(deficits)}
+        options = _enumerate_options(deficits, surpluses, dist)
+        if not options:
+            raise NoCoveringWalkError(
+                "the graph is connected but its imbalance pattern admits no "
+                "edge-covering walk (a required duplication path is missing)"
+            )
+        best_cost = options[0][0]
+        chosen = [o for o in options if o[0] == best_cost][:_REALIZE_CAP]
+        candidates.extend((start, end, dups) for _, start, end, dups in chosen)
+
+    best_text: Optional[str] = None
+    best_path: Optional[list[str]] = None
+    for start, end, dups in candidates:
+        for path in _realize_candidate(graph, start, end, dups):
+            text = path[0] + "".join(v[-1] for v in path[1:])
+            if best_text is None or text < best_text:
+                best_text, best_path = text, path
+    assert best_path is not None
+    return _vertex_path_to_walk(graph, best_path)
+
+
+def _realize_candidate(graph: DeBruijnGraph, start: Optional[str],
+                       end: Optional[str], dups: list[tuple[str, str]]):
+    """Yield Euler vertex paths for one duplication choice.
+
+    Open walks have a fixed start; closed walks try every start vertex (up
+    to a cap) so the lexicographic tie-break can consider each rotation.
+    """
+    def fresh() -> _Multigraph:
+        multi = _Multigraph(graph)
+        for d, s in dups:
+            path = _bfs_path(graph, d, s)
+            for u, w in zip(path, path[1:]):
+                multi.add(u, w)
+        return multi
+
+    if start is not None:
+        yield _lexmin_euler(fresh(), start, end)
+        return
+    starts = [v for v in graph.vertices if graph.out_degree(v) > 0]
+    if len(starts) > _START_ENUM_CAP:
+        starts = starts[:1]
+    for s in starts:
+        yield _lexmin_euler(fresh(), s, s)

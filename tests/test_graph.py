@@ -6,10 +6,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asmlab import graph as dbg
-from asmlab.errors import DisconnectedGraphError, NoCoveringWalkError, ResourceLimitError
+from asmlab.errors import (
+    AssemblyError,
+    DisconnectedGraphError,
+    NoCoveringWalkError,
+    ResourceLimitError,
+)
 from asmlab.sequence import ReadSet
 from asmlab.simulate import idealized_reads, random_genome
-from helpers import all_optimal_covering_spellings
+from helpers import all_optimal_covering_spellings, reference_shortest_edge_covering_walk
 
 PROPERTY = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -194,6 +199,104 @@ class TestShortestCoveringWalk:
             opt_len, _ = dbg.oracle_shortest_edge_covering_walk(graph, mode="count_all")
             spellings = all_optimal_covering_spellings(graph, opt_len)
             assert dbg.spell(dbg.shortest_edge_covering_walk(graph)) == spellings[0]
+
+
+def _kmer_set(text: str, k: int) -> set[str]:
+    return {text[i:i + k] for i in range(len(text) - k + 1)}
+
+
+def _differential_graphs(rng: random.Random):
+    """Connected graphs in three shapes: circular genomes (balanced unless a
+    k-mer repeats), two-letter low-complexity repeats, and random subsets of
+    a genome's k-mers (many imbalances, often no covering walk)."""
+    while True:
+        k = rng.randint(3, 6)
+        shape = rng.randrange(3)
+        if shape == 0:
+            text = str(random_genome(rng.randint(k, 40), seed=rng.randrange(2**63)))
+            edges = _kmer_set(text + text[:k - 1], k)
+        elif shape == 1:
+            pair = rng.sample("ACGT", 2)
+            edges = _kmer_set("".join(rng.choice(pair) for _ in range(rng.randint(k, 40))), k)
+        else:
+            text = str(random_genome(rng.randint(2 * k, 60), seed=rng.randrange(2**63)))
+            edges = {e for e in _kmer_set(text, k) if rng.random() < 0.7}
+        graph = dbg.DeBruijnGraph(k, edges)
+        if graph.num_edges and len(graph.weakly_connected_components()) == 1:
+            yield graph
+
+
+def _outcome(solver, graph) -> str:
+    try:
+        return dbg.spell(solver(graph))
+    except AssemblyError as err:
+        return type(err).__name__
+
+
+class TestSolverMatchesReference:
+    def test_same_walk_or_error_on_3000_graphs(self):
+        graphs = _differential_graphs(random.Random(2024))
+        closed = failed = 0
+        mismatches = []
+        for _ in range(3000):
+            graph = next(graphs)
+            want = _outcome(reference_shortest_edge_covering_walk, graph)
+            got = _outcome(dbg.shortest_edge_covering_walk, graph)
+            if got != want:
+                mismatches.append((graph.k, graph.edge_kmers, want, got))
+            closed += not any(graph.out_degree(v) != graph.in_degree(v)
+                              for v in graph.vertices)
+            failed += want == "NoCoveringWalkError"
+            assert dbg.covering_walk_feasibility(graph)[0] == (want != "NoCoveringWalkError")
+        assert mismatches == []
+        assert closed >= 300 and failed >= 100    # the mix reaches every branch
+
+
+class TestFailFastAndAssignments:
+    @pytest.fixture
+    def assignments(self, monkeypatch):
+        calls = []
+        real = dbg.linear_sum_assignment
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return real(cost)
+
+        monkeypatch.setattr(dbg, "linear_sum_assignment", counted)
+        return calls
+
+    def test_two_sources_fail_before_any_assignment(self, assignments):
+        g = dbg.DeBruijnGraph(3, ["AAC", "GAC"])
+        with pytest.raises(NoCoveringWalkError, match="2 sources.*AA, GA"):
+            dbg.shortest_edge_covering_walk(g)
+        assert dbg.covering_walk_feasibility(g)[0] is False
+        assert assignments == []
+
+    def test_two_sinks_fail_before_any_assignment(self, assignments):
+        with pytest.raises(NoCoveringWalkError, match="2 sinks.*AC, AT"):
+            dbg.shortest_edge_covering_walk(dbg.DeBruijnGraph(3, ["AAT", "AAC"]))
+        assert assignments == []
+
+    def test_cycles_feeding_a_cycle_have_no_walk(self):
+        # ACA/CAC and GTG/TGT both drain into the CCC loop: no source, no
+        # sink, and nothing leads back out of CC
+        g = dbg.DeBruijnGraph(3, ["ACA", "CAC", "GTG", "TGT",
+                                  "ACC", "GTC", "TCC", "CCC"])
+        assert not g.sources() and not g.sinks()
+        with pytest.raises(NoCoveringWalkError):
+            dbg.shortest_edge_covering_walk(g)
+        assert dbg.covering_walk_feasibility(g)[0] is False
+
+    def test_dense_circular_genome_needs_few_assignments(self, assignments):
+        genome = str(random_genome(2000, seed=11))
+        g = dbg.DeBruijnGraph(5, _kmer_set(genome + genome[:4], 5))
+        surplus = [v for v in g.vertices if g.out_degree(v) > g.in_degree(v)]
+        deficit = [v for v in g.vertices if g.out_degree(v) < g.in_degree(v)]
+        assert (g.num_edges, len(surplus), len(deficit)) == (881, 56, 59)
+        walk = dbg.shortest_edge_covering_walk(g)
+        assert dbg.is_edge_covering(walk)
+        assert len(walk.edges) == 1005         # the reference solver's optimum
+        assert 0 < len(assignments) <= 1 + len(surplus) + len(deficit)
 
 
 class TestOracle:
