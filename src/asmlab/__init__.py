@@ -20,7 +20,6 @@ from asmlab.graph import (
 )
 from asmlab.sequence import (
     DnaString,
-    Kmer,
     KmerSpectrum,
     ReadSet,
     is_common_superstring,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DeBruijnGraph",
     "DnaString",
-    "Kmer",
     "KmerSpectrum",
     "ReadSet",
     "SimulationProfile",

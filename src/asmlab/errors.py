@@ -38,7 +38,8 @@ class NoCoveringWalkError(AssemblyError):
 
 
 class FastaParseError(AssemblyError):
-    """Malformed FASTA/FASTQ input; carries the 1-based line number."""
+    """Malformed input file (FASTA/FASTQ reads, graph edge list, run
+    configuration or any other data file); carries the 1-based line number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")

@@ -10,7 +10,7 @@ from typing import Iterable, Optional, TextIO, Union
 
 from asmlab.errors import FastaParseError
 from asmlab.graph import DeBruijnGraph
-from asmlab.sequence import ALPHABET, DnaString
+from asmlab.sequence import ALPHABET, DnaString, first_invalid
 
 FASTA_WRAP = 60
 
@@ -28,10 +28,19 @@ class FastaRecord:
             raise ValueError(f"record id must be nonempty without whitespace: {self.id!r}")
 
 
-def _open_for_read(source: Source):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="ascii"), True
-    return source, False
+def _read_text(source: Source) -> str:
+    """The whole text of a path or an open text handle. A file byte outside
+    ASCII is a :class:`FastaParseError` naming the file and its line."""
+    if not isinstance(source, (str, Path)):
+        return source.read()
+    data = Path(source).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FastaParseError(
+            f"byte 0x{data[exc.start]:02X} in {source} is not ASCII text",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
 
 
 def _open_for_write(sink: Source):
@@ -41,34 +50,27 @@ def _open_for_write(sink: Source):
 
 
 def read_fasta(source: Source, drop_ambiguous: bool = False) -> list[FastaRecord]:
-    """Parse FASTA (or FASTQ, whose quality lines are ignored).
+    """Parse FASTA (or FASTQ, whose quality lines are only checked to be as
+    long as their sequence lines).
 
     Sequence lines are concatenated and uppercased. Any symbol outside
     A/C/G/T (explicitly including N) is a parse error naming the line
     and the byte, unless ``drop_ambiguous`` is set, in which case the
     whole offending record is dropped instead.
     """
-    handle, owned = _open_for_read(source)
-    try:
-        text = handle.read()
-    finally:
-        if owned:
-            handle.close()
+    text = _read_text(source)
     stripped = text.lstrip()
     if stripped.startswith("@"):
         return _parse_fastq(text, drop_ambiguous)
     return _parse_fasta(text, drop_ambiguous)
 
 
-def _validate_piece(piece: str, line_no: int, record_id: str) -> Optional[FastaParseError]:
-    for ch in piece:
-        if ch not in ALPHABET:
-            return FastaParseError(
-                f"invalid symbol {ch!r} in record {record_id!r} "
-                f"(alphabet is {ALPHABET})",
-                line=line_no,
-            )
-    return None
+def _validate_piece(piece: str, line_no: int, where: str) -> Optional[FastaParseError]:
+    pos = first_invalid(piece)
+    if pos < 0:
+        return None
+    return FastaParseError(
+        f"invalid symbol {piece[pos]!r} in {where} (alphabet is {ALPHABET})", line=line_no)
 
 
 def _parse_fasta(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
@@ -114,7 +116,7 @@ def _parse_fasta(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
                 raise FastaParseError("sequence data before any '>' header", line=line_no)
             piece = line.upper()
             if bad is None:
-                bad = _validate_piece(piece, line_no, current_id)
+                bad = _validate_piece(piece, line_no, f"record {current_id!r}")
             pieces.append(piece)
     flush(line_no if text else 0)
     return records
@@ -139,12 +141,17 @@ def _parse_fastq(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
             raise FastaParseError("expected '+' FASTQ separator", line=i + 3)
         if not seq:
             raise FastaParseError(f"record {parts[0]!r} has an empty sequence", line=i + 2)
-        problem = _validate_piece(seq, i + 2, parts[0])
+        problem = _validate_piece(seq, i + 2, f"record {parts[0]!r}")
+        if problem is not None and not drop_ambiguous:
+            raise problem
+        quality = lines[i + 3].strip()
+        if len(quality) != len(seq):
+            raise FastaParseError(
+                f"record {parts[0]!r} has {len(quality)} quality symbols "
+                f"for {len(seq)} bases", line=i + 4)
         if problem is None:
             records.append(FastaRecord(parts[0], DnaString(seq),
                                        parts[1] if len(parts) > 1 else ""))
-        elif not drop_ambiguous:
-            raise problem
         i += 4
     return records
 
@@ -207,17 +214,21 @@ def write_edge_list(graph: DeBruijnGraph, sink: Source) -> None:
 
 
 def read_edge_list(source: Source) -> DeBruijnGraph:
-    handle, owned = _open_for_read(source)
-    try:
-        lines = [ln.strip() for ln in handle.read().splitlines() if ln.strip()]
-    finally:
-        if owned:
-            handle.close()
-    if not lines or not lines[0].startswith("k="):
+    """Inverse of :func:`write_edge_list`; a label outside A/C/G/T is a
+    :class:`FastaParseError` naming its line."""
+    text = _read_text(source)
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("k="):
         raise ValueError("edge-list fixture must start with a 'k=<int>' header")
-    k = int(lines[0][2:])
-    kmers = [ln for ln in lines[1:] if not ln.startswith("v=")]
-    isolated = [ln[2:] for ln in lines[1:] if ln.startswith("v=")]
+    k = int(lines[0][1][2:])
+    kmers: list[str] = []
+    isolated: list[str] = []
+    for line_no, line in lines[1:]:
+        label, labels = (line[2:], isolated) if line.startswith("v=") else (line, kmers)
+        problem = _validate_piece(label, line_no, f"graph label {label!r}")
+        if problem is not None:
+            raise problem
+        labels.append(label)
     return DeBruijnGraph(k, kmers, isolated)
 
 
@@ -274,12 +285,7 @@ def parse_gaps(value: str) -> tuple[tuple[int, int], ...]:
 def read_config(source: Source) -> StageConfig:
     """Parse ``key = value`` lines ('#' starts a comment) into a
     :class:`StageConfig`; unknown keys and out-of-range values are errors."""
-    handle, owned = _open_for_read(source)
-    try:
-        text = handle.read()
-    finally:
-        if owned:
-            handle.close()
+    text = _read_text(source)
     config = StageConfig()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -34,7 +34,7 @@ from asmlab.errors import (
     NoCoveringWalkError,
     ResourceLimitError,
 )
-from asmlab.sequence import ReadSet, decode_kmer, spectrum_of_set
+from asmlab.sequence import ALPHABET, ReadSet, decode_kmer, spectrum_of_set
 
 logger = logging.getLogger(__name__)
 
@@ -50,13 +50,10 @@ class DeBruijnGraph:
 
     Vertices are (k-1)-mer strings, edges are k-mer strings; every
     adjacency structure is sorted so that iteration order is deterministic.
-    Edge multiplicities (occurrence counts in the source reads) are carried
-    as annotations only; they never influence walk semantics.
     """
 
     def __init__(self, k: int, edge_kmers: Iterable[str],
-                 isolated_vertices: Iterable[str] = (),
-                 multiplicities: Optional[dict[str, int]] = None):
+                 isolated_vertices: Iterable[str] = ()):
         if k < 2:
             raise ValueError(f"de Bruijn graph order must be >= 2, got {k}")
         self.k = k
@@ -82,7 +79,6 @@ class DeBruijnGraph:
         self.vertices: tuple[str, ...] = tuple(sorted(vertices))
         self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
         self._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
-        self.multiplicities = dict(multiplicities or {})
 
     # -- structure queries -------------------------------------------------
 
@@ -151,9 +147,8 @@ class DeBruijnGraph:
     def subgraph(self, vertex_subset: Iterable[str]) -> "DeBruijnGraph":
         keep = set(vertex_subset)
         edges = [e for e in self.edge_kmers if e[:-1] in keep and e[1:] in keep]
-        mult = {e: self.multiplicities[e] for e in edges if e in self.multiplicities}
         isolated = [v for v in self.isolated_vertices() if v in keep]
-        return DeBruijnGraph(self.k, edges, isolated, mult)
+        return DeBruijnGraph(self.k, edges, isolated)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeBruijnGraph):
@@ -185,10 +180,8 @@ def build(reads: ReadSet, k: int) -> DeBruijnGraph:
                        len(too_short), k - 1, shown)
     isolated = {str(r) for r in reads if len(r) == k - 1}
     usable = [str(r) for r in reads if len(r) >= k]
-    spec = spectrum_of_set(usable, k) if usable else None
-    kmers = spec.strings() if spec else []
-    mult = {decode_kmer(p, k): c for p, c in spec.counts.items()} if spec else {}
-    graph = DeBruijnGraph(k, kmers, isolated, mult)
+    kmers = spectrum_of_set(usable, k).strings() if usable else []
+    graph = DeBruijnGraph(k, kmers, isolated)
     if graph.isolated_vertices():
         logger.info("graph has %d isolated vertex/vertices from (k-1)-length reads",
                     len(graph.isolated_vertices()))
@@ -658,7 +651,6 @@ def _embed_de_bruijn_labels(vertices: list[str], edges: list[tuple[str, str]],
 
 def _try_embed(order: list[str], out: dict[str, list[str]],
                inn: dict[str, list[str]], width: int) -> Optional[dict[str, str]]:
-    alphabet = "ACGT"
     labels: dict[str, str] = {}
     used: set[str] = set()
 
@@ -666,15 +658,15 @@ def _try_embed(order: list[str], out: dict[str, list[str]],
         opts: Optional[set[str]] = None
         for u in inn.get(v, []):
             if u in labels:
-                cur = {labels[u][1:] + c for c in alphabet}
+                cur = {labels[u][1:] + c for c in ALPHABET}
                 opts = cur if opts is None else opts & cur
         for w in out.get(v, []):
             if w in labels:
-                cur = {c + labels[w][:-1] for c in alphabet}
+                cur = {c + labels[w][:-1] for c in ALPHABET}
                 opts = cur if opts is None else opts & cur
         if opts is None:
             # unconstrained root: a deterministic sweep of all labels
-            return [_int_label(i, width) for i in range(4 ** width)]
+            return [decode_kmer(i, width) for i in range(4 ** width)]
         return sorted(opts)
 
     def assign(pos: int) -> bool:
@@ -693,14 +685,6 @@ def _try_embed(order: list[str], out: dict[str, list[str]],
         return False
 
     return labels if assign(0) else None
-
-
-def _int_label(value: int, width: int) -> str:
-    chars = []
-    for _ in range(width):
-        chars.append("ACGT"[value & 3])
-        value >>= 2
-    return "".join(reversed(chars))
 
 
 # ---------------------------------------------------------------------------

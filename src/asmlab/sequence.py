@@ -13,14 +13,42 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 ALPHABET = "ACGT"
 MAX_K = 31  # 2 bits per symbol keeps any k-mer in one 62-bit integer
 
-_BITS = {"A": 0, "C": 1, "G": 2, "T": 3}
-_CHARS = "ACGT"
-_DELETE_ACGT = str.maketrans("", "", ALPHABET)
-
 # byte value -> 2-bit code, 255 for anything outside the alphabet
 _ENCODE = bytearray([255]) * 256
-for _c, _v in _BITS.items():
+for _v, _c in enumerate(ALPHABET):
     _ENCODE[ord(_c)] = _v
+_DECODE = bytes.maketrans(bytes(range(len(ALPHABET))), ALPHABET.encode("ascii"))
+
+
+def _raw_codes(text: str) -> bytes:
+    # one byte per symbol: a non-ASCII symbol becomes b"?", which maps to 255
+    return text.encode("ascii", "replace").translate(_ENCODE)
+
+
+def first_invalid(text: str) -> int:
+    """Position of the first symbol of ``text`` outside A/C/G/T, or -1."""
+    return _raw_codes(text).find(255)
+
+
+def _invalid_symbol(text: str, pos: int) -> ValueError:
+    return ValueError(
+        f"invalid symbol {text[pos]!r} at position {pos}; "
+        f"DNA strings may only contain {ALPHABET}"
+    )
+
+
+def to_codes(text: str) -> bytes:
+    """The 2-bit codes (0-3, one byte per symbol) of an A/C/G/T string."""
+    codes = _raw_codes(text)
+    pos = codes.find(255)
+    if pos >= 0:
+        raise _invalid_symbol(text, pos)
+    return codes
+
+
+def from_codes(codes) -> str:
+    """Inverse of :func:`to_codes`; accepts any buffer of codes 0-3."""
+    return bytes(codes).translate(_DECODE).decode("ascii")
 
 
 class DnaString(str):
@@ -35,13 +63,10 @@ class DnaString(str):
 
     def __new__(cls, value: str = "") -> "DnaString":
         if value.__class__ is not cls:
-            bad = str(value).translate(_DELETE_ACGT)
-            if bad:
-                pos = min(str(value).find(c) for c in set(bad))
-                raise ValueError(
-                    f"invalid symbol {value[pos]!r} at position {pos}; "
-                    f"DNA strings may only contain {ALPHABET}"
-                )
+            value = str(value)
+            pos = first_invalid(value)
+            if pos >= 0:
+                raise _invalid_symbol(value, pos)
         return super().__new__(cls, value)
 
     def __repr__(self) -> str:
@@ -88,12 +113,15 @@ class ReadSet:
 
 
 def encode_kmer(text: str) -> int:
-    """Pack an A/C/G/T string of length <= 31 into a 2-bit-per-symbol integer."""
+    """Pack an A/C/G/T string of length 1..31 into a 2-bit-per-symbol integer.
+
+    For equal lengths the packed integers order exactly like the strings
+    (A<C<G<T).
+    """
+    if not 1 <= len(text) <= MAX_K:
+        raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {len(text)}")
     value = 0
-    for ch in text:
-        code = _ENCODE[ord(ch)]
-        if code == 255:
-            raise ValueError(f"invalid symbol {ch!r} in k-mer {text!r}")
+    for code in to_codes(text):
         value = (value << 2) | code
     return value
 
@@ -102,50 +130,9 @@ def decode_kmer(packed: int, k: int) -> str:
     """Inverse of :func:`encode_kmer` for a known length ``k``."""
     out = [""] * k
     for i in range(k - 1, -1, -1):
-        out[i] = _CHARS[packed & 3]
+        out[i] = ALPHABET[packed & 3]
         packed >>= 2
     return "".join(out)
-
-
-@dataclass(frozen=True, order=False)
-class Kmer:
-    """A fixed-length DNA word in 2-bit packed form.
-
-    For equal lengths the packed integers order exactly like the decoded
-    strings (A<C<G<T), which keeps iteration deterministic and cheap.
-    """
-
-    packed: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_K:
-            raise ValueError(f"k must be in [1, {MAX_K}], got {self.k}")
-        if not 0 <= self.packed < (1 << (2 * self.k)):
-            raise ValueError("packed value out of range for k")
-
-    @classmethod
-    def from_string(cls, text: str) -> "Kmer":
-        if not 1 <= len(text) <= MAX_K:
-            raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {len(text)}")
-        return cls(encode_kmer(text), len(text))
-
-    def __str__(self) -> str:
-        return decode_kmer(self.packed, self.k)
-
-    def __lt__(self, other: "Kmer") -> bool:
-        if self.k == other.k:
-            return self.packed < other.packed
-        return str(self) < str(other)
-
-    def __le__(self, other: "Kmer") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Kmer") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Kmer") -> bool:
-        return other <= self
 
 
 def _check_k(k: int) -> None:
@@ -155,23 +142,14 @@ def _check_k(k: int) -> None:
 
 def packed_kmers(text: str, k: int) -> list[int]:
     """All k-mers of ``text`` in order, as packed integers (rolling encode)."""
-    n = len(text)
-    if n < k:
+    if len(text) < k:
         return []
     mask = (1 << (2 * k)) - 1
-    data = text.encode("ascii")
-    out = []
+    codes = to_codes(text)
     value = 0
-    filled = 0
-    for byte in data:
-        code = _ENCODE[byte]
-        if code == 255:
-            raise ValueError(f"invalid symbol {chr(byte)!r} in sequence")
-        value = ((value << 2) | code) & mask
-        filled += 1
-        if filled >= k:
-            out.append(value)
-    return out
+    for code in codes[:k - 1]:
+        value = (value << 2) | code
+    return [value := ((value << 2) | code) & mask for code in codes[k - 1:]]
 
 
 @dataclass(frozen=True)
@@ -188,31 +166,24 @@ class KmerSpectrum:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def __contains__(self, kmer) -> bool:
+    def __contains__(self, kmer: str) -> bool:
         return self._pack(kmer) in self.counts
 
-    def _pack(self, kmer) -> int:
-        if isinstance(kmer, Kmer):
-            if kmer.k != self.k:
-                return -1
-            return kmer.packed
-        if isinstance(kmer, str):
-            if len(kmer) != self.k:
-                return -1
-            return encode_kmer(kmer)
-        raise TypeError(f"expected Kmer or str, got {type(kmer).__name__}")
+    def _pack(self, kmer: str) -> int:
+        if not isinstance(kmer, str):
+            raise TypeError(f"expected str, got {type(kmer).__name__}")
+        if len(kmer) != self.k:
+            return -1
+        return encode_kmer(kmer)
 
-    def multiplicity(self, kmer) -> int:
+    def multiplicity(self, kmer: str) -> int:
         return self.counts.get(self._pack(kmer), 0)
 
     def total_count(self) -> int:
         return sum(self.counts.values())
 
-    def kmers(self) -> list[Kmer]:
-        """Distinct members in lexicographic order."""
-        return [Kmer(p, self.k) for p in sorted(self.counts)]
-
     def strings(self) -> list[str]:
+        """Distinct members in lexicographic order."""
         return [decode_kmer(p, self.k) for p in sorted(self.counts)]
 
     def distinct_packed(self) -> frozenset[int]:
@@ -221,14 +192,6 @@ class KmerSpectrum:
     def same_members(self, other: "KmerSpectrum") -> bool:
         """Set equality, ignoring multiplicities."""
         return self.k == other.k and self.counts.keys() == other.counts.keys()
-
-    def union(self, other: "KmerSpectrum") -> "KmerSpectrum":
-        if self.k != other.k:
-            raise ValueError(f"cannot union spectra with k={self.k} and k={other.k}")
-        merged = dict(self.counts)
-        for p, c in other.counts.items():
-            merged[p] = merged.get(p, 0) + c
-        return KmerSpectrum(self.k, merged)
 
 
 def spectrum(s: str, k: int) -> KmerSpectrum:

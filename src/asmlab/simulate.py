@@ -15,20 +15,17 @@ from typing import Optional
 
 import numpy as np
 
-from asmlab.sequence import MAX_K, DnaString, ReadSet, packed_kmers, spectrum_of_set
+from asmlab.sequence import (
+    MAX_K,
+    DnaString,
+    ReadSet,
+    from_codes,
+    packed_kmers,
+    spectrum_of_set,
+    to_codes,
+)
 
 RNG_ALGORITHM = "numpy-pcg64"
-
-_DECODE_TABLE = bytes.maketrans(bytes([0, 1, 2, 3]), b"ACGT")
-_ENCODE_TABLE = bytes.maketrans(b"ACGT", bytes([0, 1, 2, 3]))
-
-
-def _to_codes(genome: str) -> np.ndarray:
-    return np.frombuffer(genome.encode("ascii").translate(_ENCODE_TABLE), dtype=np.uint8)
-
-
-def _to_string(codes: np.ndarray) -> DnaString:
-    return DnaString(codes.tobytes().translate(_DECODE_TABLE).decode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ def random_genome(
         piece = codes[offsets[0]:offsets[0] + rep_len].copy()
         for off in offsets[1:]:
             codes[off:off + rep_len] = piece
-    return _to_string(codes)
+    return DnaString(from_codes(codes))
 
 
 def idealized_reads(genome: str, read_length: int) -> ReadSet:
@@ -147,14 +144,14 @@ def uniform_reads(genome: str, profile: SimulationProfile) -> ReadSet:
         raise ValueError("no read window avoids the configured gap intervals")
     rng = np.random.default_rng(profile.seed)
     starts = starts_pool[rng.integers(0, starts_pool.size, size=profile.num_reads)]
-    codes = _to_codes(genome)
+    codes = np.frombuffer(to_codes(genome), dtype=np.uint8)
     windows = codes[starts[:, None] + np.arange(ell)[None, :]] if profile.num_reads else \
         np.empty((0, ell), dtype=np.uint8)
     if profile.error_rate > 0.0 and profile.num_reads:
         hit = rng.random(windows.shape) < profile.error_rate
         shift = rng.integers(1, 4, size=windows.shape, dtype=np.uint8)
         windows = np.where(hit, (windows + shift) % 4, windows)
-    reads = tuple(_to_string(row) for row in windows)
+    reads = tuple(DnaString(from_codes(row)) for row in windows)
     return ReadSet(reads, declared_read_length=ell)
 
 
@@ -244,7 +241,7 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
 def _correct_one(read: str, k: int, threshold: int,
                  counts: dict[int, int]) -> Optional[str]:
     n = len(read)
-    codes = bytearray(read.encode("ascii").translate(_ENCODE_TABLE))
+    codes = bytearray(to_codes(read))
     packs = packed_kmers(read, k)
 
     def weak_span(i: int) -> bool:
@@ -289,4 +286,4 @@ def _correct_one(read: str, k: int, threshold: int,
         return None
     if not changed:
         return read
-    return bytes(codes).translate(_DECODE_TABLE).decode("ascii")
+    return from_codes(codes)

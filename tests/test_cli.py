@@ -187,6 +187,23 @@ class TestDbg:
         assert "fillcolor" in out.read_text()
 
 
+class TestBadInput:
+    def test_edge_list_outside_alphabet_is_data_error(self, tmp_path, capsys):
+        graph = tmp_path / "bad.edges"
+        graph.write_text("k=3\nACG\nCGX\n")
+        assert main(["dbg", "walk", "--graph", str(graph), "--shortest"]) == 1
+        captured = capsys.readouterr()
+        assert "line 3" in captured.err and "spells" not in captured.out
+
+    def test_non_ascii_fasta_is_data_error(self, tmp_path, capsys):
+        reads = tmp_path / "reads.fasta"
+        reads.write_bytes(b">r1\nAC\xc3GT\n")
+        assert main(["assemble", "--reads", str(reads), "-k", "3", "--method", "unitig",
+                     "--out", str(tmp_path / "c.fasta")]) == 1
+        err = capsys.readouterr().err
+        assert "line 2: byte 0xC3 in " + str(reads) in err and "codec" not in err
+
+
 class TestEval:
     def test_running_example_report(self, tmp_path, gtrue_fasta, gtrue_reads):
         contigs = tmp_path / "contigs.fasta"

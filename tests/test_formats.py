@@ -66,6 +66,10 @@ class TestReadFasta:
         records = read_fasta(io.StringIO(text))
         assert [(r.id, str(r.sequence)) for r in records] == [("r1", "ACGT"), ("r2", "GGCC")]
 
+    def test_fastq_quality_length_must_match_sequence(self):
+        with pytest.raises(FastaParseError, match="line 4: record 'r1' has 2 quality"):
+            read_fasta(io.StringIO("@r1\nACGT\n+\nII\n"))
+
     def test_read_reads_wraps_into_readset(self):
         reads = read_reads(io.StringIO(">a\nACG\n>b\nCGT\n"))
         assert isinstance(reads, ReadSet)
@@ -115,6 +119,12 @@ class TestEdgeList:
         write_edge_list(g, buf)
         again = read_edge_list(io.StringIO(buf.getvalue()))
         assert again.isolated_vertices() == ["TT"]
+
+    def test_symbol_outside_alphabet_names_line(self):
+        with pytest.raises(FastaParseError, match="line 3: invalid symbol 'X'"):
+            read_edge_list(io.StringIO("k=3\nACG\nCGX\n"))
+        with pytest.raises(FastaParseError, match="line 2: invalid symbol 'N'"):
+            read_edge_list(io.StringIO("k=3\nv=NN\n"))
 
     def test_header_required(self):
         with pytest.raises(ValueError, match="header"):

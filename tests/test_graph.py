@@ -64,10 +64,6 @@ class TestBuild:
         g = dbg.build(ReadSet.of("ACGT", "TT"), 3)
         assert g.isolated_vertices() == ["TT"]
 
-    def test_multiplicities_annotated(self, fig_graph):
-        assert fig_graph.multiplicities["ATT"] == 2
-        assert fig_graph.multiplicities["AAT"] == 1
-
 
 class TestSpellAndWalkOf:
     def test_single_edge(self):

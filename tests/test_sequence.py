@@ -1,19 +1,24 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asmlab.sequence import (
     DnaString,
-    Kmer,
     ReadSet,
     decode_kmer,
     encode_kmer,
+    first_invalid,
+    from_codes,
     is_common_superstring,
     longest_repeat,
     max_overlap,
     spectrum,
     spectrum_of_set,
     spectrum_subset_check,
+    to_codes,
 )
 from conftest import G_SCS, G_SOL, G_TRUE
 from helpers import brute_longest_repeat, brute_max_overlap, naive_spectrum
@@ -49,26 +54,64 @@ class TestKmer:
     @PROPERTY
     @given(st.text(alphabet="ACGT", min_size=1, max_size=31))
     def test_round_trip(self, text):
-        assert str(Kmer.from_string(text)) == text
+        assert decode_kmer(encode_kmer(text), len(text)) == text
 
     @PROPERTY
-    @given(st.text(alphabet="ACGT", min_size=1, max_size=8),
-           st.text(alphabet="ACGT", min_size=1, max_size=8))
-    def test_order_is_lexicographic(self, a, b):
-        assert (Kmer.from_string(a) < Kmer.from_string(b)) == (a < b)
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(*[st.text(alphabet="ACGT", min_size=n, max_size=n)] * 2)))
+    def test_order_is_lexicographic(self, pair):
+        a, b = pair
+        assert (encode_kmer(a) < encode_kmer(b)) == (a < b)
 
     def test_k_limits(self):
         with pytest.raises(ValueError):
-            Kmer.from_string("A" * 32)
+            encode_kmer("A" * 32)
         with pytest.raises(ValueError):
-            Kmer.from_string("")
+            encode_kmer("")
+
+
+class TestCodes:
+    @PROPERTY
+    @given(dna)
+    def test_round_trip(self, text):
+        codes = to_codes(text)
+        assert set(codes) <= {0, 1, 2, 3}
+        assert from_codes(codes) == text
+
+    @pytest.mark.parametrize("text,pos", [
+        ("", -1), ("ACGT", -1), ("N", 0), ("ACGTn", 4), ("AC\u00c3GT", 2), ("A\ud800C", 1),
+    ])
+    def test_first_invalid(self, text, pos):
+        assert first_invalid(text) == pos
+
+    def test_to_codes_rejects_outside_alphabet(self):
+        with pytest.raises(ValueError, match="'X' at position 2"):
+            to_codes("ACXT")
+
+
+def test_only_sequence_module_knows_the_alphabet():
+    """The alphabet literal and translation tables live in sequence.py alone."""
+    package = Path(__file__).resolve().parents[1] / "src" / "asmlab"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "sequence.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value == "ACGT":
+                offenders.append(f"{path.name}:{node.lineno} 'ACGT'")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "maketrans"
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in ("bytes", "str")):
+                offenders.append(f"{path.name}:{node.lineno} {node.func.value.id}.maketrans")
+    assert offenders == []
 
 
 class TestSpectrum:
     def test_running_example_counts(self, g_true):
         sp = spectrum(g_true, 3)
         assert len(sp) == 12
-        doubled = sorted(str(k) for k in sp.kmers() if sp.multiplicity(k) == 2)
+        doubled = sorted(k for k in sp.strings() if sp.multiplicity(k) == 2)
         assert doubled == ["ATT", "CAG", "CCA", "TCC", "TTC"]
 
     def test_shorter_than_k_is_empty(self):
@@ -89,15 +132,15 @@ class TestSpectrum:
     def test_matches_naive_oracle(self, s, k):
         sp = spectrum(s, k)
         naive = naive_spectrum(s, k)
-        assert {str(km): sp.multiplicity(km) for km in sp.kmers()} == dict(naive)
+        assert {km: sp.multiplicity(km) for km in sp.strings()} == dict(naive)
 
     @PROPERTY
     @given(dna_nonempty, st.integers(min_value=1, max_value=8))
     def test_occurrence_count_law(self, s, k):
         sp = spectrum(s, k)
         assert sp.total_count() == max(0, len(s) - k + 1)
-        for km in sp.kmers():
-            assert str(km) in s
+        for km in sp.strings():
+            assert km in s
 
     def test_set_union_of_reads(self):
         sp = spectrum_of_set(ReadSet.of("ACG", "CGT"), 2)

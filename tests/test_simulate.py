@@ -176,7 +176,7 @@ class TestCorrectReads:
         reads = uniform_reads(genome, prof)
         before = spectrum_of_set(reads, 15)
         out = correct_reads(reads, 15, 3)
-        for kmer in spectrum_of_set(out, 15).kmers():
+        for kmer in spectrum_of_set(out, 15).strings():
             assert before.multiplicity(kmer) >= 3
 
     def test_read_shorter_than_k_rejected(self):
