@@ -10,7 +10,7 @@ from typing import Iterable, Optional, TextIO, Union
 
 from asmlab.errors import FastaParseError
 from asmlab.graph import DeBruijnGraph
-from asmlab.sequence import ALPHABET, DnaString, first_invalid
+from asmlab.sequence import ALPHABET, MAX_K, DnaString, ReadSet, first_invalid
 
 FASTA_WRAP = 60
 
@@ -24,7 +24,7 @@ class FastaRecord:
     description: str = ""
 
     def __post_init__(self):
-        if not self.id or any(ch.isspace() for ch in self.id):
+        if self.id.split() != [self.id]:  # empty, or holds whitespace
             raise ValueError(f"record id must be nonempty without whitespace: {self.id!r}")
 
 
@@ -65,60 +65,40 @@ def read_fasta(source: Source, drop_ambiguous: bool = False) -> list[FastaRecord
     return _parse_fasta(text, drop_ambiguous)
 
 
-def _validate_piece(piece: str, line_no: int, where: str) -> Optional[FastaParseError]:
-    pos = first_invalid(piece)
-    if pos < 0:
-        return None
+def _symbol_error(pieces: list[str], lines: Iterable[int], where: str) -> FastaParseError:
+    """The error naming the line of the first symbol outside the alphabet in
+    ``pieces``, the consecutive lines of one sequence. Called only after
+    :class:`DnaString` has rejected their concatenation."""
+    for piece, line_no in zip(pieces, lines):
+        pos = first_invalid(piece)
+        if pos >= 0:
+            break
     return FastaParseError(
         f"invalid symbol {piece[pos]!r} in {where} (alphabet is {ALPHABET})", line=line_no)
 
 
 def _parse_fasta(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
+    lines = list(map(str.strip, text.splitlines()))
+    heads = [i for i, line in enumerate(lines) if line.startswith(">")]
+    for i, line in enumerate(lines[:heads[0]] if heads else lines):
+        if line:
+            raise FastaParseError("sequence data before any '>' header", line=i + 1)
     records: list[FastaRecord] = []
-    current_id: Optional[str] = None
-    current_desc = ""
-    pieces: list[str] = []
-    header_line = 0
-    bad: Optional[FastaParseError] = None
-
-    def flush(at_line: int):
-        nonlocal bad
-        if current_id is None:
-            return
-        if bad is not None:
-            if not drop_ambiguous:
-                raise bad
-            bad = None
-            return
-        seq = "".join(pieces)
+    for head, end in zip(heads, heads[1:] + [len(lines)]):
+        fields = lines[head][1:].split(None, 1)
+        if not fields:
+            raise FastaParseError("empty FASTA header", line=head + 1)
+        body = lines[head + 1:end]  # blank lines join as nothing
+        try:
+            seq = DnaString("".join(body).upper())  # the one scan of the record's symbols
+        except ValueError:
+            if drop_ambiguous:
+                continue
+            raise _symbol_error([line.upper() for line in body], range(head + 2, end + 1),
+                                f"record {fields[0]!r}") from None
         if not seq:
-            raise FastaParseError(f"record {current_id!r} has an empty sequence",
-                                  line=header_line)
-        records.append(FastaRecord(current_id, DnaString(seq), current_desc))
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            flush(line_no)
-            head = line[1:].strip()
-            if not head:
-                raise FastaParseError("empty FASTA header", line=line_no)
-            parts = head.split(None, 1)
-            current_id = parts[0]
-            current_desc = parts[1] if len(parts) > 1 else ""
-            pieces = []
-            header_line = line_no
-            bad = None
-        else:
-            if current_id is None:
-                raise FastaParseError("sequence data before any '>' header", line=line_no)
-            piece = line.upper()
-            if bad is None:
-                bad = _validate_piece(piece, line_no, f"record {current_id!r}")
-            pieces.append(piece)
-    flush(line_no if text else 0)
+            raise FastaParseError(f"record {fields[0]!r} has an empty sequence", line=head + 1)
+        records.append(FastaRecord(fields[0], seq, fields[1] if len(fields) > 1 else ""))
     return records
 
 
@@ -141,17 +121,19 @@ def _parse_fastq(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
             raise FastaParseError("expected '+' FASTQ separator", line=i + 3)
         if not seq:
             raise FastaParseError(f"record {parts[0]!r} has an empty sequence", line=i + 2)
-        problem = _validate_piece(seq, i + 2, f"record {parts[0]!r}")
-        if problem is not None and not drop_ambiguous:
-            raise problem
+        try:
+            dna: Optional[DnaString] = DnaString(seq)
+        except ValueError:
+            if not drop_ambiguous:
+                raise _symbol_error([seq], [i + 2], f"record {parts[0]!r}") from None
+            dna = None
         quality = lines[i + 3].strip()
         if len(quality) != len(seq):
             raise FastaParseError(
                 f"record {parts[0]!r} has {len(quality)} quality symbols "
                 f"for {len(seq)} bases", line=i + 4)
-        if problem is None:
-            records.append(FastaRecord(parts[0], DnaString(seq),
-                                       parts[1] if len(parts) > 1 else ""))
+        if dna is not None:
+            records.append(FastaRecord(parts[0], dna, parts[1] if len(parts) > 1 else ""))
         i += 4
     return records
 
@@ -185,11 +167,13 @@ def fasta_bytes(records: Iterable[FastaRecord]) -> str:
     return buf.getvalue()
 
 
-def read_reads(source: Source, drop_ambiguous: bool = False):
-    """Load a FASTA/FASTQ file as a ReadSet (order preserved)."""
-    from asmlab.sequence import ReadSet
-
+def read_reads(source: Source, drop_ambiguous: bool = False) -> ReadSet:
+    """Load a FASTA/FASTQ file as a ReadSet (order preserved); a file that
+    yields no reads is a :class:`FastaParseError`."""
     records = read_fasta(source, drop_ambiguous=drop_ambiguous)
+    if not records:
+        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+        raise FastaParseError(f"no reads in {name}", line=1)
     return ReadSet(tuple(r.sequence for r in records))
 
 
@@ -214,20 +198,35 @@ def write_edge_list(graph: DeBruijnGraph, sink: Source) -> None:
 
 
 def read_edge_list(source: Source) -> DeBruijnGraph:
-    """Inverse of :func:`write_edge_list`; a label outside A/C/G/T is a
-    :class:`FastaParseError` naming its line."""
+    """Inverse of :func:`write_edge_list`. A header whose order is not an
+    integer in [2, MAX_K], a label outside A/C/G/T and a label of the wrong
+    length are each a :class:`FastaParseError` naming its line."""
     text = _read_text(source)
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("k="):
         raise ValueError("edge-list fixture must start with a 'k=<int>' header")
-    k = int(lines[0][1][2:])
+    header_line, header = lines[0]
+    try:
+        k = int(header[2:])
+    except ValueError:
+        raise FastaParseError(f"graph order {header[2:]!r} is not an integer",
+                              line=header_line) from None
+    if not 2 <= k <= MAX_K:
+        raise FastaParseError(f"graph order k={k} is outside [2, {MAX_K}]", line=header_line)
     kmers: list[str] = []
     isolated: list[str] = []
     for line_no, line in lines[1:]:
-        label, labels = (line[2:], isolated) if line.startswith("v=") else (line, kmers)
-        problem = _validate_piece(label, line_no, f"graph label {label!r}")
-        if problem is not None:
-            raise problem
+        if line.startswith("v="):
+            label, labels, kind, width = line[2:], isolated, "vertex", k - 1
+        else:
+            label, labels, kind, width = line, kmers, "edge", k
+        try:
+            DnaString(label)
+        except ValueError:
+            raise _symbol_error([label], [line_no], f"graph label {label!r}") from None
+        if len(label) != width:
+            raise FastaParseError(f"{kind} {label!r} has length {len(label)}, "
+                                  f"expected {width} for k={k}", line=line_no)
         labels.append(label)
     return DeBruijnGraph(k, kmers, isolated)
 
@@ -286,19 +285,21 @@ def read_config(source: Source) -> StageConfig:
     """Parse ``key = value`` lines ('#' starts a comment) into a
     :class:`StageConfig`; unknown keys and out-of-range values are errors."""
     text = _read_text(source)
+    in_file = f"{source}, " if isinstance(source, (str, Path)) else ""
     config = StageConfig()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{in_file}line {line_no}"
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq or not key:
-            raise ValueError(f"line {line_no}: expected 'key = value', got {raw!r}")
-        _apply_key(config, key, value, line_no)
+            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
+        _apply_key(config, key, value, where)
     return config
 
 
-def _apply_key(config: StageConfig, key: str, value: str, line_no: int) -> None:
+def _apply_key(config: StageConfig, key: str, value: str, where: str) -> None:
     try:
         if key in ("genome_length", "plant_repeat_length", "plant_repeat_copies",
                    "num_reads", "read_length", "seed", "k", "min_multiplicity"):
@@ -321,6 +322,6 @@ def _apply_key(config: StageConfig, key: str, value: str, line_no: int) -> None:
         else:
             raise KeyError(key)
     except KeyError:
-        raise ValueError(f"line {line_no}: unknown configuration key {key!r}") from None
+        raise ValueError(f"{where}: unknown configuration key {key!r}") from None
     except ValueError as exc:
-        raise ValueError(f"line {line_no}: key {key!r}: {exc}") from None
+        raise ValueError(f"{where}: key {key!r}: {exc}") from None

@@ -24,17 +24,28 @@ import heapq
 import logging
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from asmlab.errors import (
+    AssemblyError,
     DisconnectedGraphError,
     NoCoveringWalkError,
     ResourceLimitError,
 )
-from asmlab.sequence import ALPHABET, ReadSet, decode_kmer, spectrum_of_set
+from asmlab.sequence import (
+    ALPHABET,
+    MAX_K,
+    ReadSet,
+    decode_kmer,
+    decode_kmers,
+    encode_kmers,
+    sorted_distinct,
+    spectrum_of_set,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -45,74 +56,127 @@ _NO_PATH = 1 << 30         # assignment cost of a pair with no duplication path
 _Tree = dict[str, tuple[int, Optional[str]]]
 
 
-class DeBruijnGraph:
-    """Immutable order-k de Bruijn graph over string-labeled vertices.
+def _check_order(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"de Bruijn graph order must be >= 2, got {k}")
+    if k > MAX_K:
+        raise ValueError(f"de Bruijn graph order must be at most {MAX_K}, got {k}")
 
-    Vertices are (k-1)-mer strings, edges are k-mer strings; every
-    adjacency structure is sorted so that iteration order is deterministic.
+
+class DeBruijnGraph:
+    """Immutable order-k de Bruijn graph (2 <= k <= 31) held as packed arrays.
+
+    ``packed_edges`` is the sorted ``uint64`` array of distinct k-mer codes.
+    ``packed_vertices`` is the sorted array of their (k-1)-prefix and suffix
+    codes plus any isolated vertices; vertex ``i`` is ``vertices[i]``, and
+    ``vertex_index`` maps a vertex back to ``i``. Adjacency is CSR over
+    vertex indices, held as Python lists for cheap scalar access: the
+    successors of ``i`` are ``out_targets[out_offsets[i]:out_offsets[i + 1]]``
+    and its predecessors ``in_sources[in_offsets[i]:in_offsets[i + 1]]``.
+    Packed order is string order, so every index list and every string view
+    (``vertices``, ``edge_kmers``, ``successors``, ...) is sorted. String
+    views are decoded once, when first used.
     """
 
     def __init__(self, k: int, edge_kmers: Iterable[str],
                  isolated_vertices: Iterable[str] = ()):
-        if k < 2:
-            raise ValueError(f"de Bruijn graph order must be >= 2, got {k}")
-        self.k = k
-        edges = sorted(set(edge_kmers))
+        _check_order(k)
+        edges = list(edge_kmers)
         for e in edges:
             if len(e) != k:
                 raise ValueError(f"edge {e!r} does not have length k={k}")
-        vertices: set[str] = set()
-        out: dict[str, list[str]] = {}
-        inn: dict[str, list[str]] = {}
-        for e in edges:
-            tail, head = e[:-1], e[1:]
-            vertices.add(tail)
-            vertices.add(head)
-            out.setdefault(tail, []).append(head)
-            inn.setdefault(head, []).append(tail)
-        for v in isolated_vertices:
+        isolated = list(isolated_vertices)
+        for v in isolated:
             if len(v) != k - 1:
                 raise ValueError(f"vertex {v!r} does not have length k-1={k - 1}")
-            vertices.add(v)
-        self.edge_kmers: tuple[str, ...] = tuple(edges)
-        self._edge_set = frozenset(edges)
-        self.vertices: tuple[str, ...] = tuple(sorted(vertices))
-        self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
-        self._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
+        self._setup(k, encode_kmers(edges, k), encode_kmers(isolated, k - 1))
+
+    @classmethod
+    def _from_packed(cls, k: int, edges: np.ndarray,
+                     isolated_vertices: np.ndarray) -> "DeBruijnGraph":
+        """The graph of packed k-mers ``edges`` (any order, repeats allowed)
+        and packed (k-1)-mers ``isolated_vertices``, both ``uint64``."""
+        graph = cls.__new__(cls)
+        graph._setup(k, edges, isolated_vertices)
+        return graph
+
+    def _setup(self, k: int, edges: np.ndarray, isolated: np.ndarray) -> None:
+        edges = sorted_distinct(edges)
+        tails, heads = edges >> 2, edges & ((1 << (2 * (k - 1))) - 1)
+        vertices = sorted_distinct(np.concatenate((tails, heads, isolated)))
+        tail_index = np.searchsorted(vertices, tails)
+        head_index = np.searchsorted(vertices, heads)
+        out_degrees = np.bincount(tail_index, minlength=len(vertices))
+        in_degrees = np.bincount(head_index, minlength=len(vertices))
+        self.k = k
+        self.packed_edges = edges
+        self.packed_vertices = vertices
+        self.vertices: tuple[str, ...] = tuple(decode_kmers(vertices, k - 1))
+        self.vertex_index: dict[str, int] = dict(zip(self.vertices, range(len(vertices))))
+        self.out_degrees: list[int] = out_degrees.tolist()
+        self.in_degrees: list[int] = in_degrees.tolist()
+        # edges are sorted by tail, and within one tail by head
+        self.out_offsets: list[int] = [0] + np.cumsum(out_degrees).tolist()
+        self.out_targets: list[int] = head_index.tolist()
+        # a stable sort by head keeps each head's tails ascending
+        self.in_offsets: list[int] = [0] + np.cumsum(in_degrees).tolist()
+        self.in_sources: list[int] = tail_index[np.argsort(head_index, kind="stable")].tolist()
+
+    # -- string views ------------------------------------------------------
+
+    @cached_property
+    def edge_kmers(self) -> tuple[str, ...]:
+        return tuple(decode_kmers(self.packed_edges, self.k))
+
+    @cached_property
+    def _successor_names(self) -> list[tuple[str, ...]]:
+        return _neighbour_names(self.vertices, self.out_offsets, self.out_targets)
+
+    @cached_property
+    def _predecessor_names(self) -> list[tuple[str, ...]]:
+        return _neighbour_names(self.vertices, self.in_offsets, self.in_sources)
 
     # -- structure queries -------------------------------------------------
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_kmers)
+        return len(self.packed_edges)
 
     def has_edge(self, kmer: str) -> bool:
-        return kmer in self._edge_set
+        # every vertex has length k-1, so both lookups succeed only for k-mers
+        tail = self.vertex_index.get(kmer[:-1])
+        head = self.vertex_index.get(kmer[1:])
+        return (tail is not None and head is not None and head in
+                self.out_targets[self.out_offsets[tail]:self.out_offsets[tail + 1]])
 
     def successors(self, v: str) -> tuple[str, ...]:
-        return self._out.get(v, ())
+        i = self.vertex_index.get(v)
+        return () if i is None else self._successor_names[i]
 
     def predecessors(self, v: str) -> tuple[str, ...]:
-        return self._in.get(v, ())
+        i = self.vertex_index.get(v)
+        return () if i is None else self._predecessor_names[i]
 
     def out_degree(self, v: str) -> int:
-        return len(self._out.get(v, ()))
+        i = self.vertex_index.get(v)
+        return 0 if i is None else self.out_degrees[i]
 
     def in_degree(self, v: str) -> int:
-        return len(self._in.get(v, ()))
+        i = self.vertex_index.get(v)
+        return 0 if i is None else self.in_degrees[i]
 
     def sources(self) -> list[str]:
         """Vertices with no incoming edge (isolated vertices excluded)."""
-        return [v for v in self.vertices
-                if self.in_degree(v) == 0 and self.out_degree(v) > 0]
+        return [v for v, i, o in zip(self.vertices, self.in_degrees, self.out_degrees)
+                if i == 0 and o > 0]
 
     def sinks(self) -> list[str]:
-        return [v for v in self.vertices
-                if self.out_degree(v) == 0 and self.in_degree(v) > 0]
+        return [v for v, i, o in zip(self.vertices, self.in_degrees, self.out_degrees)
+                if o == 0 and i > 0]
 
     def isolated_vertices(self) -> list[str]:
-        return [v for v in self.vertices
-                if self.in_degree(v) == 0 and self.out_degree(v) == 0]
+        return [v for v, i, o in zip(self.vertices, self.in_degrees, self.out_degrees)
+                if i == 0 and o == 0]
 
     @staticmethod
     def edge_tail(kmer: str) -> str:
@@ -124,44 +188,57 @@ class DeBruijnGraph:
 
     def weakly_connected_components(self) -> list[tuple[str, ...]]:
         """Components over vertices that carry at least one edge."""
-        active = [v for v in self.vertices
-                  if self.out_degree(v) > 0 or self.in_degree(v) > 0]
-        seen: set[str] = set()
+        out_offsets, out_targets = self.out_offsets, self.out_targets
+        in_offsets, in_sources = self.in_offsets, self.in_sources
+        seen = [False] * len(self.vertices)
         components: list[tuple[str, ...]] = []
-        for root in active:
-            if root in seen:
+        for root, (i, o) in enumerate(zip(self.in_degrees, self.out_degrees)):
+            if seen[root] or i == o == 0:
                 continue
-            comp = []
-            queue = deque([root])
-            seen.add(root)
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for w in self.successors(v) + self.predecessors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            components.append(tuple(sorted(comp)))
+            seen[root] = True
+            comp = [root]
+            for v in comp:  # breadth first: the loop reaches what it appends
+                for w in (out_targets[out_offsets[v]:out_offsets[v + 1]]
+                          + in_sources[in_offsets[v]:in_offsets[v + 1]]):
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            comp.sort()
+            components.append(tuple(self.vertices[v] for v in comp))
         return components
 
+    def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tail and head vertex index of every edge, in edge order."""
+        return (np.repeat(np.arange(len(self.vertices)), self.out_degrees),
+                np.array(self.out_targets, dtype=np.intp))
+
     def subgraph(self, vertex_subset: Iterable[str]) -> "DeBruijnGraph":
-        keep = set(vertex_subset)
-        edges = [e for e in self.edge_kmers if e[:-1] in keep and e[1:] in keep]
-        isolated = [v for v in self.isolated_vertices() if v in keep]
-        return DeBruijnGraph(self.k, edges, isolated)
+        keep = np.zeros(len(self.vertices), dtype=bool)
+        keep[[i for i in map(self.vertex_index.get, vertex_subset) if i is not None]] = True
+        tails, heads = self.edge_endpoints()
+        isolated = keep & (np.array(self.out_degrees) == 0) & (np.array(self.in_degrees) == 0)
+        return DeBruijnGraph._from_packed(self.k, self.packed_edges[keep[tails] & keep[heads]],
+                                          self.packed_vertices[isolated])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeBruijnGraph):
             return NotImplemented
-        return (self.k == other.k and self.edge_kmers == other.edge_kmers
-                and self.vertices == other.vertices)
+        return (self.k == other.k
+                and np.array_equal(self.packed_edges, other.packed_edges)
+                and np.array_equal(self.packed_vertices, other.packed_vertices))
 
     def __hash__(self):
-        return hash((self.k, self.edge_kmers, self.vertices))
+        return hash((self.k, self.packed_edges.tobytes(), self.packed_vertices.tobytes()))
 
     def __repr__(self) -> str:
         return (f"DeBruijnGraph(k={self.k}, vertices={len(self.vertices)}, "
                 f"edges={self.num_edges})")
+
+
+def _neighbour_names(names: tuple[str, ...], offsets: list[int],
+                     neighbours: list[int]) -> list[tuple[str, ...]]:
+    return [tuple([names[j] for j in neighbours[a:b]])
+            for a, b in zip(offsets, offsets[1:])]
 
 
 def build(reads: ReadSet, k: int) -> DeBruijnGraph:
@@ -169,22 +246,33 @@ def build(reads: ReadSet, k: int) -> DeBruijnGraph:
 
     Reads shorter than k-1 cannot contribute and are skipped with a
     warning; reads of length exactly k-1 contribute an isolated vertex.
+    A read set in which every read is too short is an
+    :class:`AssemblyError`.
     """
-    if k < 2:
-        raise ValueError(f"de Bruijn graph order must be >= 2, got {k}")
+    _check_order(k)
     reads.require_nonempty("de Bruijn graph construction")
-    too_short = [str(r) for r in reads if len(r) < k - 1]
+    usable, isolated, too_short = [], set(), []
+    for r in reads:
+        if len(r) >= k:
+            usable.append(r)
+        elif len(r) == k - 1:
+            isolated.add(r)
+        else:
+            too_short.append(str(r))
+    if len(too_short) == len(reads):
+        raise AssemblyError(
+            f"nothing to assemble: every read is shorter than k-1={k - 1} "
+            f"(the longest has {max(map(len, reads))} nt)"
+        )
     if too_short:
         shown = ", ".join(too_short[:5]) + ("..." if len(too_short) > 5 else "")
         logger.warning("skipping %d read(s) shorter than k-1=%d: %s",
                        len(too_short), k - 1, shown)
-    isolated = {str(r) for r in reads if len(r) == k - 1}
-    usable = [str(r) for r in reads if len(r) >= k]
-    kmers = spectrum_of_set(usable, k).strings() if usable else []
-    graph = DeBruijnGraph(k, kmers, isolated)
-    if graph.isolated_vertices():
-        logger.info("graph has %d isolated vertex/vertices from (k-1)-length reads",
-                    len(graph.isolated_vertices()))
+    graph = DeBruijnGraph._from_packed(k, spectrum_of_set(usable, k).packed(),
+                                       encode_kmers(list(isolated), k - 1))
+    lone = len(graph.isolated_vertices()) if isolated else 0
+    if lone:
+        logger.info("graph has %d isolated vertex/vertices from (k-1)-length reads", lone)
     return graph
 
 

@@ -8,10 +8,14 @@ a k-mer and its reverse complement are distinct objects throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 ALPHABET = "ACGT"
 MAX_K = 31  # 2 bits per symbol keeps any k-mer in one 62-bit integer
+# symbols counted per batch: bounds the temporary arrays whatever the input size
+_COUNT_BATCH = 1 << 21
 
 # byte value -> 2-bit code, 255 for anything outside the alphabet
 _ENCODE = bytearray([255]) * 256
@@ -62,11 +66,12 @@ class DnaString(str):
     __slots__ = ()
 
     def __new__(cls, value: str = "") -> "DnaString":
-        if value.__class__ is not cls:
-            value = str(value)
-            pos = first_invalid(value)
-            if pos >= 0:
-                raise _invalid_symbol(value, pos)
+        if value.__class__ is cls:
+            return value  # immutable and already validated
+        value = str(value)
+        pos = first_invalid(value)
+        if pos >= 0:
+            raise _invalid_symbol(value, pos)
         return super().__new__(cls, value)
 
     def __repr__(self) -> str:
@@ -152,6 +157,121 @@ def packed_kmers(text: str, k: int) -> list[int]:
     return [value := ((value << 2) | code) & mask for code in codes[k - 1:]]
 
 
+def _joined_codes(texts: Sequence[str]) -> np.ndarray:
+    """The codes of ``texts`` laid end to end; a symbol outside the alphabet
+    is reported at its position in its own string."""
+    joined = "".join(texts)
+    codes = _raw_codes(joined)
+    pos = codes.find(255)
+    if pos >= 0:
+        for text in texts:
+            if pos < len(text):
+                raise _invalid_symbol(text, pos)
+            pos -= len(text)
+    return np.frombuffer(codes, dtype=np.uint8)
+
+
+def encode_kmers(kmers: Sequence[str], k: int) -> np.ndarray:
+    """Pack k-mers that all have length ``k`` into a ``uint64`` array, in
+    input order; the vectorized form of :func:`encode_kmer`."""
+    _check_k(k)
+    for kmer in kmers:
+        if len(kmer) != k:
+            raise ValueError(f"k-mer {kmer!r} does not have length {k}")
+    codes = _joined_codes(kmers).reshape(len(kmers), k)
+    packed = np.zeros(len(kmers), dtype=np.uint64)
+    for j in range(k):
+        packed <<= 2
+        packed |= codes[:, j]
+    return packed
+
+
+def decode_kmers(packed: np.ndarray, k: int) -> list[str]:
+    """Inverse of :func:`encode_kmers`: every k-mer of ``packed`` decoded in
+    one vectorized pass."""
+    codes = np.empty((len(packed), k), dtype=np.uint8)
+    for j in range(k):
+        codes[:, j] = (packed >> (2 * (k - 1 - j))) & 3
+    text = from_codes(codes)
+    return [text[i:i + k] for i in range(0, len(text), k)]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    if not len(values):
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
+def sorted_distinct(packed: np.ndarray) -> np.ndarray:
+    """The distinct values of ``packed``, ascending. Sorting and dropping
+    repeats is many times faster than ``np.unique`` on ``uint64`` codes."""
+    values = np.sort(packed)
+    return values[_run_starts(values)]
+
+
+def _count_batch(reads: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed k-mers of ``reads`` (sorted) and their counts.
+
+    Every window of the reads laid end to end is packed in place, k-1
+    shift-and-or passes over one ``uint64`` array. A window that crosses
+    from one read into the next is overwritten with a value above every
+    k-mer, so after an in-place sort the real k-mers form a prefix.
+    """
+    codes = _joined_codes(reads)
+    windows = len(codes) - k + 1
+    if windows <= 0:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    packed = codes[:windows].astype(np.uint64)
+    for j in range(1, k):
+        packed <<= 2
+        packed |= codes[j:j + windows]
+    # read i holds symbols [s, e): windows starting in [s, max(e-k+1, s))
+    # lie inside it and those starting in [max(e-k+1, s), e) cross its end
+    ends = np.cumsum([len(r) for r in reads], dtype=np.int64)
+    starts = np.concatenate(([0], ends[:-1]))
+    crossing = np.maximum(ends - (k - 1), starts)
+    runs = np.empty(2 * len(reads), dtype=np.int64)
+    runs[0::2] = crossing - starts
+    runs[1::2] = ends - crossing
+    inside = np.repeat(np.tile([True, False], len(reads)), runs)[:windows]
+    packed[~inside] = np.iinfo(np.uint64).max
+    packed.sort()
+    values = packed[:np.count_nonzero(inside)]
+    first = _run_starts(values)
+    return values[first], np.diff(first, append=len(values))
+
+
+def _batches(reads: Iterable[str]) -> Iterator[list[str]]:
+    batch: list[str] = []
+    size = 0
+    for r in reads:
+        batch.append(r)
+        size += len(r)
+        if size >= _COUNT_BATCH:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
+
+
+def _count(reads: Iterable[str], k: int) -> dict[int, int]:
+    """Packed k-mer -> occurrence count, by sorting and counting each batch
+    of reads and summing the batches' counts."""
+    _check_k(k)
+    parts = [_count_batch(batch, k) for batch in _batches(reads)]
+    if not parts:
+        return {}
+    keys = np.concatenate([p[0] for p in parts])
+    counts = np.concatenate([p[1] for p in parts])
+    if len(parts) > 1 and len(keys):  # a k-mer may occur in several batches
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = _run_starts(keys)
+        keys, counts = keys[first], np.add.reduceat(counts[order], first)
+    return dict(zip(keys.tolist(), counts.tolist()))
+
+
 @dataclass(frozen=True)
 class KmerSpectrum:
     """The set of distinct k-mers of a string or read collection.
@@ -182,9 +302,13 @@ class KmerSpectrum:
     def total_count(self) -> int:
         return sum(self.counts.values())
 
+    def packed(self) -> np.ndarray:
+        """Distinct members as a sorted ``uint64`` array."""
+        return np.sort(np.fromiter(self.counts, dtype=np.uint64, count=len(self.counts)))
+
     def strings(self) -> list[str]:
         """Distinct members in lexicographic order."""
-        return [decode_kmer(p, self.k) for p in sorted(self.counts)]
+        return decode_kmers(self.packed(), self.k)
 
     def distinct_packed(self) -> frozenset[int]:
         return frozenset(self.counts)
@@ -200,21 +324,13 @@ def spectrum(s: str, k: int) -> KmerSpectrum:
     Empty when ``len(s) < k``. Multiplicity of each member is its number of
     (possibly overlapping) occurrence positions in ``s``.
     """
-    _check_k(k)
-    counts: dict[int, int] = {}
-    for p in packed_kmers(s, k):
-        counts[p] = counts.get(p, 0) + 1
-    return KmerSpectrum(k, counts)
+    return KmerSpectrum(k, _count((s,), k))
 
 
 def spectrum_of_set(reads: ReadSet | Iterable[str], k: int) -> KmerSpectrum:
-    """Union of the per-read spectra; multiplicities sum across reads."""
-    _check_k(k)
-    counts: dict[int, int] = {}
-    for r in reads:
-        for p in packed_kmers(r, k):
-            counts[p] = counts.get(p, 0) + 1
-    return KmerSpectrum(k, counts)
+    """Union of the per-read spectra; multiplicities sum across reads.
+    Reads of any length are welcome; those shorter than k add nothing."""
+    return KmerSpectrum(k, _count(reads, k))
 
 
 def is_common_superstring(g: str, reads: ReadSet | Iterable[str]) -> bool:

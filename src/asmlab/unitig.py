@@ -16,8 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from asmlab.graph import DeBruijnGraph, Walk, covering_walk_feasibility
-from asmlab.sequence import DnaString
+from asmlab.sequence import DnaString, from_codes
 
 _STATE_BUDGET = 4_000_000  # product states before the oracle answers `unknown`
 
@@ -25,59 +27,59 @@ _STATE_BUDGET = 4_000_000  # product states before the oracle answers `unknown`
 @dataclass(frozen=True)
 class UnitigPartition:
     """The unique partition of a graph's vertices into maximal unitigs,
-    ordered by spelled string."""
+    ordered by spelled string; ``spellings[i]`` is what ``unitigs[i]``
+    spells."""
 
     graph: DeBruijnGraph
     unitigs: tuple[tuple[str, ...], ...]
+    spellings: tuple[str, ...]
 
     def spelled(self) -> list[str]:
-        return [_spell_path(u) for u in self.unitigs]
-
-
-def _spell_path(path: tuple[str, ...]) -> str:
-    return path[0] + "".join(v[-1] for v in path[1:])
+        return list(self.spellings)
 
 
 def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
     """Extract every maximal unitig; works on any graph, including
-    disconnected ones and isolated vertices (singleton unitigs)."""
-    claimed: set[str] = set()
-    paths: list[tuple[str, ...]] = []
+    disconnected ones and isolated vertices (singleton unitigs).
 
-    def extends_back(v: str) -> bool:
-        if graph.in_degree(v) != 1:
-            return False
-        pred = graph.predecessors(v)[0]
-        return graph.out_degree(pred) == 1
+    Works on vertex indices and the degree arrays: an edge whose tail has
+    one out-edge and whose head has one in-edge links the two, and the
+    unitigs are the chains of links. A vertex that no link enters starts a
+    unitig; what is left after those are followed are pure cycles, each
+    started at its smallest vertex. A unitig is spelled from its first
+    vertex and the last-symbol codes of the rest.
+    """
+    n = len(graph.vertices)
+    tails, heads = graph.edge_endpoints()
+    chained = ((np.array(graph.out_degrees) == 1)[tails]
+               & (np.array(graph.in_degrees) == 1)[heads])
+    link = np.full(n, -1, dtype=np.intp)
+    link[tails[chained]] = heads[chained]
+    entered = np.zeros(n, dtype=bool)
+    entered[heads[chained]] = True
 
-    def forward_path(start: str) -> tuple[str, ...]:
+    link_of = link.tolist()
+    claimed = [False] * len(link_of)
+    paths: list[list[int]] = []
+    for start in np.flatnonzero(~entered).tolist() + list(range(len(link_of))):
+        if claimed[start]:
+            continue
         path = [start]
-        cur = start
-        while graph.out_degree(cur) == 1:
-            nxt = graph.successors(cur)[0]
-            if graph.in_degree(nxt) != 1 or nxt == start or nxt in claimed:
-                break
+        claimed[start] = True
+        nxt = link_of[start]
+        while nxt >= 0 and not claimed[nxt]:
             path.append(nxt)
-            cur = nxt
-        return tuple(path)
-
-    for v in graph.vertices:
-        if v in claimed or extends_back(v):
-            continue
-        path = forward_path(v)
-        claimed.update(path)
-        paths.append(path)
-    # leftovers are pure cycles where every vertex chains backward forever
-    for v in graph.vertices:
-        if v in claimed:
-            continue
-        path = forward_path(v)
-        claimed.update(path)
+            claimed[nxt] = True
+            nxt = link_of[nxt]
         paths.append(path)
 
-    assert len(claimed) == len(graph.vertices)
-    paths.sort(key=_spell_path)
-    return UnitigPartition(graph, tuple(paths))
+    names = graph.vertices
+    last_codes = (graph.packed_vertices & 3).astype(np.uint8)
+    spelled = [names[p[0]] + from_codes(last_codes[p[1:]]) for p in paths]
+    order = sorted(range(len(paths)), key=spelled.__getitem__)
+    return UnitigPartition(graph,
+                           tuple(tuple(map(names.__getitem__, paths[i])) for i in order),
+                           tuple(spelled[i] for i in order))
 
 
 @dataclass(frozen=True)
@@ -116,11 +118,11 @@ def unitig_contigs(graph: DeBruijnGraph) -> ContigSet:
     contigs = tuple(
         Contig(
             name=f"u{i}",
-            sequence=DnaString(_spell_path(path)),
+            sequence=DnaString(spelling),
             source="unitig",
             vertex_path=path,
         )
-        for i, path in enumerate(partition.unitigs)
+        for i, (path, spelling) in enumerate(zip(partition.unitigs, partition.spellings))
     )
     return ContigSet(graph.k, contigs)
 

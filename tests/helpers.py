@@ -16,6 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from asmlab.errors import DisconnectedGraphError, NoCoveringWalkError
 from asmlab.graph import DeBruijnGraph, Walk
+from asmlab.sequence import decode_kmer, packed_kmers
 
 
 def naive_spectrum(s: str, k: int) -> Counter:
@@ -431,3 +432,158 @@ def _realize_candidate(graph: DeBruijnGraph, start: Optional[str],
         starts = starts[:1]
     for s in starts:
         yield _lexmin_euler(fresh(), s, s)
+
+
+# ---------------------------------------------------------------------------
+# Frozen string-keyed k-mer layer
+# ---------------------------------------------------------------------------
+# The dict-loop k-mer counter, the string-dict de Bruijn graph and the
+# string-lookup unitig walk as they were before the library moved to packed
+# uint64 arrays, kept verbatim as references for the differential tests.
+
+
+def reference_spectrum_counts(reads, k: int) -> dict[int, int]:
+    """Packed k-mer -> occurrence count, one read and one k-mer at a time."""
+    counts: dict[int, int] = {}
+    for r in reads:
+        for p in packed_kmers(r, k):
+            counts[p] = counts.get(p, 0) + 1
+    return counts
+
+
+class ReferenceDeBruijnGraph:
+    """Immutable order-k de Bruijn graph over string-labeled vertices, held
+    as dicts of sorted string tuples."""
+
+    def __init__(self, k: int, edge_kmers, isolated_vertices=()):
+        if k < 2:
+            raise ValueError(f"de Bruijn graph order must be >= 2, got {k}")
+        self.k = k
+        edges = sorted(set(edge_kmers))
+        for e in edges:
+            if len(e) != k:
+                raise ValueError(f"edge {e!r} does not have length k={k}")
+        vertices: set[str] = set()
+        out: dict[str, list[str]] = {}
+        inn: dict[str, list[str]] = {}
+        for e in edges:
+            tail, head = e[:-1], e[1:]
+            vertices.add(tail)
+            vertices.add(head)
+            out.setdefault(tail, []).append(head)
+            inn.setdefault(head, []).append(tail)
+        for v in isolated_vertices:
+            if len(v) != k - 1:
+                raise ValueError(f"vertex {v!r} does not have length k-1={k - 1}")
+            vertices.add(v)
+        self.edge_kmers: tuple[str, ...] = tuple(edges)
+        self.vertices: tuple[str, ...] = tuple(sorted(vertices))
+        self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
+        self._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
+
+    def successors(self, v: str) -> tuple[str, ...]:
+        return self._out.get(v, ())
+
+    def predecessors(self, v: str) -> tuple[str, ...]:
+        return self._in.get(v, ())
+
+    def out_degree(self, v: str) -> int:
+        return len(self._out.get(v, ()))
+
+    def in_degree(self, v: str) -> int:
+        return len(self._in.get(v, ()))
+
+    def sources(self) -> list[str]:
+        return [v for v in self.vertices
+                if self.in_degree(v) == 0 and self.out_degree(v) > 0]
+
+    def sinks(self) -> list[str]:
+        return [v for v in self.vertices
+                if self.out_degree(v) == 0 and self.in_degree(v) > 0]
+
+    def isolated_vertices(self) -> list[str]:
+        return [v for v in self.vertices
+                if self.in_degree(v) == 0 and self.out_degree(v) == 0]
+
+    def weakly_connected_components(self) -> list[tuple[str, ...]]:
+        active = [v for v in self.vertices
+                  if self.out_degree(v) > 0 or self.in_degree(v) > 0]
+        seen: set[str] = set()
+        components: list[tuple[str, ...]] = []
+        for root in active:
+            if root in seen:
+                continue
+            comp = []
+            queue = deque([root])
+            seen.add(root)
+            while queue:
+                v = queue.popleft()
+                comp.append(v)
+                for w in self.successors(v) + self.predecessors(v):
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            components.append(tuple(sorted(comp)))
+        return components
+
+    def subgraph(self, vertex_subset) -> "ReferenceDeBruijnGraph":
+        keep = set(vertex_subset)
+        edges = [e for e in self.edge_kmers if e[:-1] in keep and e[1:] in keep]
+        isolated = [v for v in self.isolated_vertices() if v in keep]
+        return ReferenceDeBruijnGraph(self.k, edges, isolated)
+
+
+def reference_build(reads, k: int) -> ReferenceDeBruijnGraph:
+    """The string-path graph of a read set: count, decode every k-mer, then
+    build the string-dict graph; (k-1)-length reads become isolated vertices."""
+    isolated = {str(r) for r in reads if len(r) == k - 1}
+    usable = [str(r) for r in reads if len(r) >= k]
+    counts = reference_spectrum_counts(usable, k)
+    kmers = [decode_kmer(p, k) for p in sorted(counts)]
+    return ReferenceDeBruijnGraph(k, kmers, isolated)
+
+
+def _reference_spell_path(path: tuple[str, ...]) -> str:
+    return path[0] + "".join(v[-1] for v in path[1:])
+
+
+def reference_maximal_unitigs(graph) -> tuple[tuple[str, ...], ...]:
+    """Maximal unitigs as vertex paths sorted by spelled string, by string
+    lookups on any graph with the string adjacency views."""
+    claimed: set[str] = set()
+    paths: list[tuple[str, ...]] = []
+
+    def extends_back(v: str) -> bool:
+        if graph.in_degree(v) != 1:
+            return False
+        pred = graph.predecessors(v)[0]
+        return graph.out_degree(pred) == 1
+
+    def forward_path(start: str) -> tuple[str, ...]:
+        path = [start]
+        cur = start
+        while graph.out_degree(cur) == 1:
+            nxt = graph.successors(cur)[0]
+            if graph.in_degree(nxt) != 1 or nxt == start or nxt in claimed:
+                break
+            path.append(nxt)
+            cur = nxt
+        return tuple(path)
+
+    for v in graph.vertices:
+        if v in claimed or extends_back(v):
+            continue
+        path = forward_path(v)
+        claimed.update(path)
+        paths.append(path)
+    # leftovers are pure cycles where every vertex chains backward forever
+    for v in graph.vertices:
+        if v in claimed:
+            continue
+        path = forward_path(v)
+        claimed.update(path)
+        paths.append(path)
+
+    assert len(claimed) == len(graph.vertices)
+    paths.sort(key=_reference_spell_path)
+    return tuple(paths)

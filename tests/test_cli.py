@@ -204,6 +204,34 @@ class TestBadInput:
         assert "line 2: byte 0xC3 in " + str(reads) in err and "codec" not in err
 
 
+    @pytest.mark.parametrize("text,line", [
+        ("k=3\nACG\nACGT\n", "line 3: edge 'ACGT' has length 4"),
+        ("k=x\nACG\n", "line 1: graph order 'x' is not an integer"),
+        ("k=32\n" + "A" * 32 + "\n", "line 1: graph order k=32 is outside [2, 31]"),
+    ])
+    def test_bad_edge_list_shape_is_data_error(self, tmp_path, capsys, text, line):
+        graph = tmp_path / "bad.edges"
+        graph.write_text(text)
+        assert main(["dbg", "walk", "--graph", str(graph), "--shortest"]) == 1
+        assert line in capsys.readouterr().err
+
+    def test_reads_shorter_than_k_minus_one_are_data_error(self, tmp_path, capsys):
+        reads = tmp_path / "reads.fasta"
+        reads.write_text(">r1\nAC\n>r2\nACG\n")
+        out = tmp_path / "c.fasta"
+        assert main(["assemble", "--reads", str(reads), "-k", "5", "--method", "unitig",
+                     "--out", str(out)]) == 1
+        assert "k-1=4 (the longest has 3 nt)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_reads_file_is_data_error(self, tmp_path, capsys):
+        reads = tmp_path / "reads.fasta"
+        reads.write_text("\n")
+        assert main(["assemble", "--reads", str(reads), "-k", "3", "--method", "unitig",
+                     "--out", str(tmp_path / "c.fasta")]) == 1
+        assert f"no reads in {reads}" in capsys.readouterr().err
+
+
 class TestEval:
     def test_running_example_report(self, tmp_path, gtrue_fasta, gtrue_reads):
         contigs = tmp_path / "contigs.fasta"

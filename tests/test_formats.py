@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -70,6 +71,24 @@ class TestReadFasta:
         with pytest.raises(FastaParseError, match="line 4: record 'r1' has 2 quality"):
             read_fasta(io.StringIO("@r1\nACGT\n+\nII\n"))
 
+    def test_read_reads_without_records_names_file(self, tmp_path):
+        path = tmp_path / "empty.fasta"
+        path.write_text("")
+        with pytest.raises(FastaParseError, match=f"no reads in {re.escape(str(path))}"):
+            read_reads(path)
+        with pytest.raises(FastaParseError, match="no reads"):
+            read_reads(io.StringIO(">bad\nACGN\n"), drop_ambiguous=True)
+
+    @pytest.mark.parametrize("text,line", [
+        (">r1\nACGT\n\nAC\nGTN\n>r2\nA\n", 5),
+        ("@r1\nACNT\n+\n!!!!\n", 2),
+    ])
+    def test_symbol_error_line_after_single_scan(self, text, line):
+        with pytest.raises(FastaParseError, match=f"line {line}: invalid symbol 'N' in record 'r1'"):
+            read_fasta(io.StringIO(text))
+        assert read_fasta(io.StringIO(text), drop_ambiguous=True) == \
+            ([FastaRecord("r2", DnaString("A"))] if text.startswith(">") else [])
+
     def test_read_reads_wraps_into_readset(self):
         reads = read_reads(io.StringIO(">a\nACG\n>b\nCGT\n"))
         assert isinstance(reads, ReadSet)
@@ -126,6 +145,17 @@ class TestEdgeList:
         with pytest.raises(FastaParseError, match="line 2: invalid symbol 'N'"):
             read_edge_list(io.StringIO("k=3\nv=NN\n"))
 
+    @pytest.mark.parametrize("text,line", [
+        ("k=3\nACG\nACGT\n", "line 3: edge 'ACGT' has length 4, expected 3"),
+        ("k=3\nv=A\n", "line 2: vertex 'A' has length 1, expected 2"),
+        ("k=x\nACG\n", "line 1: graph order 'x' is not an integer"),
+        ("\nk=40\nACG\n", "line 2: graph order k=40 is outside"),
+        ("k=1\nA\n", "line 1: graph order k=1 is outside"),
+    ])
+    def test_bad_header_or_length_names_line(self, text, line):
+        with pytest.raises(FastaParseError, match=re.escape(line)):
+            read_edge_list(io.StringIO(text))
+
     def test_header_required(self):
         with pytest.raises(ValueError, match="header"):
             read_edge_list(io.StringIO("ACG\n"))
@@ -165,6 +195,12 @@ class TestConfig:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="key = value"):
             read_config(io.StringIO("read_length\n"))
+
+    def test_bad_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("seed = 3\nk = abc\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}, line 2: key 'k'"):
+            read_config(path)
 
     def test_defaults(self):
         cfg = read_config(io.StringIO(""))

@@ -60,6 +60,10 @@ class TestBuild:
         assert g.num_edges == 2
         assert any("shorter than k-1" in rec.message for rec in caplog.records)
 
+    def test_only_reads_shorter_than_k_minus_one_is_assembly_error(self):
+        with pytest.raises(AssemblyError, match=r"k-1=4 \(the longest has 3 nt\)"):
+            dbg.build(ReadSet.of("AC", "ACG", ""), 5)
+
     def test_k_minus_one_reads_become_isolated_vertices(self):
         g = dbg.build(ReadSet.of("ACGT", "TT"), 3)
         assert g.isolated_vertices() == ["TT"]

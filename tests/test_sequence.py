@@ -9,7 +9,9 @@ from asmlab.sequence import (
     DnaString,
     ReadSet,
     decode_kmer,
+    decode_kmers,
     encode_kmer,
+    encode_kmers,
     first_invalid,
     from_codes,
     is_common_superstring,
@@ -63,6 +65,21 @@ class TestKmer:
         a, b = pair
         assert (encode_kmer(a) < encode_kmer(b)) == (a < b)
 
+    @PROPERTY
+    @given(st.integers(min_value=1, max_value=31).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.text(alphabet="ACGT", min_size=k, max_size=k), max_size=20))))
+    def test_vectorized_round_trip(self, case):
+        k, kmers = case
+        packed = encode_kmers(kmers, k)
+        assert packed.tolist() == [encode_kmer(x) for x in kmers]
+        assert decode_kmers(packed, k) == kmers
+
+    def test_vectorized_encode_checks_length_and_symbols(self):
+        with pytest.raises(ValueError, match="'ACG' does not have length 2"):
+            encode_kmers(["AC", "ACG"], 2)
+        with pytest.raises(ValueError, match="'X' at position 1"):
+            encode_kmers(["AC", "AX"], 2)
+
     def test_k_limits(self):
         with pytest.raises(ValueError):
             encode_kmer("A" * 32)
@@ -89,21 +106,46 @@ class TestCodes:
             to_codes("ACXT")
 
 
+def _is_symbol(value) -> bool:
+    return isinstance(value, (str, bytes)) and len(value) == 1 and value.upper() in (
+        "A", "C", "G", "T", b"A", b"C", b"G", b"T")
+
+
+def _alphabet_use(node: ast.AST):
+    """What ``node`` spells of the alphabet or its code tables, or None."""
+    if isinstance(node, ast.Constant) and node.value in ("ACGT", b"ACGT"):
+        return repr(node.value)
+    if not isinstance(node, (ast.Call, ast.List, ast.Tuple, ast.Set)):
+        return None
+    if isinstance(node, ast.Call):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "maketrans"
+                and isinstance(func.value, ast.Name) and func.value.id in ("bytes", "str")):
+            return f"{func.value.id}.maketrans"
+        if (isinstance(func, ast.Name) and func.id == "ord" and node.args
+                and isinstance(node.args[0], ast.Constant) and _is_symbol(node.args[0].value)):
+            return f"ord({node.args[0].value!r})"
+        return None
+    # a lookup table written out symbol by symbol, or byte value by byte value
+    values = [e.value for e in node.elts if isinstance(e, ast.Constant)]
+    letters = {v.upper() for v in values if _is_symbol(v)}
+    if len(letters) == 4 or {65, 67, 71, 84} <= set(values) or {97, 99, 103, 116} <= set(values):
+        return "a table of the four symbols"
+    return None
+
+
 def test_only_sequence_module_knows_the_alphabet():
-    """The alphabet literal and translation tables live in sequence.py alone."""
+    """The alphabet literal, translation tables and lookup tables built from
+    the symbols or their byte values live in sequence.py alone."""
     package = Path(__file__).resolve().parents[1] / "src" / "asmlab"
     offenders = []
     for path in sorted(package.glob("*.py")):
         if path.name == "sequence.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Constant) and node.value == "ACGT":
-                offenders.append(f"{path.name}:{node.lineno} 'ACGT'")
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "maketrans"
-                  and isinstance(node.func.value, ast.Name)
-                  and node.func.value.id in ("bytes", "str")):
-                offenders.append(f"{path.name}:{node.lineno} {node.func.value.id}.maketrans")
+            use = _alphabet_use(node)
+            if use is not None:
+                offenders.append(f"{path.name}:{node.lineno} {use}")
     assert offenders == []
 
 
@@ -146,6 +188,10 @@ class TestSpectrum:
         sp = spectrum_of_set(ReadSet.of("ACG", "CGT"), 2)
         assert sp.strings() == ["AC", "CG", "GT"]
         assert sp.multiplicity("CG") == 2
+
+    def test_symbol_outside_alphabet_named_within_its_read(self):
+        with pytest.raises(ValueError, match="'X' at position 2"):
+            spectrum_of_set(["ACGT", "ACXT"], 2)
 
     def test_union_example(self):
         sp = spectrum_of_set(ReadSet.of("CGG", "AAC"), 3)
