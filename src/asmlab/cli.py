@@ -20,7 +20,7 @@ from pathlib import Path
 
 from asmlab import graph as dbg
 from asmlab import simulate
-from asmlab.errors import AssemblyError
+from asmlab.errors import AssemblyError, FastaParseError
 from asmlab.evaluate import StageResult, assemble_contigs, evaluate, run_stage
 from asmlab.formats import (
     FastaRecord,
@@ -148,7 +148,7 @@ def _load_genome_arg(args) -> DnaString:
             raise ValueError("--plant-repeat only applies to --random-length genomes")
         records = read_fasta(args.genome)
         if not records:
-            raise ValueError(f"no FASTA records in {args.genome}")
+            raise FastaParseError(f"no FASTA records in {args.genome}", line=1)
         return records[0].sequence
     planted = None
     if args.plant_repeat:
@@ -216,7 +216,7 @@ def _cmd_assemble(args) -> int:
         reads = simulate.correct_reads(reads, args.k, args.correct)
     contigs, graph = assemble_contigs(reads, args.k, args.method)
     write_fasta(
-        [FastaRecord(c.name, c.sequence, description=_provenance(c)) for c in contigs],
+        [FastaRecord(c.name, c.sequence, description=c.source) for c in contigs],
         args.out,
     )
     if args.dot:
@@ -224,12 +224,6 @@ def _cmd_assemble(args) -> int:
         Path(args.dot).write_text(dbg.export_dot(graph, highlight), encoding="ascii")
     print(f"wrote {len(contigs)} contig(s) to {args.out}")
     return 0
-
-
-def _provenance(contig: Contig) -> str:
-    if contig.vertex_path:
-        return f"{contig.source} path={'>'.join(contig.vertex_path)}"
-    return contig.source
 
 
 def _cmd_dbg(args) -> int:
@@ -275,7 +269,7 @@ def _cmd_eval(args) -> int:
     contig_records = read_fasta(args.contigs)
     truth_records = read_fasta(args.truth)
     if not truth_records:
-        raise ValueError(f"no FASTA records in {args.truth}")
+        raise FastaParseError(f"no FASTA records in {args.truth}", line=1)
     contigs = ContigSet(
         args.k,
         tuple(Contig(r.id, r.sequence, source="file") for r in contig_records),

@@ -17,6 +17,7 @@ from typing import Optional
 
 from asmlab import graph as dbg
 from asmlab import simulate
+from asmlab.errors import FastaParseError
 from asmlab.formats import FastaRecord, StageConfig, read_fasta, read_reads, write_fasta
 from asmlab.sequence import DnaString, ReadSet, packed_kmers, spectrum
 from asmlab.superstring import exact_scs, greedy_scs
@@ -224,7 +225,6 @@ def assemble_contigs(reads: ReadSet, k: int, method: str) -> tuple[ContigSet, Op
                 name=f"w{i}",
                 sequence=DnaString(dbg.spell(walk)),
                 source="cpp-walk",
-                vertex_path=walk.vertices(),
             ))
         return ContigSet(k, tuple(contigs)), graph
     if method in ("scs-greedy", "scs-exact"):
@@ -239,7 +239,7 @@ def _load_genome(config: StageConfig) -> DnaString:
     if config.genome_fasta:
         records = read_fasta(config.genome_fasta)
         if not records:
-            raise ValueError(f"no records in {config.genome_fasta}")
+            raise FastaParseError(f"no FASTA records in {config.genome_fasta}", line=1)
         return records[0].sequence  # first record is the truth genome
     if config.genome_length is None:
         raise ValueError("config needs genome_length or genome_fasta")
@@ -296,7 +296,7 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
         if config.truth_fasta:
             records = read_fasta(config.truth_fasta)
             if not records:
-                raise ValueError(f"no records in {config.truth_fasta}")
+                raise FastaParseError(f"no FASTA records in {config.truth_fasta}", line=1)
             truth = records[0].sequence
 
     reads_path = directory / "reads.fasta"

@@ -8,11 +8,14 @@ of the directed Chinese Postman Problem):
 
 - two or more sources, or two or more sinks, rule a covering walk out in
   O(V), before any search;
-- one min-cost assignment between out-of-balance units, with a dummy start
-  row and a dummy end column, prices the shortest paths to duplicate;
+- the solver runs on vertex indices: one BFS per deficit vertex over the
+  CSR adjacency fills one path-cost matrix between out-of-balance units,
+  and one min-cost assignment on it, with a dummy start row and a dummy
+  end column, prices the shortest paths to duplicate;
 - every optimum spells its start vertex first, so only the smallest
-  optimal start is kept and each of its optimal ends is realized once,
-  by a smallest-successor-first Hierholzer walk; the smallest string wins.
+  optimal start is kept; each of its optimal ends is solved on the same
+  matrix less one row and one column and realized once, by a
+  smallest-successor-first Hierholzer walk; the smallest string wins.
 
 A subset-state breadth-first oracle double-checks small instances and can
 count all optimal walks.
@@ -25,7 +28,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -50,10 +53,7 @@ from asmlab.sequence import (
 logger = logging.getLogger(__name__)
 
 ORACLE_EDGE_LIMIT = 16
-_NO_PATH = 1 << 30         # assignment cost of a pair with no duplication path
-
-# BFS tree of one deficit vertex: depth and parent of each reachable vertex
-_Tree = dict[str, tuple[int, Optional[str]]]
+_NO_PATH = 1 << 30         # depth of an unreachable vertex: no duplication path
 
 
 def _check_order(k: int) -> None:
@@ -296,11 +296,6 @@ class Walk:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> tuple[str, ...]:
-        if not self.edges:
-            return ()
-        return (self.edges[0][:-1],) + tuple(e[1:] for e in self.edges)
-
 
 def spell(walk: Walk) -> str:
     """The string a walk spells: the first k-mer, then one symbol per edge."""
@@ -343,32 +338,34 @@ def is_edge_covering(walk: Walk) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_tree(graph: DeBruijnGraph, source: str) -> _Tree:
-    """Depth and parent of every vertex reachable from ``source``. Successors
-    are scanned in sorted order, so each parent is the lexicographically
-    earliest on some shortest path."""
-    tree: _Tree = {source: (0, None)}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in graph.successors(v):
-            if w not in tree:
-                tree[w] = (tree[v][0] + 1, v)
+def _bfs(graph: DeBruijnGraph, source: int) -> tuple[list[int], list[int]]:
+    """Depth (``_NO_PATH`` where unreachable) and parent of every vertex
+    index from ``source``. Successors are scanned in ascending order, so
+    each parent is the smallest first-discovered one."""
+    offsets, targets = graph.out_offsets, graph.out_targets
+    depth, parent = [_NO_PATH] * len(graph.vertices), [-1] * len(graph.vertices)
+    depth[source] = 0
+    queue = [source]
+    for v in queue:  # breadth first: the loop reaches what it appends
+        for w in targets[offsets[v]:offsets[v + 1]]:
+            if depth[w] == _NO_PATH:
+                depth[w], parent[w] = depth[v] + 1, v
                 queue.append(w)
-    return tree
+    return depth, parent
 
 
-def _euler_path(graph: DeBruijnGraph, start: str, dups: list[tuple[str, str]],
-                trees: dict[str, _Tree]) -> list[str]:
-    """Lexicographically smallest Euler walk, as a vertex path, from
+def _euler_path(graph: DeBruijnGraph, start: int, dups: Iterable[tuple[int, int]],
+                trees: dict[int, tuple[list[int], list[int]]]) -> list[int]:
+    """Lexicographically smallest Euler walk, as a vertex-index path, from
     ``start`` over every edge plus, per duplication pair (d, s), the path to
     s in d's BFS tree: Hierholzer's algorithm leaving by the smallest unused
     successor copy, with the post-order reversed."""
-    heaps = {v: list(graph.successors(v)) for v in graph.vertices}  # sorted, so heaps
+    offsets, targets = graph.out_offsets, graph.out_targets
+    heaps = [targets[a:b] for a, b in zip(offsets, offsets[1:])]  # sorted, so heaps
     copies = graph.num_edges
     for d, w in dups:
         while w != d:
-            u = trees[d][w][1]
+            u = trees[d][1][w]
             heapq.heappush(heaps[u], w)
             copies += 1
             w = u
@@ -381,81 +378,55 @@ def _euler_path(graph: DeBruijnGraph, start: str, dups: list[tuple[str, str]],
             post.append(stack.pop())
     if len(post) != copies + 1:
         raise NoCoveringWalkError(
-            f"the Euler walk from {start!r} used {len(post) - 1} of {copies} edge copies"
+            f"the Euler walk from {graph.vertices[start]!r} used {len(post) - 1} "
+            f"of {copies} edge copies"
         )
     return post[::-1]
 
 
-def _vertex_path_to_walk(graph: DeBruijnGraph, path: Sequence[str]) -> Walk:
-    return Walk(graph, tuple(u + w[-1] for u, w in zip(path, path[1:])))
+def _vertex_path_to_walk(graph: DeBruijnGraph, path: list[int]) -> Walk:
+    names = graph.vertices
+    return Walk(graph, tuple(names[u] + names[w][-1] for u, w in zip(path, path[1:])))
 
 
-def _deficits_and_surpluses(graph: DeBruijnGraph) -> tuple[list[str], list[str]]:
-    """One unit per missing out-edge (deficit) or in-edge (surplus), sorted."""
-    deficits, surpluses = [], []
-    for v in graph.vertices:
-        b = graph.out_degree(v) - graph.in_degree(v)
-        deficits.extend([v] * -b)      # a non-positive repeat is empty
-        surpluses.extend([v] * b)
-    return deficits, surpluses
-
-
-def _path_costs(deficit_units: list[str], surplus_units: list[str],
-                trees: dict[str, _Tree]) -> np.ndarray:
-    """Duplication-path lengths deficit -> surplus, ``_NO_PATH`` where the
-    surplus is unreachable."""
-    cost = np.full((len(deficit_units), len(surplus_units)), _NO_PATH, dtype=np.int64)
-    for i, d in enumerate(deficit_units):
-        tree = trees[d]
-        for j, s in enumerate(surplus_units):
-            if s in tree:
-                cost[i, j] = tree[s][0]
-    return cost
-
-
-def _assignment_cost(deficit_units: list[str], surplus_units: list[str],
-                     trees: dict[str, _Tree]
-                     ) -> Optional[tuple[int, list[tuple[str, str]]]]:
-    """Min-cost perfect matching of duplication paths deficit -> surplus.
-
-    Returns (total cost, matched pairs) or None when no finite-cost perfect
-    matching exists.
-    """
-    if not deficit_units:
-        return 0, []
-    cost = _path_costs(deficit_units, surplus_units, trees)
+def _assign(cost: np.ndarray) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
+    """Min-cost perfect matching on ``cost`` as (total, rows, cols), or None
+    when no matching avoids every ``_NO_PATH`` pair."""
+    if not cost.size:  # a per-end solve with one unit a side: nothing to pair
+        none = np.empty(0, dtype=np.intp)
+        return 0, none, none
     rows, cols = linear_sum_assignment(cost)
     total = int(cost[rows, cols].sum())
-    if total >= _NO_PATH:
-        return None
-    pairs = [(deficit_units[i], surplus_units[j]) for i, j in zip(rows, cols)]
-    return total, pairs
+    return None if total >= _NO_PATH else (total, rows, cols)
 
 
-def _open_walk_cost(paths: np.ndarray, surplus_units: list[str],
-                    start: Optional[str] = None) -> Optional[int]:
+def _open_walk_cost(paths: np.ndarray, surpluses: np.ndarray,
+                    start: Optional[int] = None) -> Optional[int]:
     """Least duplication cost of an open walk from ``start`` (default: any
     surplus vertex), or None. A dummy start row takes the surplus unit the
     walk leaves first and a dummy end column the deficit unit it ends at;
     dummy-to-dummy (a closed walk) is forbidden, since dropping any matched
     pair of a closed option gives a cheaper open one."""
-    n = len(surplus_units)
+    n = len(surpluses)
     cost = np.full((n + 1, n + 1), _NO_PATH, dtype=np.int64)
     cost[:n, :n] = paths
-    cost[n, :n] = [0 if start in (None, s) else _NO_PATH for s in surplus_units]
+    cost[n, :n] = 0 if start is None else np.where(surpluses == start, 0, _NO_PATH)
     cost[:n, n] = 0
-    rows, cols = linear_sum_assignment(cost)
-    total = int(cost[rows, cols].sum())
-    return None if total >= _NO_PATH else total
+    solved = _assign(cost)
+    return None if solved is None else solved[0]
 
 
 def _duplication_plan(graph: DeBruijnGraph):
-    """Imbalance units, their BFS trees, the path-cost matrix and the
-    optimal open-walk duplication cost of a weakly connected graph.
+    """Imbalance units, the BFS tree of each deficit vertex, the
+    path-cost matrix and the optimal open-walk duplication cost of a weakly
+    connected graph.
 
-    Raises :class:`NoCoveringWalkError` when no covering walk exists: in
-    O(V) for two or more sources or sinks (a covering walk starts at every
-    source and ends at every sink), otherwise when no finite-cost
+    Units are vertex indices, one per missing out-edge (deficit) or in-edge
+    (surplus), in ascending order. Entry (i, j) of the matrix is the length
+    of the duplication path from deficit unit i to surplus unit j, or
+    ``_NO_PATH``. Raises :class:`NoCoveringWalkError` when no covering walk
+    exists: in O(V) for two or more sources or sinks (a covering walk starts
+    at every source and ends at every sink), otherwise when no finite-cost
     assignment exists. A balanced graph returns no units and cost 0.
     """
     for kind, ends in (("sources", graph.sources()), ("sinks", graph.sinks())):
@@ -465,11 +436,16 @@ def _duplication_plan(graph: DeBruijnGraph):
                 f"graph has {len(ends)} {kind} ({shown}); a covering walk "
                 "has one start and one end"
             )
-    deficits, surpluses = _deficits_and_surpluses(graph)
-    if not deficits:
+    balance = np.subtract(graph.out_degrees, graph.in_degrees)
+    index = np.arange(len(balance))
+    deficits = np.repeat(index, np.maximum(-balance, 0))
+    surpluses = np.repeat(index, np.maximum(balance, 0))
+    if not deficits.size:
         return deficits, surpluses, {}, None, 0
-    trees = {d: _bfs_tree(graph, d) for d in set(deficits)}
-    paths = _path_costs(deficits, surpluses, trees)
+    tails, rows = np.unique(deficits, return_inverse=True)
+    trees = {d: _bfs(graph, d) for d in tails.tolist()}
+    depths = np.array([depth for depth, _ in trees.values()], dtype=np.int64)
+    paths = depths[rows[:, None], surpluses]
     best = _open_walk_cost(paths, surpluses)
     if best is None:
         raise NoCoveringWalkError(
@@ -490,7 +466,7 @@ def covering_walk_feasibility(graph: DeBruijnGraph) -> tuple[bool, str]:
         deficits = _duplication_plan(graph)[0]
     except NoCoveringWalkError as err:
         return False, str(err)
-    if not deficits:
+    if not deficits.size:
         return True, "balanced (closed walk exists)"
     return True, "imbalances repairable by edge duplication"
 
@@ -512,23 +488,26 @@ def shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
         raise DisconnectedGraphError([graph.subgraph(c) for c in components])
 
     deficits, surpluses, trees, paths, best = _duplication_plan(graph)
-    if not deficits:
+    if not deficits.size:
         # a closed walk spells its start first: the smallest vertex wins
-        start = next(v for v in graph.vertices if graph.out_degree(v) > 0)
+        start = next(v for v, out in enumerate(graph.out_degrees) if out)
         return _vertex_path_to_walk(graph, _euler_path(graph, start, [], {}))
 
     # every optimum spells its start vertex first and all have one length
-    start = next(s for s in sorted(set(surpluses))
+    start = next(s for s in np.unique(surpluses).tolist()
                  if _open_walk_cost(paths, surpluses, s) == best)
-    rest_s = list(surpluses)
-    rest_s.remove(start)
+    # an end's solve pairs the units left once one unit of start and one
+    # of end are taken: the matrix without that column and that row
+    col = int(np.searchsorted(surpluses, start))
+    rest_s, rest_paths = np.delete(surpluses, col), np.delete(paths, col, axis=1)
     candidates = []
-    for end in sorted(set(deficits)):
-        rest_d = list(deficits)
-        rest_d.remove(end)
-        solved = _assignment_cost(rest_d, rest_s, trees)
+    for end in np.unique(deficits).tolist():
+        row = int(np.searchsorted(deficits, end))
+        solved = _assign(np.delete(rest_paths, row, axis=0))
         if solved is not None and solved[0] == best:
-            candidates.append(_euler_path(graph, start, solved[1], trees))
+            _, rows, cols = solved
+            pairs = zip(np.delete(deficits, row)[rows].tolist(), rest_s[cols].tolist())
+            candidates.append(_euler_path(graph, start, pairs, trees))
     # equal-length vertex paths from one start order as their spellings do
     return _vertex_path_to_walk(graph, min(candidates))
 

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from asmlab.graph import DeBruijnGraph, Walk, covering_walk_feasibility
+from asmlab.graph import DeBruijnGraph, Walk, covering_walk_feasibility, walk_of
 from asmlab.sequence import DnaString, from_codes
 
 _STATE_BUDGET = 4_000_000  # product states before the oracle answers `unknown`
@@ -87,7 +87,6 @@ class Contig:
     name: str
     sequence: DnaString
     source: str
-    vertex_path: Optional[tuple[str, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,8 @@ def unitig_contigs(graph: DeBruijnGraph) -> ContigSet:
     """One contig per maximal unitig, in deterministic (spelled) order."""
     partition = maximal_unitigs(graph)
     contigs = tuple(
-        Contig(
-            name=f"u{i}",
-            sequence=DnaString(spelling),
-            source="unitig",
-            vertex_path=path,
-        )
-        for i, (path, spelling) in enumerate(zip(partition.unitigs, partition.spellings))
+        Contig(name=f"u{i}", sequence=DnaString(spelling), source="unitig")
+        for i, spelling in enumerate(partition.spellings)
     )
     return ContigSet(graph.k, contigs)
 
@@ -322,24 +316,18 @@ def safety_suite(graph: DeBruijnGraph, contigs: ContigSet,
         bound = 2 * graph.num_edges + graph.k
     rows = []
     for contig in contigs:
-        candidate: Union[Walk, str]
-        isolated = False
-        if contig.vertex_path is not None and len(contig.vertex_path) == 1:
-            candidate = contig.vertex_path[0]
-            isolated = (graph.out_degree(candidate) == 0
-                        and graph.in_degree(candidate) == 0)
-        elif contig.vertex_path is not None:
-            candidate = Walk(graph, tuple(
-                u + w[-1] for u, w in zip(contig.vertex_path, contig.vertex_path[1:])
-            ))
+        # a spelled string's (k-1)-mers are vertices and its k-mers edges
+        text = str(contig.sequence)
+        candidate: Union[Walk, str, None]
+        if len(text) == graph.k - 1:
+            candidate = text if text in graph.vertex_index else None
         else:
-            from asmlab.graph import walk_of
-
-            maybe = walk_of(str(contig.sequence), graph)
-            if maybe is None:
-                rows.append(SafetyRow(contig.name, "unsafe", None, False))
-                continue
-            candidate = maybe
+            candidate = walk_of(text, graph)
+        if candidate is None:
+            rows.append(SafetyRow(contig.name, "unsafe", None, False))
+            continue
+        isolated = (isinstance(candidate, str)
+                    and graph.out_degree(candidate) == graph.in_degree(candidate) == 0)
         verdict = is_safe_bounded(graph, candidate, bound)
         flagged = (
             verdict.status == "unsafe"

@@ -7,6 +7,7 @@ is meaningful evidence.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter, deque
 from typing import Optional, Sequence
@@ -432,6 +433,194 @@ def _realize_candidate(graph: DeBruijnGraph, start: Optional[str],
         starts = starts[:1]
     for s in starts:
         yield _lexmin_euler(fresh(), s, s)
+
+
+# ---------------------------------------------------------------------------
+# Frozen string-keyed covering-walk solver
+# ---------------------------------------------------------------------------
+# The single-assignment / Hierholzer solver as it stood while it still kept
+# (k-1)-mer strings: BFS trees as string-keyed dicts, and a deficit x
+# surplus matrix rebuilt in a double loop for every optimal end. Kept
+# verbatim (names prefixed) as the reference for the vertex-index solver.
+
+_string_NO_PATH = 1 << 30
+
+# BFS tree of one deficit vertex: depth and parent of each reachable vertex
+_string_Tree = dict[str, tuple[int, Optional[str]]]
+
+
+def _string_bfs_tree(graph: DeBruijnGraph, source: str) -> _string_Tree:
+    """Depth and parent of every vertex reachable from ``source``. Successors
+    are scanned in sorted order, so each parent is the lexicographically
+    earliest on some shortest path."""
+    tree: _string_Tree = {source: (0, None)}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in graph.successors(v):
+            if w not in tree:
+                tree[w] = (tree[v][0] + 1, v)
+                queue.append(w)
+    return tree
+
+
+def _string_euler_path(graph: DeBruijnGraph, start: str, dups: list[tuple[str, str]],
+                       trees: dict[str, _string_Tree]) -> list[str]:
+    """Lexicographically smallest Euler walk, as a vertex path, from
+    ``start`` over every edge plus, per duplication pair (d, s), the path to
+    s in d's BFS tree: Hierholzer's algorithm leaving by the smallest unused
+    successor copy, with the post-order reversed."""
+    heaps = {v: list(graph.successors(v)) for v in graph.vertices}  # sorted, so heaps
+    copies = graph.num_edges
+    for d, w in dups:
+        while w != d:
+            u = trees[d][w][1]
+            heapq.heappush(heaps[u], w)
+            copies += 1
+            w = u
+    stack, post = [start], []
+    while stack:
+        heap = heaps[stack[-1]]
+        if heap:
+            stack.append(heapq.heappop(heap))
+        else:
+            post.append(stack.pop())
+    if len(post) != copies + 1:
+        raise NoCoveringWalkError(
+            f"the Euler walk from {start!r} used {len(post) - 1} of {copies} edge copies"
+        )
+    return post[::-1]
+
+
+def _string_vertex_path_to_walk(graph: DeBruijnGraph, path: Sequence[str]) -> Walk:
+    return Walk(graph, tuple(u + w[-1] for u, w in zip(path, path[1:])))
+
+
+def _string_deficits_and_surpluses(graph: DeBruijnGraph) -> tuple[list[str], list[str]]:
+    """One unit per missing out-edge (deficit) or in-edge (surplus), sorted."""
+    deficits, surpluses = [], []
+    for v in graph.vertices:
+        b = graph.out_degree(v) - graph.in_degree(v)
+        deficits.extend([v] * -b)      # a non-positive repeat is empty
+        surpluses.extend([v] * b)
+    return deficits, surpluses
+
+
+def _string_path_costs(deficit_units: list[str], surplus_units: list[str],
+                       trees: dict[str, _string_Tree]) -> np.ndarray:
+    """Duplication-path lengths deficit -> surplus, ``_string_NO_PATH`` where the
+    surplus is unreachable."""
+    cost = np.full((len(deficit_units), len(surplus_units)), _string_NO_PATH, dtype=np.int64)
+    for i, d in enumerate(deficit_units):
+        tree = trees[d]
+        for j, s in enumerate(surplus_units):
+            if s in tree:
+                cost[i, j] = tree[s][0]
+    return cost
+
+
+def _string_assignment_cost(deficit_units: list[str], surplus_units: list[str],
+                            trees: dict[str, _string_Tree]
+                            ) -> Optional[tuple[int, list[tuple[str, str]]]]:
+    """Min-cost perfect matching of duplication paths deficit -> surplus.
+
+    Returns (total cost, matched pairs) or None when no finite-cost perfect
+    matching exists.
+    """
+    if not deficit_units:
+        return 0, []
+    cost = _string_path_costs(deficit_units, surplus_units, trees)
+    rows, cols = linear_sum_assignment(cost)
+    total = int(cost[rows, cols].sum())
+    if total >= _string_NO_PATH:
+        return None
+    pairs = [(deficit_units[i], surplus_units[j]) for i, j in zip(rows, cols)]
+    return total, pairs
+
+
+def _string_open_walk_cost(paths: np.ndarray, surplus_units: list[str],
+                           start: Optional[str] = None) -> Optional[int]:
+    """Least duplication cost of an open walk from ``start`` (default: any
+    surplus vertex), or None. A dummy start row takes the surplus unit the
+    walk leaves first and a dummy end column the deficit unit it ends at;
+    dummy-to-dummy (a closed walk) is forbidden, since dropping any matched
+    pair of a closed option gives a cheaper open one."""
+    n = len(surplus_units)
+    cost = np.full((n + 1, n + 1), _string_NO_PATH, dtype=np.int64)
+    cost[:n, :n] = paths
+    cost[n, :n] = [0 if start in (None, s) else _string_NO_PATH for s in surplus_units]
+    cost[:n, n] = 0
+    rows, cols = linear_sum_assignment(cost)
+    total = int(cost[rows, cols].sum())
+    return None if total >= _string_NO_PATH else total
+
+
+def _string_duplication_plan(graph: DeBruijnGraph):
+    """Imbalance units, their BFS trees, the path-cost matrix and the
+    optimal open-walk duplication cost of a weakly connected graph.
+
+    Raises :class:`NoCoveringWalkError` when no covering walk exists: in
+    O(V) for two or more sources or sinks (a covering walk starts at every
+    source and ends at every sink), otherwise when no finite-cost
+    assignment exists. A balanced graph returns no units and cost 0.
+    """
+    for kind, ends in (("sources", graph.sources()), ("sinks", graph.sinks())):
+        if len(ends) > 1:
+            shown = ", ".join(ends[:5]) + ("..." if len(ends) > 5 else "")
+            raise NoCoveringWalkError(
+                f"graph has {len(ends)} {kind} ({shown}); a covering walk "
+                "has one start and one end"
+            )
+    deficits, surpluses = _string_deficits_and_surpluses(graph)
+    if not deficits:
+        return deficits, surpluses, {}, None, 0
+    trees = {d: _string_bfs_tree(graph, d) for d in set(deficits)}
+    paths = _string_path_costs(deficits, surpluses, trees)
+    best = _string_open_walk_cost(paths, surpluses)
+    if best is None:
+        raise NoCoveringWalkError(
+            "the graph is connected but its imbalance pattern admits no "
+            "edge-covering walk (a required duplication path is missing)"
+        )
+    return deficits, surpluses, trees, paths, best
+
+
+def string_shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
+    """A minimum-length walk visiting every edge at least once.
+
+    Works on weakly-connected graphs; disconnected input raises
+    :class:`DisconnectedGraphError` carrying the per-component subgraphs.
+    Among equal-length optima the walk spelling the lexicographically
+    smallest string is returned (for distinct equal-cost duplication
+    choices, one deterministic representative per optimal end is realized
+    from the smallest optimal start and the smallest spelled string wins).
+    """
+    if graph.num_edges == 0:
+        raise ValueError("graph has no edges; nothing to cover")
+    components = graph.weakly_connected_components()
+    if len(components) > 1:
+        raise DisconnectedGraphError([graph.subgraph(c) for c in components])
+
+    deficits, surpluses, trees, paths, best = _string_duplication_plan(graph)
+    if not deficits:
+        # a closed walk spells its start first: the smallest vertex wins
+        start = next(v for v in graph.vertices if graph.out_degree(v) > 0)
+        return _string_vertex_path_to_walk(graph, _string_euler_path(graph, start, [], {}))
+
+    # every optimum spells its start vertex first and all have one length
+    start = next(s for s in sorted(set(surpluses))
+                 if _string_open_walk_cost(paths, surpluses, s) == best)
+    rest_s = list(surpluses)
+    rest_s.remove(start)
+    candidates = []
+    for end in sorted(set(deficits)):
+        rest_d = list(deficits)
+        rest_d.remove(end)
+        solved = _string_assignment_cost(rest_d, rest_s, trees)
+        if solved is not None and solved[0] == best:
+            candidates.append(_string_euler_path(graph, start, solved[1], trees))
+    # equal-length vertex paths from one start order as their spellings do
+    return _string_vertex_path_to_walk(graph, min(candidates))
 
 
 # ---------------------------------------------------------------------------

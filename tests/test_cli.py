@@ -116,6 +116,14 @@ class TestAssemble:
                      "--method", "cpp-walk", "--out", str(out)]) == 0
         assert [str(r.sequence) for r in read_fasta(out)] == [G_TRUE]
 
+    @pytest.mark.parametrize("method", ["unitig", "cpp-walk"])
+    def test_headers_carry_the_source_only(self, tmp_path, gtrue_reads, method):
+        out = tmp_path / "contigs.fasta"
+        assert main(["assemble", "--reads", str(gtrue_reads), "-k", "3",
+                     "--method", method, "--out", str(out)]) == 0
+        headers = [line for line in out.read_text().splitlines() if line.startswith(">")]
+        assert headers and all(h.split(" ", 1)[1] == method for h in headers)
+
     def test_k_one_is_usage_error(self, tmp_path, gtrue_reads):
         code = main(["assemble", "--reads", str(gtrue_reads), "-k", "1",
                      "--method", "unitig", "--out", str(tmp_path / "x.fasta")])
@@ -230,6 +238,27 @@ class TestBadInput:
         assert main(["assemble", "--reads", str(reads), "-k", "3", "--method", "unitig",
                      "--out", str(tmp_path / "c.fasta")]) == 1
         assert f"no reads in {reads}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["simulate", "eval", "stage-genome", "stage-truth"])
+    def test_empty_genome_or_truth_fasta_is_data_error(self, tmp_path, capsys, gtrue_fasta,
+                                                       entry):
+        empty = tmp_path / "empty.fasta"
+        empty.write_text("")
+        cfg = tmp_path / "stage.cfg"
+        if entry == "simulate":
+            args = ["simulate", "--genome", str(empty), "--idealized", "--len", "3",
+                    "--reads", str(tmp_path / "r.fasta")]
+        elif entry == "eval":
+            args = ["eval", "--contigs", str(gtrue_fasta), "--truth", str(empty), "-k", "3",
+                    "--report", str(tmp_path / "r.txt")]
+        elif entry == "stage-genome":
+            cfg.write_text(f"genome_fasta = {empty}\nread_length = 3\nk = 3\n")
+            args = ["stage", "--stage", "1", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]
+        else:
+            cfg.write_text(f"reads_fasta = {gtrue_fasta}\ntruth_fasta = {empty}\nk = 3\n")
+            args = ["stage", "--stage", "3", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]
+        assert main(args) == 1
+        assert f"line 1: no FASTA records in {empty}" in capsys.readouterr().err
 
 
 class TestEval:

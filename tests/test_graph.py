@@ -14,7 +14,11 @@ from asmlab.errors import (
 )
 from asmlab.sequence import ReadSet
 from asmlab.simulate import idealized_reads, random_genome
-from helpers import all_optimal_covering_spellings, reference_shortest_edge_covering_walk
+from helpers import (
+    all_optimal_covering_spellings,
+    reference_shortest_edge_covering_walk,
+    string_shortest_edge_covering_walk,
+)
 
 PROPERTY = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -251,6 +255,23 @@ class TestSolverMatchesReference:
         assert mismatches == []
         assert closed >= 300 and failed >= 100    # the mix reaches every branch
 
+    def test_same_walk_as_string_solver_on_kilobase_genomes(self):
+        # circular genomes far beyond the reference solver's reach, and the
+        # benchmark's dense genome under symbol relabelings and reversal
+        rng = random.Random(505)
+        texts = [(k, str(random_genome(rng.randint(1000, 2000), seed=rng.randrange(2**32))))
+                 for k in (5, 6) for _ in range(5)]
+        base = str(random_genome(2000, seed=11))
+        for perm, reverse in (("ACGT", False), ("TGCA", False), ("GATC", True), ("CTAG", True)):
+            text = base.translate(str.maketrans("ACGT", perm))
+            texts.append((5, text[::-1] if reverse else text))
+        for k, text in texts:
+            graph = dbg.DeBruijnGraph(k, _kmer_set(text + text[:k - 1], k))
+            units = sum(max(o - i, 0) for o, i in zip(graph.out_degrees, graph.in_degrees))
+            assert units >= 24, (k, len(text))
+            assert (_outcome(dbg.shortest_edge_covering_walk, graph)
+                    == _outcome(string_shortest_edge_covering_walk, graph)), (k, len(text))
+
 
 class TestFailFastAndAssignments:
     @pytest.fixture
@@ -287,15 +308,20 @@ class TestFailFastAndAssignments:
             dbg.shortest_edge_covering_walk(g)
         assert dbg.covering_walk_feasibility(g)[0] is False
 
-    def test_dense_circular_genome_needs_few_assignments(self, assignments):
-        genome = str(random_genome(2000, seed=11))
-        g = dbg.DeBruijnGraph(5, _kmer_set(genome + genome[:4], 5))
+    @pytest.mark.parametrize("length, k, shape, optimum", [
+        (2000, 5, (881, 56, 59), 1005),        # the reference solver's optimum
+        (5000, 6, (2872, 247, 244), 3450),     # the string solver's optimum
+    ], ids=["2kb-k5", "5kb-k6"])
+    def test_dense_circular_genome_needs_few_assignments(self, assignments, length, k,
+                                                         shape, optimum):
+        genome = str(random_genome(length, seed=11))
+        g = dbg.DeBruijnGraph(k, _kmer_set(genome + genome[:k - 1], k))
         surplus = [v for v in g.vertices if g.out_degree(v) > g.in_degree(v)]
         deficit = [v for v in g.vertices if g.out_degree(v) < g.in_degree(v)]
-        assert (g.num_edges, len(surplus), len(deficit)) == (881, 56, 59)
+        assert (g.num_edges, len(surplus), len(deficit)) == shape
         walk = dbg.shortest_edge_covering_walk(g)
         assert dbg.is_edge_covering(walk)
-        assert len(walk.edges) == 1005         # the reference solver's optimum
+        assert len(walk.edges) == optimum
         assert 0 < len(assignments) <= 1 + len(surplus) + len(deficit)
 
 

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from asmlab import graph as dbg
-from asmlab.sequence import ReadSet
+from asmlab.sequence import DnaString, ReadSet
 from asmlab.simulate import idealized_reads, random_genome
 from asmlab.unitig import (
+    Contig,
+    ContigSet,
     check_safety_preconditions,
     is_safe_bounded,
     maximal_unitigs,
@@ -181,6 +183,18 @@ class TestSafetySuite:
         report = safety_suite(g, unitig_contigs(g))
         assert not report.applicable
         assert report.rows == ()
+
+    def test_candidates_come_from_the_sequence(self):
+        # a (k-1)-length contig is judged as a vertex, or unsafe when it is
+        # none; a longer one as the walk it spells, or unsafe when it has none
+        g = dbg.DeBruijnGraph(3, ["ACG", "CGT"])
+        texts = ["AC", "TT", "ACGT", "ACGA"]
+        contigs = ContigSet(3, tuple(Contig(f"c{i}", DnaString(t), source="file")
+                                     for i, t in enumerate(texts)))
+        report = safety_suite(g, contigs)
+        assert report.applicable
+        assert [r.verdict for r in report.rows] == ["safe", "unsafe", "safe", "unsafe"]
+        assert not report.bug_flags
 
     def test_tsv_rendering(self, fig_graph):
         report = safety_suite(fig_graph, unitig_contigs(fig_graph))
