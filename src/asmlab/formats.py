@@ -3,7 +3,9 @@ fixtures, and the flat key-value run configuration."""
 
 from __future__ import annotations
 
+import gzip
 import io
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, TextIO, Union
@@ -13,6 +15,7 @@ from asmlab.graph import DeBruijnGraph
 from asmlab.sequence import ALPHABET, MAX_K, DnaString, ReadSet, first_invalid
 
 FASTA_WRAP = 60
+_GZIP_MAGIC = b"\x1f\x8b"
 
 Source = Union[str, Path, TextIO]
 
@@ -29,11 +32,19 @@ class FastaRecord:
 
 
 def _read_text(source: Source) -> str:
-    """The whole text of a path or an open text handle. A file byte outside
-    ASCII is a :class:`FastaParseError` naming the file and its line."""
+    """The whole text of a path or an open text handle; a gzip file (told by
+    its magic bytes) is decompressed first. A file byte outside ASCII, or a
+    truncated or corrupt gzip stream, is a :class:`FastaParseError` naming
+    the file."""
     if not isinstance(source, (str, Path)):
         return source.read()
     data = Path(source).read_bytes()
+    if data.startswith(_GZIP_MAGIC):
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise FastaParseError(f"{source} is not a readable gzip file: {exc}",
+                                  line=1) from None
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:

@@ -8,10 +8,12 @@ of the directed Chinese Postman Problem):
 
 - two or more sources, or two or more sinks, rule a covering walk out in
   O(V), before any search;
-- the solver runs on vertex indices: one BFS per deficit vertex over the
-  CSR adjacency fills one path-cost matrix between out-of-balance units,
-  and one min-cost assignment on it, with a dummy start row and a dummy
-  end column, prices the shortest paths to duplicate;
+- the solver runs on vertex indices: one multi-source ``shortest_path``
+  call over the CSR adjacency fills one path-cost matrix between
+  out-of-balance units, and one min-cost assignment on it, with a dummy
+  start row and a dummy end column, prices the shortest paths to
+  duplicate; each duplicated path is read from the deficit vertex's
+  ``breadth_first_order`` tree;
 - every optimum spells its start vertex first, so only the smallest
   optimal start is kept; each of its optimal ends is solved on the same
   matrix less one row and one column and realized once, by a
@@ -32,6 +34,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
 
 from asmlab.errors import (
     AssemblyError,
@@ -69,12 +73,12 @@ class DeBruijnGraph:
     ``packed_edges`` is the sorted ``uint64`` array of distinct k-mer codes.
     ``packed_vertices`` is the sorted array of their (k-1)-prefix and suffix
     codes plus any isolated vertices; vertex ``i`` is ``vertices[i]``, and
-    ``vertex_index`` maps a vertex back to ``i``. Adjacency is CSR over
-    vertex indices, held as Python lists for cheap scalar access: the
-    successors of ``i`` are ``out_targets[out_offsets[i]:out_offsets[i + 1]]``
-    and its predecessors ``in_sources[in_offsets[i]:in_offsets[i + 1]]``.
-    Packed order is string order, so every index list and every string view
-    (``vertices``, ``edge_kmers``, ``successors``, ...) is sorted. String
+    ``vertex_index`` maps a vertex back to ``i``. ``adjacency`` is the one
+    CSR matrix over vertex indices: row ``i`` holds the out-edges of ``i``,
+    so edge ``j`` (in ``packed_edges`` order) goes to ``adjacency.indices[j]``,
+    and ``out_degrees``/``in_degrees`` are numpy arrays. Packed order is
+    string order, so every row's indices and every string view
+    (``vertices``, ``edge_kmers``, ``successors``, ...) are sorted. String
     views are decoded once, when first used.
     """
 
@@ -104,23 +108,18 @@ class DeBruijnGraph:
         edges = sorted_distinct(edges)
         tails, heads = edges >> 2, edges & ((1 << (2 * (k - 1))) - 1)
         vertices = sorted_distinct(np.concatenate((tails, heads, isolated)))
-        tail_index = np.searchsorted(vertices, tails)
-        head_index = np.searchsorted(vertices, heads)
-        out_degrees = np.bincount(tail_index, minlength=len(vertices))
-        in_degrees = np.bincount(head_index, minlength=len(vertices))
+        n = len(vertices)
         self.k = k
         self.packed_edges = edges
         self.packed_vertices = vertices
         self.vertices: tuple[str, ...] = tuple(decode_kmers(vertices, k - 1))
-        self.vertex_index: dict[str, int] = dict(zip(self.vertices, range(len(vertices))))
-        self.out_degrees: list[int] = out_degrees.tolist()
-        self.in_degrees: list[int] = in_degrees.tolist()
+        self.vertex_index: dict[str, int] = dict(zip(self.vertices, range(n)))
+        self.out_degrees = np.bincount(np.searchsorted(vertices, tails), minlength=n)
+        head_index = np.searchsorted(vertices, heads)
+        self.in_degrees = np.bincount(head_index, minlength=n)
         # edges are sorted by tail, and within one tail by head
-        self.out_offsets: list[int] = [0] + np.cumsum(out_degrees).tolist()
-        self.out_targets: list[int] = head_index.tolist()
-        # a stable sort by head keeps each head's tails ascending
-        self.in_offsets: list[int] = [0] + np.cumsum(in_degrees).tolist()
-        self.in_sources: list[int] = tail_index[np.argsort(head_index, kind="stable")].tolist()
+        offsets = np.concatenate(([0], np.cumsum(self.out_degrees)))
+        self.adjacency = csr_array((np.ones(len(edges)), head_index, offsets), shape=(n, n))
 
     # -- string views ------------------------------------------------------
 
@@ -130,11 +129,13 @@ class DeBruijnGraph:
 
     @cached_property
     def _successor_names(self) -> list[tuple[str, ...]]:
-        return _neighbour_names(self.vertices, self.out_offsets, self.out_targets)
+        return _neighbour_names(self.vertices, self.adjacency)
 
     @cached_property
     def _predecessor_names(self) -> list[tuple[str, ...]]:
-        return _neighbour_names(self.vertices, self.in_offsets, self.in_sources)
+        incoming = self.adjacency.T.tocsr()
+        incoming.sort_indices()
+        return _neighbour_names(self.vertices, incoming)
 
     # -- structure queries -------------------------------------------------
 
@@ -143,11 +144,8 @@ class DeBruijnGraph:
         return len(self.packed_edges)
 
     def has_edge(self, kmer: str) -> bool:
-        # every vertex has length k-1, so both lookups succeed only for k-mers
-        tail = self.vertex_index.get(kmer[:-1])
-        head = self.vertex_index.get(kmer[1:])
-        return (tail is not None and head is not None and head in
-                self.out_targets[self.out_offsets[tail]:self.out_offsets[tail + 1]])
+        # every vertex has length k-1, so only a k-mer can match
+        return kmer[1:] in self.successors(kmer[:-1])
 
     def successors(self, v: str) -> tuple[str, ...]:
         i = self.vertex_index.get(v)
@@ -159,64 +157,49 @@ class DeBruijnGraph:
 
     def out_degree(self, v: str) -> int:
         i = self.vertex_index.get(v)
-        return 0 if i is None else self.out_degrees[i]
+        return 0 if i is None else int(self.out_degrees[i])
 
     def in_degree(self, v: str) -> int:
         i = self.vertex_index.get(v)
-        return 0 if i is None else self.in_degrees[i]
+        return 0 if i is None else int(self.in_degrees[i])
+
+    def _named(self, mask: np.ndarray) -> list[str]:
+        return [self.vertices[i] for i in np.flatnonzero(mask).tolist()]
 
     def sources(self) -> list[str]:
         """Vertices with no incoming edge (isolated vertices excluded)."""
-        return [v for v, i, o in zip(self.vertices, self.in_degrees, self.out_degrees)
-                if i == 0 and o > 0]
+        return self._named((self.in_degrees == 0) & (self.out_degrees > 0))
 
     def sinks(self) -> list[str]:
-        return [v for v, i, o in zip(self.vertices, self.in_degrees, self.out_degrees)
-                if o == 0 and i > 0]
+        return self._named((self.out_degrees == 0) & (self.in_degrees > 0))
 
     def isolated_vertices(self) -> list[str]:
-        return [v for v, i, o in zip(self.vertices, self.in_degrees, self.out_degrees)
-                if i == 0 and o == 0]
-
-    @staticmethod
-    def edge_tail(kmer: str) -> str:
-        return kmer[:-1]
-
-    @staticmethod
-    def edge_head(kmer: str) -> str:
-        return kmer[1:]
+        return self._named((self.in_degrees == 0) & (self.out_degrees == 0))
 
     def weakly_connected_components(self) -> list[tuple[str, ...]]:
-        """Components over vertices that carry at least one edge."""
-        out_offsets, out_targets = self.out_offsets, self.out_targets
-        in_offsets, in_sources = self.in_offsets, self.in_sources
-        seen = [False] * len(self.vertices)
-        components: list[tuple[str, ...]] = []
-        for root, (i, o) in enumerate(zip(self.in_degrees, self.out_degrees)):
-            if seen[root] or i == o == 0:
-                continue
-            seen[root] = True
-            comp = [root]
-            for v in comp:  # breadth first: the loop reaches what it appends
-                for w in (out_targets[out_offsets[v]:out_offsets[v + 1]]
-                          + in_sources[in_offsets[v]:in_offsets[v + 1]]):
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-            comp.sort()
-            components.append(tuple(self.vertices[v] for v in comp))
-        return components
+        """Components over vertices that carry at least one edge, each
+        sorted, ordered by their smallest vertex."""
+        carrying = np.flatnonzero(self.out_degrees + self.in_degrees)
+        if not carrying.size:
+            return []
+        labels = connected_components(self.adjacency, connection="weak")[1][carrying]
+        order = np.argsort(labels, kind="stable")  # keeps each component ascending
+        members = carrying[order].tolist()
+        cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(members)]
+        names = self.vertices
+        # disjoint sorted tuples order by their first, smallest, vertex
+        return sorted(tuple([names[i] for i in members[a:b]]) for a, b in zip(cuts, cuts[1:]))
 
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Tail and head vertex index of every edge, in edge order."""
         return (np.repeat(np.arange(len(self.vertices)), self.out_degrees),
-                np.array(self.out_targets, dtype=np.intp))
+                self.adjacency.indices)
 
     def subgraph(self, vertex_subset: Iterable[str]) -> "DeBruijnGraph":
         keep = np.zeros(len(self.vertices), dtype=bool)
         keep[[i for i in map(self.vertex_index.get, vertex_subset) if i is not None]] = True
         tails, heads = self.edge_endpoints()
-        isolated = keep & (np.array(self.out_degrees) == 0) & (np.array(self.in_degrees) == 0)
+        isolated = keep & (self.out_degrees == 0) & (self.in_degrees == 0)
         return DeBruijnGraph._from_packed(self.k, self.packed_edges[keep[tails] & keep[heads]],
                                           self.packed_vertices[isolated])
 
@@ -235,8 +218,8 @@ class DeBruijnGraph:
                 f"edges={self.num_edges})")
 
 
-def _neighbour_names(names: tuple[str, ...], offsets: list[int],
-                     neighbours: list[int]) -> list[tuple[str, ...]]:
+def _neighbour_names(names: tuple[str, ...], adjacency: csr_array) -> list[tuple[str, ...]]:
+    offsets, neighbours = adjacency.indptr.tolist(), adjacency.indices.tolist()
     return [tuple([names[j] for j in neighbours[a:b]])
             for a, b in zip(offsets, offsets[1:])]
 
@@ -338,34 +321,18 @@ def is_edge_covering(walk: Walk) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bfs(graph: DeBruijnGraph, source: int) -> tuple[list[int], list[int]]:
-    """Depth (``_NO_PATH`` where unreachable) and parent of every vertex
-    index from ``source``. Successors are scanned in ascending order, so
-    each parent is the smallest first-discovered one."""
-    offsets, targets = graph.out_offsets, graph.out_targets
-    depth, parent = [_NO_PATH] * len(graph.vertices), [-1] * len(graph.vertices)
-    depth[source] = 0
-    queue = [source]
-    for v in queue:  # breadth first: the loop reaches what it appends
-        for w in targets[offsets[v]:offsets[v + 1]]:
-            if depth[w] == _NO_PATH:
-                depth[w], parent[w] = depth[v] + 1, v
-                queue.append(w)
-    return depth, parent
-
-
 def _euler_path(graph: DeBruijnGraph, start: int, dups: Iterable[tuple[int, int]],
-                trees: dict[int, tuple[list[int], list[int]]]) -> list[int]:
+                parents: dict[int, np.ndarray]) -> list[int]:
     """Lexicographically smallest Euler walk, as a vertex-index path, from
     ``start`` over every edge plus, per duplication pair (d, s), the path to
-    s in d's BFS tree: Hierholzer's algorithm leaving by the smallest unused
-    successor copy, with the post-order reversed."""
-    offsets, targets = graph.out_offsets, graph.out_targets
+    s in d's BFS tree (``parents[d]``): Hierholzer's algorithm leaving by
+    the smallest unused successor copy, with the post-order reversed."""
+    offsets, targets = graph.adjacency.indptr.tolist(), graph.adjacency.indices.tolist()
     heaps = [targets[a:b] for a, b in zip(offsets, offsets[1:])]  # sorted, so heaps
     copies = graph.num_edges
     for d, w in dups:
         while w != d:
-            u = trees[d][1][w]
+            u = int(parents[d][w])
             heapq.heappush(heaps[u], w)
             copies += 1
             w = u
@@ -417,7 +384,7 @@ def _open_walk_cost(paths: np.ndarray, surpluses: np.ndarray,
 
 
 def _duplication_plan(graph: DeBruijnGraph):
-    """Imbalance units, the BFS tree of each deficit vertex, the
+    """Imbalance units, the BFS parents of each deficit vertex, the
     path-cost matrix and the optimal open-walk duplication cost of a weakly
     connected graph.
 
@@ -436,15 +403,20 @@ def _duplication_plan(graph: DeBruijnGraph):
                 f"graph has {len(ends)} {kind} ({shown}); a covering walk "
                 "has one start and one end"
             )
-    balance = np.subtract(graph.out_degrees, graph.in_degrees)
+    balance = graph.out_degrees - graph.in_degrees
     index = np.arange(len(balance))
     deficits = np.repeat(index, np.maximum(-balance, 0))
     surpluses = np.repeat(index, np.maximum(balance, 0))
     if not deficits.size:
         return deficits, surpluses, {}, None, 0
     tails, rows = np.unique(deficits, return_inverse=True)
-    trees = {d: _bfs(graph, d) for d in tails.tolist()}
-    depths = np.array([depth for depth, _ in trees.values()], dtype=np.int64)
+    # breadth_first_order scans each row's successors in ascending order, so
+    # every parent is the smallest first-discovered one; the predecessors of
+    # shortest_path are other shortest-path parents and would change walks
+    parents = {d: breadth_first_order(graph.adjacency, d, return_predecessors=True)[1]
+               for d in tails.tolist()}
+    depths = shortest_path(graph.adjacency, unweighted=True, indices=tails)
+    depths = np.where(np.isinf(depths), _NO_PATH, depths).astype(np.int64)
     paths = depths[rows[:, None], surpluses]
     best = _open_walk_cost(paths, surpluses)
     if best is None:
@@ -452,7 +424,7 @@ def _duplication_plan(graph: DeBruijnGraph):
             "the graph is connected but its imbalance pattern admits no "
             "edge-covering walk (a required duplication path is missing)"
         )
-    return deficits, surpluses, trees, paths, best
+    return deficits, surpluses, parents, paths, best
 
 
 def covering_walk_feasibility(graph: DeBruijnGraph) -> tuple[bool, str]:
@@ -487,10 +459,10 @@ def shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
     if len(components) > 1:
         raise DisconnectedGraphError([graph.subgraph(c) for c in components])
 
-    deficits, surpluses, trees, paths, best = _duplication_plan(graph)
+    deficits, surpluses, parents, paths, best = _duplication_plan(graph)
     if not deficits.size:
         # a closed walk spells its start first: the smallest vertex wins
-        start = next(v for v, out in enumerate(graph.out_degrees) if out)
+        start = int(np.flatnonzero(graph.out_degrees)[0])
         return _vertex_path_to_walk(graph, _euler_path(graph, start, [], {}))
 
     # every optimum spells its start vertex first and all have one length
@@ -507,7 +479,7 @@ def shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
         if solved is not None and solved[0] == best:
             _, rows, cols = solved
             pairs = zip(np.delete(deficits, row)[rows].tolist(), rest_s[cols].tolist())
-            candidates.append(_euler_path(graph, start, pairs, trees))
+            candidates.append(_euler_path(graph, start, pairs, parents))
     # equal-length vertex paths from one start order as their spellings do
     return _vertex_path_to_walk(graph, min(candidates))
 

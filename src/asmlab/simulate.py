@@ -10,6 +10,7 @@ the generator name is recorded in ``RNG_ALGORITHM``.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,6 +25,8 @@ from asmlab.sequence import (
     spectrum_of_set,
     to_codes,
 )
+
+logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -230,10 +233,16 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
             raise ValueError(f"read {i} is shorter than k={k}")
     counts = spectrum_of_set(reads, k).counts
     kept: list[DnaString] = []
+    changed = 0
     for read in reads:
-        corrected = _correct_one(str(read), k, min_multiplicity, counts)
+        text = str(read)
+        corrected = _correct_one(text, k, min_multiplicity, counts)
         if corrected is not None:
+            changed += corrected != text
             kept.append(DnaString(corrected))
+    logger.info("read correction (k=%d, min multiplicity %d): %d read(s) in, "
+                "%d changed, %d dropped", k, min_multiplicity, len(reads), changed,
+                len(reads) - len(kept))
     # substitution preserves length, so a declared uniform length survives
     return ReadSet(tuple(kept), declared_read_length=reads.declared_read_length)
 

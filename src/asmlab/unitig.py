@@ -51,8 +51,7 @@ def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
     """
     n = len(graph.vertices)
     tails, heads = graph.edge_endpoints()
-    chained = ((np.array(graph.out_degrees) == 1)[tails]
-               & (np.array(graph.in_degrees) == 1)[heads])
+    chained = (graph.out_degrees == 1)[tails] & (graph.in_degrees == 1)[heads]
     link = np.full(n, -1, dtype=np.intp)
     link[tails[chained]] = heads[chained]
     entered = np.zeros(n, dtype=bool)
@@ -180,7 +179,7 @@ def is_safe_bounded(graph: DeBruijnGraph,
         )
 
     if isinstance(candidate, str):
-        if candidate not in graph.vertices:
+        if candidate not in graph.vertex_index:
             raise ValueError(f"vertex {candidate!r} is not in the graph")
         if graph.out_degree(candidate) > 0 or graph.in_degree(candidate) > 0:
             # every covering walk traverses some incident edge

@@ -1,4 +1,6 @@
+import gzip
 import itertools
+import logging
 from pathlib import Path
 
 import pytest
@@ -158,6 +160,29 @@ class TestAssemble:
                      "--method", "unitig", "--out", str(out), "--correct", "2"]) == 0
         assert read_fasta(out)
 
+    def test_verbose_correct_reports_dropped_reads(self, tmp_path, caplog):
+        from asmlab.simulate import idealized_reads, random_genome
+
+        genome = DnaString("A" * 30 + str(random_genome(300, seed=5)) + "A" * 30)
+        records = [FastaRecord(f"r{i}", r) for i, r in enumerate(idealized_reads(genome, 30))]
+        records.append(FastaRecord("junk", random_genome(30, seed=999)))
+        reads = tmp_path / "reads.fasta"
+        write_fasta(records, reads)
+        with caplog.at_level(logging.INFO):
+            assert main(["--verbose", "assemble", "--reads", str(reads), "-k", "15",
+                         "--method", "unitig", "--out", str(tmp_path / "c.fasta"),
+                         "--correct", "2"]) == 0
+        assert f"{len(records)} read(s) in, 0 changed, 1 dropped" in caplog.text
+
+    def test_gzip_reads_give_the_same_contigs(self, tmp_path, gtrue_reads):
+        packed = tmp_path / "reads.fasta.gz"
+        packed.write_bytes(gzip.compress(gtrue_reads.read_bytes()))
+        plain, unpacked = tmp_path / "plain.fasta", tmp_path / "unpacked.fasta"
+        for reads, out in ((gtrue_reads, plain), (packed, unpacked)):
+            assert main(["assemble", "--reads", str(reads), "-k", "3",
+                         "--method", "unitig", "--out", str(out)]) == 0
+        assert unpacked.read_bytes() == plain.read_bytes()
+
 
 class TestDbg:
     @pytest.fixture
@@ -211,6 +236,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "line 2: byte 0xC3 in " + str(reads) in err and "codec" not in err
 
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_broken_gzip_is_data_error(self, tmp_path, capsys, gtrue_reads, damage):
+        packed = gzip.compress(gtrue_reads.read_bytes())
+        reads = tmp_path / "reads.fasta.gz"
+        reads.write_bytes(packed[:-8] if damage == "truncated" else packed[:10] + b"\xff" * 20)
+        assert main(["assemble", "--reads", str(reads), "-k", "3", "--method", "unitig",
+                     "--out", str(tmp_path / "c.fasta")]) == 1
+        assert f"line 1: {reads} is not a readable gzip file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,line", [
         ("k=3\nACG\nACGT\n", "line 3: edge 'ACGT' has length 4"),

@@ -1,9 +1,11 @@
 import logging
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from asmlab import graph as dbg
 from asmlab.errors import (
@@ -15,6 +17,7 @@ from asmlab.errors import (
 from asmlab.sequence import ReadSet
 from asmlab.simulate import idealized_reads, random_genome
 from helpers import (
+    _string_bfs_tree,
     all_optimal_covering_spellings,
     reference_shortest_edge_covering_walk,
     string_shortest_edge_covering_walk,
@@ -271,6 +274,36 @@ class TestSolverMatchesReference:
             assert units >= 24, (k, len(text))
             assert (_outcome(dbg.shortest_edge_covering_walk, graph)
                     == _outcome(string_shortest_edge_covering_walk, graph)), (k, len(text))
+
+
+class TestCsgraphBfsMatchesStringTree:
+    def test_parents_and_depths_match_string_bfs_on_kilobase_genomes(self):
+        # the kilobase genomes of TestSolverMatchesReference, and a 5 kb one
+        rng = random.Random(505)
+        texts = [(k, str(random_genome(rng.randint(1000, 2000), seed=rng.randrange(2**32))))
+                 for k in (5, 6) for _ in range(5)]
+        base = str(random_genome(2000, seed=11))
+        for perm, reverse in (("ACGT", False), ("TGCA", False), ("GATC", True), ("CTAG", True)):
+            text = base.translate(str.maketrans("ACGT", perm))
+            texts.append((5, text[::-1] if reverse else text))
+        texts.append((6, str(random_genome(5000, seed=11))))
+        for k, text in texts:
+            graph = dbg.DeBruijnGraph(k, _kmer_set(text + text[:k - 1], k))
+            names = graph.vertices
+            deficits, surpluses, parents, paths, _ = dbg._duplication_plan(graph)
+            assert sorted(parents) == np.unique(deficits).tolist()
+            depths = shortest_path(graph.adjacency, unweighted=True, indices=list(parents))
+            trees = {}
+            for (d, parent), depth in zip(parents.items(), depths):
+                trees[d] = _string_bfs_tree(graph, names[d])
+                reached = np.flatnonzero(np.isfinite(depth))
+                assert np.array_equal(np.flatnonzero(parent >= 0), reached[reached != d])
+                got = {names[v]: (int(depth[v]), None if v == d else names[parent[v]])
+                       for v in reached.tolist()}
+                assert got == trees[d], (k, len(text), names[d])
+            want = [[trees[d].get(names[s], (dbg._NO_PATH,))[0] for s in surpluses.tolist()]
+                    for d in deficits.tolist()]
+            assert np.array_equal(paths, want), (k, len(text))
 
 
 class TestFailFastAndAssignments:

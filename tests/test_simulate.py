@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -178,6 +179,19 @@ class TestCorrectReads:
         out = correct_reads(reads, 15, 3)
         for kmer in spectrum_of_set(out, 15).strings():
             assert before.multiplicity(kmer) >= 3
+
+    def test_logs_reads_in_changed_and_dropped(self, caplog):
+        genome = anchored_genome(400, 40, 21)
+        reads = list(idealized_reads(genome, 40))
+        original = str(reads[100])
+        flipped = {"A": "C", "C": "A", "G": "T", "T": "G"}[original[17]]
+        reads[100] = DnaString(original[:17] + flipped + original[18:])
+        reads.append(random_genome(40, seed=999))
+        with caplog.at_level(logging.INFO, logger="asmlab.simulate"):
+            out = correct_reads(ReadSet(tuple(reads)), 15, 3)
+        assert len(out) == len(reads) - 1 and str(out[100]) == original
+        assert caplog.messages == [f"read correction (k=15, min multiplicity 3): "
+                                   f"{len(reads)} read(s) in, 1 changed, 1 dropped"]
 
     def test_read_shorter_than_k_rejected(self):
         with pytest.raises(ValueError, match="shorter than k"):
