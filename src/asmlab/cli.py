@@ -7,7 +7,8 @@ scores contigs against a truth genome, and ``stage`` drives a whole
 simulate -> assemble -> evaluate run from a config file.
 
 Exit codes: 0 success, 1 domain error (bad graph shape, solver caps,
-unparseable data files), 2 usage error (bad flags or parameter values).
+unparseable data files, bad values in a config file, reads too short to
+correct), 2 usage error (bad flags or parameter values).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from asmlab.formats import (
     read_reads,
     write_fasta,
 )
-from asmlab.sequence import DnaString
+from asmlab.sequence import MAX_K, DnaString
 from asmlab.superstring import diagnose_overcollapse, exact_scs, greedy_scs
 from asmlab.unitig import Contig, ContigSet, maximal_unitigs
 
@@ -213,6 +214,12 @@ def _cmd_assemble(args) -> int:
     if args.correct is not None:
         if args.correct < 1:
             raise ValueError("--correct MINMULT must be >= 1")
+        if args.k <= MAX_K:  # a larger k stays correct_reads' parameter error
+            for number, read in enumerate(reads, start=1):
+                if len(read) < args.k:
+                    raise AssemblyError(f"{args.reads}: record {number} has {len(read)} nt, "
+                                        f"shorter than k={args.k}; read correction needs "
+                                        "every read to hold a k-mer")
         reads = simulate.correct_reads(reads, args.k, args.correct)
     contigs, graph = assemble_contigs(reads, args.k, args.method)
     write_fasta(
@@ -318,12 +325,12 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
+    except AssemblyError as exc:  # before ValueError: a ConfigError is both
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssemblyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

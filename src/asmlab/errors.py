@@ -1,7 +1,9 @@
 """Shared exception types.
 
-Parameter/validation problems raise plain ValueError; everything here is a
-runtime domain failure (exit code 1 at the CLI).
+Parameter/validation problems raise plain ValueError (exit code 2 at the
+CLI); everything here is a runtime domain failure (exit code 1), including
+:class:`ConfigError`, which is also a ValueError so that library callers
+catching ValueError around ``read_config`` keep working.
 """
 
 from __future__ import annotations
@@ -44,3 +46,8 @@ class FastaParseError(AssemblyError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class ConfigError(AssemblyError, ValueError):
+    """A run configuration file holds a malformed line, an unknown key or a
+    bad value; the message names the file (when known) and the line."""

@@ -11,6 +11,7 @@ k-mer precision, genome fraction, N50, and misassembly count.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -22,6 +23,8 @@ from asmlab.formats import FastaRecord, StageConfig, read_fasta, read_reads, wri
 from asmlab.sequence import DnaString, ReadSet, packed_kmers, spectrum
 from asmlab.superstring import exact_scs, greedy_scs
 from asmlab.unitig import Contig, ContigSet, unitig_contigs
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -255,7 +258,8 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
     Stage 1: idealized error-free reads from the (possibly synthesized)
     genome. Stage 2: uniform reads with the configured errors/gaps and
     optional correction. Stage 3: externally supplied reads, evaluated
-    against a truth genome when one is configured.
+    against a truth genome when one is configured; it does not correct
+    them, and warns when the config asks it to.
     """
     if stage not in (1, 2, 3):
         raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
@@ -293,6 +297,8 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
         if not config.reads_fasta:
             raise ValueError("stage 3 needs reads_fasta")
         reads = read_reads(config.reads_fasta)
+        if config.correct:
+            logger.warning("stage 3 does not correct its reads; ignoring correct = true")
         if config.truth_fasta:
             records = read_fasta(config.truth_fasta)
             if not records:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, TextIO, Union
 
-from asmlab.errors import FastaParseError
+from asmlab.errors import ConfigError, FastaParseError
 from asmlab.graph import DeBruijnGraph
 from asmlab.sequence import ALPHABET, MAX_K, DnaString, ReadSet, first_invalid
 
@@ -294,7 +294,8 @@ def parse_gaps(value: str) -> tuple[tuple[int, int], ...]:
 
 def read_config(source: Source) -> StageConfig:
     """Parse ``key = value`` lines ('#' starts a comment) into a
-    :class:`StageConfig`; unknown keys and out-of-range values are errors."""
+    :class:`StageConfig`; a malformed line, an unknown key or a bad value
+    is a :class:`ConfigError` naming the file and line."""
     text = _read_text(source)
     in_file = f"{source}, " if isinstance(source, (str, Path)) else ""
     config = StageConfig()
@@ -305,7 +306,7 @@ def read_config(source: Source) -> StageConfig:
         where = f"{in_file}line {line_no}"
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq or not key:
-            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
         _apply_key(config, key, value, where)
     return config
 
@@ -333,6 +334,6 @@ def _apply_key(config: StageConfig, key: str, value: str, where: str) -> None:
         else:
             raise KeyError(key)
     except KeyError:
-        raise ValueError(f"{where}: unknown configuration key {key!r}") from None
+        raise ConfigError(f"{where}: unknown configuration key {key!r}") from None
     except ValueError as exc:
-        raise ValueError(f"{where}: key {key!r}: {exc}") from None
+        raise ConfigError(f"{where}: key {key!r}: {exc}") from None

@@ -8,6 +8,7 @@ a k-mer and its reverse complement are distinct objects throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -196,6 +197,17 @@ def decode_kmers(packed: np.ndarray, k: int) -> list[str]:
     return [text[i:i + k] for i in range(0, len(text), k)]
 
 
+def window_packs(codes: np.ndarray, k: int) -> np.ndarray:
+    """Every k-window along the last axis of a code array, packed into
+    ``uint64`` (k shift-and-or passes); the last axis shrinks to n-k+1."""
+    windows = codes.shape[-1] - k + 1
+    packed = codes[..., :windows].astype(np.uint64)
+    for j in range(1, k):
+        packed <<= 2
+        packed |= codes[..., j:j + windows]
+    return packed
+
+
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Index of the first element of each run of equal values."""
     if not len(values):
@@ -213,19 +225,16 @@ def sorted_distinct(packed: np.ndarray) -> np.ndarray:
 def _count_batch(reads: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct packed k-mers of ``reads`` (sorted) and their counts.
 
-    Every window of the reads laid end to end is packed in place, k-1
-    shift-and-or passes over one ``uint64`` array. A window that crosses
-    from one read into the next is overwritten with a value above every
-    k-mer, so after an in-place sort the real k-mers form a prefix.
+    Every window of the reads laid end to end is packed at once. A window
+    that crosses from one read into the next is overwritten with a value
+    above every k-mer, so after an in-place sort the real k-mers form a
+    prefix.
     """
     codes = _joined_codes(reads)
     windows = len(codes) - k + 1
     if windows <= 0:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
-    packed = codes[:windows].astype(np.uint64)
-    for j in range(1, k):
-        packed <<= 2
-        packed |= codes[j:j + windows]
+    packed = window_packs(codes, k)
     # read i holds symbols [s, e): windows starting in [s, max(e-k+1, s))
     # lie inside it and those starting in [max(e-k+1, s), e) cross its end
     ends = np.cumsum([len(r) for r in reads], dtype=np.int64)
@@ -255,39 +264,61 @@ def _batches(reads: Iterable[str]) -> Iterator[list[str]]:
         yield batch
 
 
-def _count(reads: Iterable[str], k: int) -> dict[int, int]:
-    """Packed k-mer -> occurrence count, by sorting and counting each batch
-    of reads and summing the batches' counts."""
+def _count(reads: Iterable[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed k-mers (sorted ``uint64``) and their occurrence counts
+    (``int64``), by sorting and counting each batch of reads and summing the
+    batches' counts."""
     _check_k(k)
     parts = [_count_batch(batch, k) for batch in _batches(reads)]
     if not parts:
-        return {}
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
     keys = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
+    counts = np.concatenate([p[1] for p in parts]).astype(np.int64, copy=False)
     if len(parts) > 1 and len(keys):  # a k-mer may occur in several batches
         order = np.argsort(keys)
         keys = keys[order]
         first = _run_starts(keys)
         keys, counts = keys[first], np.add.reduceat(counts[order], first)
-    return dict(zip(keys.tolist(), counts.tolist()))
+    return keys, counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KmerSpectrum:
     """The set of distinct k-mers of a string or read collection.
 
-    Multiplicities count total (not distinct) occurrences; the set view
-    used by the subset/equality checks ignores them.
+    ``keys`` holds the distinct packed k-mers in ascending order (the
+    lookups rely on it, so the constructor checks it) and ``multiplicities``
+    their total (not distinct) occurrence counts. The spectrum keeps
+    read-only views of both arrays. The set view used by the subset/equality
+    checks ignores the multiplicities.
     """
 
     k: int
-    counts: dict[int, int]  # packed k-mer -> occurrence count
+    keys: np.ndarray  # sorted distinct packed k-mers, uint64
+    multiplicities: np.ndarray  # occurrence count of each key, int64
+
+    def __post_init__(self):
+        if len(self.keys) != len(self.multiplicities):
+            raise ValueError(f"{len(self.keys)} keys but {len(self.multiplicities)} "
+                             "multiplicities")
+        if np.any(self.keys[1:] <= self.keys[:-1]):
+            raise ValueError("spectrum keys must be sorted and distinct")
+        for name in ("keys", "multiplicities"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KmerSpectrum):
+            return NotImplemented
+        return (self.k == other.k and np.array_equal(self.keys, other.keys)
+                and np.array_equal(self.multiplicities, other.multiplicities))
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return len(self.keys)
 
     def __contains__(self, kmer: str) -> bool:
-        return self._pack(kmer) in self.counts
+        return self.multiplicity(kmer) > 0
 
     def _pack(self, kmer: str) -> int:
         if not isinstance(kmer, str):
@@ -297,25 +328,51 @@ class KmerSpectrum:
         return encode_kmer(kmer)
 
     def multiplicity(self, kmer: str) -> int:
-        return self.counts.get(self._pack(kmer), 0)
+        packed = self._pack(kmer)
+        if packed < 0:
+            return 0
+        return int(self.multiplicities_of(np.array([packed], dtype=np.uint64))[0])
+
+    def multiplicities_of(self, packed: np.ndarray) -> np.ndarray:
+        """The occurrence count of every packed k-mer of a ``uint64`` array
+        (any shape), 0 for a non-member; one ``searchsorted`` pass.
+
+        The queries are sorted first, so the search visits the keys in
+        order: several times faster than random probes once the keys
+        outgrow the cache.
+        """
+        flat = packed.ravel()
+        found = np.zeros(len(flat), dtype=np.int64)
+        if len(self.keys):
+            order = np.argsort(flat)
+            wanted = flat[order]
+            at = np.searchsorted(self.keys, wanted)
+            np.minimum(at, len(self.keys) - 1, out=at)
+            found[order] = np.where(self.keys[at] == wanted, self.multiplicities[at], 0)
+        return found.reshape(packed.shape)
 
     def total_count(self) -> int:
-        return sum(self.counts.values())
+        return int(self.multiplicities.sum())
 
     def packed(self) -> np.ndarray:
-        """Distinct members as a sorted ``uint64`` array."""
-        return np.sort(np.fromiter(self.counts, dtype=np.uint64, count=len(self.counts)))
+        """Distinct members as a sorted, read-only ``uint64`` array."""
+        return self.keys
+
+    @cached_property
+    def counts(self) -> dict[int, int]:
+        """Packed k-mer -> occurrence count, as a dict built on first use."""
+        return dict(zip(self.keys.tolist(), self.multiplicities.tolist()))
 
     def strings(self) -> list[str]:
         """Distinct members in lexicographic order."""
-        return decode_kmers(self.packed(), self.k)
+        return decode_kmers(self.keys, self.k)
 
     def distinct_packed(self) -> frozenset[int]:
-        return frozenset(self.counts)
+        return frozenset(self.keys.tolist())
 
     def same_members(self, other: "KmerSpectrum") -> bool:
         """Set equality, ignoring multiplicities."""
-        return self.k == other.k and self.counts.keys() == other.counts.keys()
+        return self.k == other.k and np.array_equal(self.keys, other.keys)
 
 
 def spectrum(s: str, k: int) -> KmerSpectrum:
@@ -324,13 +381,13 @@ def spectrum(s: str, k: int) -> KmerSpectrum:
     Empty when ``len(s) < k``. Multiplicity of each member is its number of
     (possibly overlapping) occurrence positions in ``s``.
     """
-    return KmerSpectrum(k, _count((s,), k))
+    return KmerSpectrum(k, *_count((s,), k))
 
 
 def spectrum_of_set(reads: ReadSet | Iterable[str], k: int) -> KmerSpectrum:
     """Union of the per-read spectra; multiplicities sum across reads.
     Reads of any length are welcome; those shorter than k add nothing."""
-    return KmerSpectrum(k, _count(reads, k))
+    return KmerSpectrum(k, *_count(reads, k))
 
 
 def is_common_superstring(g: str, reads: ReadSet | Iterable[str]) -> bool:

@@ -19,16 +19,21 @@ import numpy as np
 from asmlab.sequence import (
     MAX_K,
     DnaString,
+    KmerSpectrum,
     ReadSet,
     from_codes,
-    packed_kmers,
     spectrum_of_set,
     to_codes,
+    window_packs,
 )
 
 logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "numpy-pcg64"
+# read symbols per correction batch, padding included: bounds the window matrices
+# whatever the input size
+_CORRECT_BATCH = 1 << 21
+_PADDING_COUNT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -218,11 +223,17 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
     """One-pass k-mer-frequency read correction.
 
     A k-mer is *weak* when its multiplicity across all reads is below
-    ``min_multiplicity``. For every base covered by a weak k-mer, the
-    substitution maximizing the minimum multiplicity of all k-mers covering
-    that base is applied (kept as-is when no substitution strictly
-    improves). Reads still containing weak k-mers after the pass are
-    discarded, so the output contains no weak k-mers at all.
+    ``min_multiplicity``. Each read is scanned left to right; at every base
+    covered by a weak k-mer, the base is replaced by the one maximizing the
+    minimum multiplicity of all k-mers covering it. The current base is
+    kept unless another strictly improves on it, with bases tried in code
+    order (A, C, G, T). Reads still containing weak k-mers after the pass
+    are discarded, so the output contains no weak k-mers at all.
+
+    The scan runs over base positions with a batch of reads at once: a
+    read's result depends only on the fixed spectrum and on its own earlier
+    positions, so the order across reads does not matter. A batch holds
+    reads of similar length (shortest first), padded to its longest.
     """
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
@@ -231,68 +242,119 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
     for i, r in enumerate(reads):
         if len(r) < k:
             raise ValueError(f"read {i} is shorter than k={k}")
-    counts = spectrum_of_set(reads, k).counts
-    kept: list[DnaString] = []
-    changed = 0
-    for read in reads:
-        text = str(read)
-        corrected = _correct_one(text, k, min_multiplicity, counts)
-        if corrected is not None:
-            changed += corrected != text
-            kept.append(DnaString(corrected))
+    spectrum = spectrum_of_set(reads, k)
+    keep = np.ones(len(reads), dtype=bool)
+    fixed: dict[int, DnaString] = {}
+    lengths = np.fromiter(map(len, reads), dtype=np.int64, count=len(reads))
+    for batch in _length_batches(lengths):
+        ends = lengths[batch]
+        codes = np.zeros((len(batch), ends[-1]), dtype=np.uint8)
+        codes[np.arange(ends[-1]) < ends[:, None]] = np.frombuffer(
+            to_codes("".join(reads[i] for i in batch)), dtype=np.uint8)
+        kept, changed = _correct_batch(codes, ends, k, min_multiplicity, spectrum)
+        keep[batch] = kept
+        for row in np.flatnonzero(kept & changed):
+            fixed[int(batch[row])] = DnaString(from_codes(codes[row, :ends[row]]))
+    out = tuple(fixed.get(i, r) for i, r in enumerate(reads) if keep[i])
     logger.info("read correction (k=%d, min multiplicity %d): %d read(s) in, "
-                "%d changed, %d dropped", k, min_multiplicity, len(reads), changed,
-                len(reads) - len(kept))
+                "%d changed, %d dropped", k, min_multiplicity, len(reads), len(fixed),
+                len(reads) - len(out))
     # substitution preserves length, so a declared uniform length survives
-    return ReadSet(tuple(kept), declared_read_length=reads.declared_read_length)
+    return ReadSet(out, declared_read_length=reads.declared_read_length)
 
 
-def _correct_one(read: str, k: int, threshold: int,
-                 counts: dict[int, int]) -> Optional[str]:
-    n = len(read)
-    codes = bytearray(to_codes(read))
-    packs = packed_kmers(read, k)
+def _length_batches(lengths: np.ndarray):
+    """Read indices in batches of at most ``_CORRECT_BATCH`` symbols once
+    padded to the batch's longest read (one read at the least), taken in
+    ascending order of length so that little padding is needed."""
+    order = np.argsort(lengths, kind="stable")
+    ascending = lengths[order].tolist()
+    at = 0
+    while at < len(order):
+        end = at + 1
+        while end < len(order) and (end + 1 - at) * ascending[end] <= _CORRECT_BATCH:
+            end += 1
+        yield order[at:end]
+        at = end
 
-    def weak_span(i: int) -> bool:
-        lo = max(0, i - k + 1)
-        hi = min(i, n - k)
-        return any(counts.get(packs[s], 0) < threshold for s in range(lo, hi + 1))
 
-    changed = False
+def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
+                   spectrum: KmerSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Correct the reads of a code matrix in place (one read per row, row r
+    holding ``ends[r]`` bases and then padding); return which rows are kept
+    and which changed."""
+    rows, n = codes.shape
+    packs = window_packs(codes, k)
+    counts = spectrum.multiplicities_of(packs)
+    # a window running into the padding counts as occurring without limit:
+    # it is never weak and never lowers a score
+    last_start = ends - k
+    counts[np.arange(n - k + 1) > last_start[:, None]] = _PADDING_COUNT
+    weak = counts < threshold
+    changed = np.zeros(rows, dtype=bool)
+    # windows left of the scan never change again, so a row whose last weak
+    # window is behind it is done
+    last_weak = _last_weak(weak)
+    work = np.flatnonzero(last_weak >= 0)
     for i in range(n):
-        if not weak_span(i):
+        lo, hi = max(0, i - k + 1), min(i, n - k)
+        work = work[last_weak[work] >= lo]
+        if not len(work):
+            break
+        sel = work[weak[work, lo:hi + 1].any(axis=1)]
+        if not len(sel):
             continue
-        lo = max(0, i - k + 1)
-        hi = min(i, n - k)
-        spans = range(lo, hi + 1)
-        current = codes[i]
-
-        def score(base: int) -> int:
-            worst = None
-            for s in spans:
-                shift = 2 * (k - 1 - (i - s))
-                p = (packs[s] & ~(3 << shift)) | (base << shift)
-                c = counts.get(p, 0)
-                if worst is None or c < worst:
-                    worst = c
-            return worst if worst is not None else 0
-
-        best_base, best_score = current, score(current)
+        # a selected row has a weak window at or after lo, so window lo is
+        # inside it; its windows past last_start are padding
+        padding = np.arange(lo, hi + 1) > last_start[sel, None]
+        shifts = (2 * (k - 1 - (i - np.arange(lo, hi + 1)))).astype(np.uint64)
+        cleared = packs[sel, lo:hi + 1] & ~(np.uint64(3) << shifts)
+        current = codes[sel, i]
+        best_base = current.copy()
+        best_counts = counts[sel, lo:hi + 1]
+        best_score = best_counts.min(axis=1)
+        # ascending bases, each taken only when strictly better: the current
+        # base wins ties, and so does the lowest of equally good others
         for base in range(4):
-            if base == current:
-                continue
-            sc = score(base)
-            if sc > best_score:
-                best_base, best_score = base, sc
-        if best_base != current:
-            changed = True
-            codes[i] = best_base
-            for s in spans:
-                shift = 2 * (k - 1 - (i - s))
-                packs[s] = (packs[s] & ~(3 << shift)) | (best_base << shift)
+            trial = np.flatnonzero(current != base)
+            better, found = _all_above(spectrum, cleared[trial] | (np.uint64(base) << shifts),
+                                       best_score[trial], padding[trial])
+            take = trial[better]
+            best_base[take] = base
+            best_score[take] = found.min(axis=1)
+            best_counts[take] = found
+        moved = best_base != current
+        if not moved.any():
+            continue
+        hit = sel[moved]
+        codes[hit, i] = best_base[moved]
+        packs[hit, lo:hi + 1] = cleared[moved] | (best_base[moved, None].astype(np.uint64)
+                                                  << shifts)
+        counts[hit, lo:hi + 1] = best_counts[moved]
+        weak[hit, lo:hi + 1] = best_counts[moved] < threshold
+        changed[hit] = True
+        last_weak[hit] = _last_weak(weak[hit])
+    return ~weak.any(axis=1), changed
 
-    if any(counts.get(p, 0) < threshold for p in packs):
-        return None
-    if not changed:
-        return read
-    return from_codes(codes)
+
+def _all_above(spectrum: KmerSpectrum, packs: np.ndarray, floor: np.ndarray,
+               padding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``packs`` whose every window occurs more than ``floor``
+    times (the row's entry), and those rows' window counts; a ``padding``
+    window counts as ``_PADDING_COUNT``.
+
+    The first window (never padding) is looked up alone, and only the rows
+    it passes look up the rest: a substitution that spells a k-mer absent
+    from the reads leaves after one lookup.
+    """
+    rows = np.flatnonzero(spectrum.multiplicities_of(packs[:, 0]) > floor)
+    found = spectrum.multiplicities_of(packs[rows])
+    found[padding[rows]] = _PADDING_COUNT
+    above = (found > floor[rows, None]).all(axis=1)
+    return rows[above], found[above]
+
+
+def _last_weak(weak: np.ndarray) -> np.ndarray:
+    """Index of each row's last weak window, -1 for a row with none."""
+    last = weak.shape[1] - 1 - np.argmax(weak[:, ::-1], axis=1)
+    return np.where(weak.any(axis=1), last, -1)

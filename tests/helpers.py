@@ -17,7 +17,15 @@ from scipy.optimize import linear_sum_assignment
 
 from asmlab.errors import DisconnectedGraphError, NoCoveringWalkError
 from asmlab.graph import DeBruijnGraph, Walk
-from asmlab.sequence import decode_kmer, packed_kmers
+from asmlab.sequence import (
+    MAX_K,
+    DnaString,
+    ReadSet,
+    decode_kmer,
+    from_codes,
+    packed_kmers,
+    to_codes,
+)
 
 
 def naive_spectrum(s: str, k: int) -> Counter:
@@ -776,3 +784,82 @@ def reference_maximal_unitigs(graph) -> tuple[tuple[str, ...], ...]:
     assert len(claimed) == len(graph.vertices)
     paths.sort(key=_reference_spell_path)
     return tuple(paths)
+
+
+# ---------------------------------------------------------------------------
+# Frozen read-by-read corrector
+# ---------------------------------------------------------------------------
+# k-mer-frequency read correction as it was before it ran across reads at
+# once over the spectrum arrays: one read at a time, one dict lookup per
+# candidate k-mer. Kept verbatim, except that the counts come from the
+# one-k-mer-at-a-time reference counter and the INFO log line is left out.
+
+
+def reference_correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
+    """One-pass k-mer-frequency read correction, read by read."""
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+    if min_multiplicity < 1:
+        raise ValueError(f"min_multiplicity must be >= 1, got {min_multiplicity}")
+    for i, r in enumerate(reads):
+        if len(r) < k:
+            raise ValueError(f"read {i} is shorter than k={k}")
+    counts = reference_spectrum_counts(reads, k)
+    kept: list[DnaString] = []
+    for read in reads:
+        text = str(read)
+        corrected = _reference_correct_one(text, k, min_multiplicity, counts)
+        if corrected is not None:
+            kept.append(DnaString(corrected))
+    return ReadSet(tuple(kept), declared_read_length=reads.declared_read_length)
+
+
+def _reference_correct_one(read: str, k: int, threshold: int,
+                           counts: dict[int, int]) -> Optional[str]:
+    n = len(read)
+    codes = bytearray(to_codes(read))
+    packs = packed_kmers(read, k)
+
+    def weak_span(i: int) -> bool:
+        lo = max(0, i - k + 1)
+        hi = min(i, n - k)
+        return any(counts.get(packs[s], 0) < threshold for s in range(lo, hi + 1))
+
+    changed = False
+    for i in range(n):
+        if not weak_span(i):
+            continue
+        lo = max(0, i - k + 1)
+        hi = min(i, n - k)
+        spans = range(lo, hi + 1)
+        current = codes[i]
+
+        def score(base: int) -> int:
+            worst = None
+            for s in spans:
+                shift = 2 * (k - 1 - (i - s))
+                p = (packs[s] & ~(3 << shift)) | (base << shift)
+                c = counts.get(p, 0)
+                if worst is None or c < worst:
+                    worst = c
+            return worst if worst is not None else 0
+
+        best_base, best_score = current, score(current)
+        for base in range(4):
+            if base == current:
+                continue
+            sc = score(base)
+            if sc > best_score:
+                best_base, best_score = base, sc
+        if best_base != current:
+            changed = True
+            codes[i] = best_base
+            for s in spans:
+                shift = 2 * (k - 1 - (i - s))
+                packs[s] = (packs[s] & ~(3 << shift)) | (best_base << shift)
+
+    if any(counts.get(p, 0) < threshold for p in packs):
+        return None
+    if not changed:
+        return read
+    return from_codes(codes)

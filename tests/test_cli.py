@@ -266,6 +266,28 @@ class TestBadInput:
         assert "k-1=4 (the longest has 3 nt)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_config_value_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("k = abc\n")
+        assert main(["stage", "--stage", "1", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "s")]) == 1
+        assert f"{cfg}, line 1: key 'k'" in capsys.readouterr().err
+
+    def test_missing_config_flag_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["stage", "--stage", "1"])
+        assert err.value.code == 2
+
+    def test_read_too_short_to_correct_is_data_error(self, tmp_path, capsys):
+        reads = tmp_path / "r.fasta"
+        reads.write_text(">r1\nACGTACGT\n>r2\nACG\n")
+        out = tmp_path / "c.fasta"
+        args = ["assemble", "--reads", str(reads), "-k", "5", "--method", "unitig",
+                "--out", str(out), "--correct", "1"]
+        assert main(args) == 1
+        assert f"{reads}: record 2 has 3 nt, shorter than k=5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_reads_file_is_data_error(self, tmp_path, capsys):
         reads = tmp_path / "reads.fasta"
         reads.write_text("\n")
@@ -336,6 +358,23 @@ class TestStage:
         for name in ("genome.fasta", "reads.fasta", "contigs.fasta",
                      "graph.dot", "report.txt", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_stage3_leaves_reads_uncorrected_and_warns(self, tmp_path, caplog):
+        from asmlab.simulate import idealized_reads, random_genome
+
+        genome = DnaString("A" * 30 + str(random_genome(300, seed=5)) + "A" * 30)
+        given = [FastaRecord(f"r{i}", r) for i, r in enumerate(idealized_reads(genome, 30))]
+        given.append(FastaRecord("junk", random_genome(30, seed=999)))
+        reads = tmp_path / "reads.fasta"
+        write_fasta(given, reads)
+        cfg = tmp_path / "stage.cfg"
+        cfg.write_text(f"reads_fasta = {reads}\nk = 15\ncorrect = true\n"
+                       "min_multiplicity = 2\n")
+        assert main(["stage", "--stage", "3", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "s3")]) == 0
+        kept = [r.sequence for r in read_fasta(tmp_path / "s3" / "reads.fasta")]
+        assert kept == [r.sequence for r in given]
+        assert "stage 3 does not correct its reads" in caplog.text
 
     def test_artifact_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ASMLAB_ARTIFACTS", str(tmp_path / "artifacts"))

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asmlab import graph as dbg
-from asmlab.errors import FastaParseError
+from asmlab.errors import AssemblyError, ConfigError, FastaParseError
 from asmlab.formats import (
     FastaRecord,
     StageConfig,
@@ -195,6 +195,12 @@ class TestConfig:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="key = value"):
             read_config(io.StringIO("read_length\n"))
+
+    @pytest.mark.parametrize("text", ["k = abc\n", "foo = 1\n", "read_length\n"])
+    def test_bad_line_is_a_data_error(self, text):
+        with pytest.raises(ConfigError, match="line 1") as err:
+            read_config(io.StringIO(text))
+        assert isinstance(err.value, AssemblyError) and isinstance(err.value, ValueError)
 
     def test_bad_value_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.cfg"

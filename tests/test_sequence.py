@@ -1,12 +1,14 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asmlab.sequence import (
     DnaString,
+    KmerSpectrum,
     ReadSet,
     decode_kmer,
     decode_kmers,
@@ -159,6 +161,45 @@ class TestSpectrum:
     def test_shorter_than_k_is_empty(self):
         assert len(spectrum("", 3)) == 0
         assert len(spectrum("AC", 3)) == 0
+
+    def test_empty_spectrum_answers_without_lookup(self):
+        sp = spectrum("AC", 3)
+        assert len(sp) == 0 and sp.total_count() == 0
+        assert "ACG" not in sp and sp.multiplicity("ACG") == 0
+        assert sp.multiplicity("TTTT") == 0  # wrong length
+        assert sp.packed().dtype == np.uint64 and len(sp.packed()) == 0
+        assert sp.strings() == [] and sp.distinct_packed() == frozenset()
+        assert sp.same_members(spectrum("", 3)) and not sp.same_members(spectrum("ACG", 3))
+        assert sp == spectrum("", 3) and sp != spectrum("", 2)
+        assert sp.multiplicities_of(np.arange(4, dtype=np.uint64).reshape(2, 2)).tolist() \
+            == [[0, 0], [0, 0]]
+
+    def test_lookup_past_the_last_key_is_absent(self):
+        sp = spectrum("AAAC", 3)  # keys AAA, AAC: TTT sorts after both
+        assert sp.multiplicity("TTT") == 0 and sp.multiplicity("AAC") == 1
+        assert sp == spectrum_of_set(["AAA", "AAC"], 3) != spectrum("AAAAC", 3)
+        assert sp.multiplicities_of(encode_kmers(["TTT", "AAA", "AAG"], 3)).tolist() \
+            == [0, 1, 0]
+
+    def test_packed_members_are_read_only(self):
+        sp = spectrum("ACGTAC", 2)
+        with pytest.raises(ValueError):
+            sp.packed()[0] = 0
+
+    def test_constructor_keeps_callers_arrays_writable(self):
+        keys, counts = encode_kmers(["AAA", "ACG"], 3), np.array([2, 1])
+        sp = KmerSpectrum(3, keys, counts)
+        assert keys.flags.writeable and counts.flags.writeable
+        assert sp.multiplicity("AAA") == 2 and not sp.keys.flags.writeable
+
+    @pytest.mark.parametrize("kmers", [["ACG", "AAA"], ["AAA", "AAA"]])
+    def test_constructor_rejects_unsorted_or_repeated_keys(self, kmers):
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            KmerSpectrum(3, encode_kmers(kmers, 3), np.ones(2, dtype=np.int64))
+
+    def test_constructor_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="2 keys but 1 multiplicities"):
+            KmerSpectrum(3, encode_kmers(["AAA", "ACG"], 3), np.ones(1, dtype=np.int64))
 
     def test_whole_string_kmer(self):
         sp = spectrum("ACGT", 4)

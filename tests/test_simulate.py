@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from asmlab.sequence import (
     DnaString,
@@ -20,6 +22,7 @@ from asmlab.simulate import (
     uniform_reads,
     unspanned_probability,
 )
+from helpers import reference_correct_reads
 
 
 def anchored_genome(core_len: int, read_length: int, seed: int) -> DnaString:
@@ -196,3 +199,64 @@ class TestCorrectReads:
     def test_read_shorter_than_k_rejected(self):
         with pytest.raises(ValueError, match="shorter than k"):
             correct_reads(ReadSet.of("ACGT"), 5, 1)
+
+    def test_empty_read_set(self):
+        assert correct_reads(ReadSet(()), 5, 2) == ReadSet(())
+
+
+def criterion_7_reads(seed: int) -> ReadSet:
+    """The stage-2 reads of acceptance criterion 7 for one seed."""
+    read_length = 100
+    core = random_genome(6000, seed=100 + seed)
+    genome = DnaString("A" * read_length + str(core) + "A" * read_length)
+    profile = SimulationProfile(genome_length=len(genome),
+                                num_reads=40 * len(genome) // read_length,
+                                read_length=read_length, error_rate=0.01, seed=seed)
+    return uniform_reads(genome, profile)
+
+
+@st.composite
+def planted_read_sets(draw):
+    """k, then reads of mixed length (some exactly k) cut from one short
+    genome, each with up to three planted substitutions."""
+    k = draw(st.sampled_from([*range(1, 9), 31]))
+    genome = draw(st.text(alphabet="ACGT", min_size=k, max_size=k + 50))
+    reads = []
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        length = draw(st.one_of(st.just(k), st.integers(k, min(len(genome), k + 30))))
+        start = draw(st.integers(0, len(genome) - length))
+        read = list(genome[start:start + length])
+        for pos in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+            read[pos] = draw(st.sampled_from("ACGT"))
+        reads.append("".join(read))
+    return k, ReadSet.of(*reads)
+
+
+class TestCorrectReadsMatchesReference:
+    """The across-reads corrector against the frozen read-by-read one,
+    byte for byte."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_criterion_7_inputs(self, seed):
+        reads = criterion_7_reads(seed)
+        out = correct_reads(reads, 21, 3)
+        assert out == reference_correct_reads(reads, 21, 3)
+        assert out.declared_read_length == 100
+
+    @pytest.mark.parametrize("batch", [1, 97, 1000])
+    def test_small_batches_give_the_same_reads(self, monkeypatch, batch):
+        genome = anchored_genome(500, 50, 31)
+        prof = SimulationProfile(genome_length=len(genome), num_reads=300,
+                                 read_length=50, error_rate=0.02, seed=13)
+        reads = ReadSet(tuple(uniform_reads(genome, prof)) + (genome[:20], genome[5:33]))
+        expected = reference_correct_reads(reads, 15, 3)
+        monkeypatch.setattr("asmlab.simulate._CORRECT_BATCH", batch)
+        assert correct_reads(reads, 15, 3) == expected
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(planted_read_sets(), st.integers(min_value=1, max_value=4))
+    def test_mixed_lengths_and_planted_substitutions(self, case, threshold):
+        k, reads = case
+        out = correct_reads(reads, k, threshold)
+        assert [str(r) for r in out] == [str(r) for r in reference_correct_reads(reads, k, threshold)]
