@@ -241,7 +241,7 @@ def _cmd_dbg(args) -> int:
             raise ValueError(f"-k must be >= 2, got {args.k}")
         graph = dbg.build(read_reads(args.reads), args.k)
         write_edge_list(graph, args.out)
-        print(f"wrote {graph.num_edges} edges / {len(graph.vertices)} vertices "
+        print(f"wrote {graph.num_edges} edges / {len(graph.packed_vertices)} vertices "
               f"to {args.out}")
         return 0
     graph = read_edge_list(args.graph)

@@ -5,14 +5,25 @@ from __future__ import annotations
 
 import gzip
 import io
+import itertools
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, TextIO, Union
 
+import numpy as np
+
 from asmlab.errors import ConfigError, FastaParseError
 from asmlab.graph import DeBruijnGraph
-from asmlab.sequence import ALPHABET, MAX_K, DnaString, ReadSet, first_invalid
+from asmlab.sequence import (
+    ALPHABET,
+    MAX_K,
+    DnaString,
+    ReadSet,
+    dna_slices,
+    first_invalid,
+    invalid_positions,
+)
 
 FASTA_WRAP = 60
 _GZIP_MAGIC = b"\x1f\x8b"
@@ -70,10 +81,18 @@ def read_fasta(source: Source, drop_ambiguous: bool = False) -> list[FastaRecord
     whole offending record is dropped instead.
     """
     text = _read_text(source)
-    stripped = text.lstrip()
-    if stripped.startswith("@"):
+    if _is_fastq(text):
         return _parse_fastq(text, drop_ambiguous)
-    return _parse_fasta(text, drop_ambiguous)
+    lines, heads, sequences = _parse_fasta(text, drop_ambiguous)
+    records = []
+    for head, seq in zip(heads.tolist(), sequences):
+        fields = lines[head][1:].split(None, 1)
+        records.append(FastaRecord(fields[0], seq, fields[1] if len(fields) > 1 else ""))
+    return records
+
+
+def _is_fastq(text: str) -> bool:
+    return text.lstrip().startswith("@")
 
 
 def _symbol_error(pieces: list[str], lines: Iterable[int], where: str) -> FastaParseError:
@@ -88,29 +107,73 @@ def _symbol_error(pieces: list[str], lines: Iterable[int], where: str) -> FastaP
         f"invalid symbol {piece[pos]!r} in {where} (alphabet is {ALPHABET})", line=line_no)
 
 
-def _parse_fasta(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
+def _parse_fasta(text: str, drop_ambiguous: bool) -> tuple[list[str], np.ndarray,
+                                                             list[DnaString]]:
+    """The stripped lines of a FASTA text, the line index of each kept
+    record's header, and the kept records' sequences.
+
+    The lines are split and stripped once, and the sequence lines are
+    joined and searched for bad symbols once (uppercased and searched again
+    only if some are found), so the work per record is one slice. The
+    checks of each record run in this order: an empty header, a symbol
+    outside the alphabet (the record is dropped instead under
+    ``drop_ambiguous``), an empty sequence. The first record in file order
+    that fails one is reported, after data before the first header.
+    """
     lines = list(map(str.strip, text.splitlines()))
-    heads = [i for i, line in enumerate(lines) if line.startswith(">")]
-    for i, line in enumerate(lines[:heads[0]] if heads else lines):
-        if line:
-            raise FastaParseError("sequence data before any '>' header", line=i + 1)
-    records: list[FastaRecord] = []
-    for head, end in zip(heads, heads[1:] + [len(lines)]):
-        fields = lines[head][1:].split(None, 1)
-        if not fields:
-            raise FastaParseError("empty FASTA header", line=head + 1)
-        body = lines[head + 1:end]  # blank lines join as nothing
-        try:
-            seq = DnaString("".join(body).upper())  # the one scan of the record's symbols
-        except ValueError:
-            if drop_ambiguous:
-                continue
-            raise _symbol_error([line.upper() for line in body], range(head + 2, end + 1),
-                                f"record {fields[0]!r}") from None
-        if not seq:
-            raise FastaParseError(f"record {fields[0]!r} has an empty sequence", line=head + 1)
-        records.append(FastaRecord(fields[0], seq, fields[1] if len(fields) > 1 else ""))
-    return records
+    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    # the first symbol of every line ('' for an empty one)
+    is_head = np.array(lines, dtype="U1") == ">"
+    heads = np.flatnonzero(is_head)
+    preamble = lengths[:heads[0]] if len(heads) else lengths
+    if preamble.any():
+        raise FastaParseError("sequence data before any '>' header",
+                              line=int(np.flatnonzero(preamble)[0]) + 1)
+    if not len(heads):
+        return lines, heads, []
+    is_body = ~is_head  # the lines before the first header are empty
+    body = list(itertools.compress(lines, is_body.tolist()))
+    sequence = "".join(body)
+    sizes = lengths[is_body]
+    invalid = invalid_positions(sequence)
+    if len(invalid):  # only a symbol outside A/C/G/T changes when uppercased
+        sequence = sequence.upper()
+        if len(sequence) != sizes.sum():
+            # a symbol grew when uppercased ('\u00df' -> 'SS'; none shrinks),
+            # so the extents come from the uppercased lines
+            sizes = np.fromiter(map(len, map(str.upper, body)), dtype=np.intp,
+                                count=len(body))
+        invalid = invalid_positions(sequence)
+    # record r holds body lines [r_lines[r], r_lines[r + 1]), and its
+    # symbols are sequence[bounds[r]:bounds[r + 1]]
+    r_lines = np.append(heads, len(lines)) - np.arange(len(heads) + 1)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))[r_lines]
+    starts, ends = bounds[:-1], bounds[1:]
+    bad = np.zeros(len(heads), dtype=bool)
+    bad[np.searchsorted(bounds, invalid, side="right") - 1] = True
+    failing = (lengths[heads] == 1) | (starts == ends)
+    if not drop_ambiguous:
+        failing |= bad
+    if failing.any():
+        r = int(np.argmax(failing))
+        raise _record_error(lines, heads, r, bool(bad[r]) and not drop_ambiguous)
+    keep = ~bad
+    return lines, heads[keep], dna_slices(sequence, starts[keep].tolist(), ends[keep].tolist())
+
+
+def _record_error(lines: list[str], heads: np.ndarray, r: int, bad: bool) -> FastaParseError:
+    """The error of record ``r``, the first that fails a check; ``bad`` says
+    whether it holds a symbol outside the alphabet."""
+    head = int(heads[r])
+    end = int(heads[r + 1]) if r + 1 < len(heads) else len(lines)
+    fields = lines[head][1:].split(None, 1)
+    if not fields:
+        return FastaParseError("empty FASTA header", line=head + 1)
+    body = lines[head + 1:end]
+    if bad:
+        return _symbol_error([line.upper() for line in body], range(head + 2, end + 1),
+                             f"record {fields[0]!r}")
+    return FastaParseError(f"record {fields[0]!r} has an empty sequence", line=head + 1)
 
 
 def _parse_fastq(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
@@ -181,11 +244,15 @@ def fasta_bytes(records: Iterable[FastaRecord]) -> str:
 def read_reads(source: Source, drop_ambiguous: bool = False) -> ReadSet:
     """Load a FASTA/FASTQ file as a ReadSet (order preserved); a file that
     yields no reads is a :class:`FastaParseError`."""
-    records = read_fasta(source, drop_ambiguous=drop_ambiguous)
-    if not records:
+    text = _read_text(source)
+    if _is_fastq(text):
+        reads = [r.sequence for r in _parse_fastq(text, drop_ambiguous)]
+    else:
+        reads = _parse_fasta(text, drop_ambiguous)[2]
+    if not reads:
         name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
         raise FastaParseError(f"no reads in {name}", line=1)
-    return ReadSet(tuple(r.sequence for r in records))
+    return ReadSet(tuple(reads))
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,6 @@ class DeBruijnGraph:
         self.k = k
         self.packed_edges = edges
         self.packed_vertices = vertices
-        self.vertices: tuple[str, ...] = tuple(decode_kmers(vertices, k - 1))
-        self.vertex_index: dict[str, int] = dict(zip(self.vertices, range(n)))
         self.out_degrees = np.bincount(np.searchsorted(vertices, tails), minlength=n)
         head_index = np.searchsorted(vertices, heads)
         self.in_degrees = np.bincount(head_index, minlength=n)
@@ -122,6 +120,14 @@ class DeBruijnGraph:
         self.adjacency = csr_array((np.ones(len(edges)), head_index, offsets), shape=(n, n))
 
     # -- string views ------------------------------------------------------
+
+    @cached_property
+    def vertices(self) -> tuple[str, ...]:
+        return tuple(decode_kmers(self.packed_vertices, self.k - 1))
+
+    @cached_property
+    def vertex_index(self) -> dict[str, int]:
+        return dict(zip(self.vertices, range(len(self.vertices))))
 
     @cached_property
     def edge_kmers(self) -> tuple[str, ...]:
@@ -192,11 +198,11 @@ class DeBruijnGraph:
 
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Tail and head vertex index of every edge, in edge order."""
-        return (np.repeat(np.arange(len(self.vertices)), self.out_degrees),
+        return (np.repeat(np.arange(len(self.packed_vertices)), self.out_degrees),
                 self.adjacency.indices)
 
     def subgraph(self, vertex_subset: Iterable[str]) -> "DeBruijnGraph":
-        keep = np.zeros(len(self.vertices), dtype=bool)
+        keep = np.zeros(len(self.packed_vertices), dtype=bool)
         keep[[i for i in map(self.vertex_index.get, vertex_subset) if i is not None]] = True
         tails, heads = self.edge_endpoints()
         isolated = keep & (self.out_degrees == 0) & (self.in_degrees == 0)
@@ -214,7 +220,7 @@ class DeBruijnGraph:
         return hash((self.k, self.packed_edges.tobytes(), self.packed_vertices.tobytes()))
 
     def __repr__(self) -> str:
-        return (f"DeBruijnGraph(k={self.k}, vertices={len(self.vertices)}, "
+        return (f"DeBruijnGraph(k={self.k}, vertices={len(self.packed_vertices)}, "
                 f"edges={self.num_edges})")
 
 

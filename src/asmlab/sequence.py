@@ -7,6 +7,7 @@ a k-mer and its reverse complement are distinct objects throughout.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -33,6 +34,18 @@ def _raw_codes(text: str) -> bytes:
 def first_invalid(text: str) -> int:
     """Position of the first symbol of ``text`` outside A/C/G/T, or -1."""
     return _raw_codes(text).find(255)
+
+
+def invalid_positions(text: str) -> np.ndarray:
+    """Positions of every symbol of ``text`` outside A/C/G/T, ascending, in
+    one pass over the text, taken in batches so that the codes never take
+    more than a batch's worth of memory."""
+    found = [np.zeros(0, dtype=np.intp)]
+    for at in range(0, len(text), _COUNT_BATCH):
+        codes = _raw_codes(text[at:at + _COUNT_BATCH])
+        if codes.find(255) >= 0:
+            found.append(at + np.flatnonzero(np.frombuffer(codes, dtype=np.uint8) == 255))
+    return np.concatenate(found)
 
 
 def _invalid_symbol(text: str, pos: int) -> ValueError:
@@ -77,6 +90,24 @@ class DnaString(str):
 
     def __repr__(self) -> str:
         return f"DnaString({str.__repr__(self)})"
+
+
+def dna_slices(text: str, starts: Sequence[int], ends: Sequence[int]) -> list[DnaString]:
+    """``text[s:e]`` for each pair of ``starts`` and ``ends``, as DnaStrings
+    made without a second scan: the caller has checked with
+    :func:`invalid_positions` that no such slice holds a symbol outside
+    the alphabet."""
+    make = str.__new__
+    # DnaStrings are tracked by the cycle collector, whose full collections
+    # would rescan every one made so far, many times over a million reads;
+    # none can be part of a cycle, so collection waits until all are made
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return [make(DnaString, text[s:e]) for s, e in zip(starts, ends)]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,16 @@ matched the whole candidate is precisely a witness walk avoiding it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, depth_first_order
 
 from asmlab.graph import DeBruijnGraph, Walk, covering_walk_feasibility, walk_of
-from asmlab.sequence import DnaString, from_codes
+from asmlab.sequence import DnaString, decode_kmers, from_codes
 
 _STATE_BUDGET = 4_000_000  # product states before the oracle answers `unknown`
 
@@ -28,14 +31,50 @@ _STATE_BUDGET = 4_000_000  # product states before the oracle answers `unknown`
 class UnitigPartition:
     """The unique partition of a graph's vertices into maximal unitigs,
     ordered by spelled string; ``spellings[i]`` is what ``unitigs[i]``
-    spells."""
+    spells. ``unitigs`` names the vertices of each unitig, built on first
+    use from ``paths``: the vertex indices of every unitig laid end to end,
+    unitig ``i`` at ``paths[cuts[i]:cuts[i + 1]]``."""
 
     graph: DeBruijnGraph
-    unitigs: tuple[tuple[str, ...], ...]
     spellings: tuple[str, ...]
+    paths: np.ndarray = field(compare=False, repr=False)
+    cuts: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def unitigs(self) -> tuple[tuple[str, ...], ...]:
+        names = self.graph.vertices
+        path = self.paths.tolist()
+        cuts = self.cuts.tolist()
+        return tuple(tuple([names[v] for v in path[a:b]]) for a, b in zip(cuts, cuts[1:]))
 
     def spelled(self) -> list[str]:
         return list(self.spellings)
+
+
+def _preorder(link: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The vertices reached from ``roots`` along ``link`` (the link leaving
+    each vertex, -1 for none), root by root, each followed by its chain.
+
+    One depth-first search runs from the top of a binary tree of virtual
+    vertices whose leaves are the roots. On every return to a vertex the
+    search rescans that vertex's row from its start, so no row may be long:
+    a single virtual vertex over all the roots would make the search
+    quadratic in their number. Here every row holds at most two entries."""
+    n, r = len(link), len(roots)
+    if r == 0:
+        return np.empty(0, dtype=np.intp)
+    # heap layout: tree node h < r - 1 is virtual vertex n + h, with
+    # children 2h + 1 and 2h + 2; tree node r - 1 + i is roots[i]
+    node = np.concatenate((n + np.arange(r - 1), roots))
+    tails = np.flatnonzero(link >= 0)
+    counts = np.zeros(n + r - 1, dtype=np.intp)
+    counts[tails] = 1
+    counts[n:] = 2
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    heads = np.concatenate((link[tails], node[1:]))
+    graph = csr_array((np.ones(len(heads)), heads, offsets), shape=(n + r - 1, n + r - 1))
+    order = depth_first_order(graph, node[0], directed=True, return_predecessors=False)
+    return order[order < n]
 
 
 def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
@@ -45,40 +84,44 @@ def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
     Works on vertex indices and the degree arrays: an edge whose tail has
     one out-edge and whose head has one in-edge links the two, and the
     unitigs are the chains of links. A vertex that no link enters starts a
-    unitig; what is left after those are followed are pure cycles, each
-    started at its smallest vertex. A unitig is spelled from its first
-    vertex and the last-symbol codes of the rest.
+    unitig, so one depth-first search from the starts visits every unitig
+    in turn; the vertices it leaves unvisited lie on pure cycles, and a
+    second search visits each cycle from its smallest vertex. A unitig is
+    spelled from its first vertex and the last-symbol codes of the rest.
     """
-    n = len(graph.vertices)
+    n = len(graph.packed_vertices)
     tails, heads = graph.edge_endpoints()
     chained = (graph.out_degrees == 1)[tails] & (graph.in_degrees == 1)[heads]
     link = np.full(n, -1, dtype=np.intp)
     link[tails[chained]] = heads[chained]
-    entered = np.zeros(n, dtype=bool)
-    entered[heads[chained]] = True
+    starts = np.ones(n, dtype=bool)
+    starts[heads[chained]] = False
+    paths = _preorder(link, np.flatnonzero(starts))
+    if len(paths) < n:
+        cyclic = np.ones(n, dtype=bool)
+        cyclic[paths] = False
+        cyclic = np.flatnonzero(cyclic)
+        links = csr_array((np.ones(len(cyclic)), (cyclic, link[cyclic])), shape=(n, n))
+        labels = connected_components(links, connection="weak")[1][cyclic]
+        smallest = np.full(n, n, dtype=np.intp)
+        np.minimum.at(smallest, labels, cyclic)
+        cycle_starts = np.unique(smallest[labels])
+        starts[cycle_starts] = True
+        paths = np.concatenate((paths, _preorder(link, cycle_starts)))
+    cuts = np.append(np.flatnonzero(starts[paths]), n)
 
-    link_of = link.tolist()
-    claimed = [False] * len(link_of)
-    paths: list[list[int]] = []
-    for start in np.flatnonzero(~entered).tolist() + list(range(len(link_of))):
-        if claimed[start]:
-            continue
-        path = [start]
-        claimed[start] = True
-        nxt = link_of[start]
-        while nxt >= 0 and not claimed[nxt]:
-            path.append(nxt)
-            claimed[nxt] = True
-            nxt = link_of[nxt]
-        paths.append(path)
-
-    names = graph.vertices
-    last_codes = (graph.packed_vertices & 3).astype(np.uint8)
-    spelled = [names[p[0]] + from_codes(last_codes[p[1:]]) for p in paths]
-    order = sorted(range(len(paths)), key=spelled.__getitem__)
-    return UnitigPartition(graph,
-                           tuple(tuple(map(names.__getitem__, paths[i])) for i in order),
-                           tuple(spelled[i] for i in order))
+    last = from_codes((graph.packed_vertices[paths] & 3).astype(np.uint8))
+    firsts = decode_kmers(graph.packed_vertices[paths[cuts[:-1]]], graph.k - 1)
+    bounds = cuts.tolist()
+    spelled = [first + last[a + 1:b] for first, a, b in zip(firsts, bounds, bounds[1:])]
+    order = sorted(range(len(spelled)), key=spelled.__getitem__)
+    # lay the unitigs out in spelled order: position p of unitig i comes
+    # from position p - sorted_cuts[i] + cuts[order[i]] of the search
+    lengths = np.diff(cuts)[order]
+    sorted_cuts = np.concatenate(([0], np.cumsum(lengths)))
+    shift = np.repeat(cuts[:-1][order] - sorted_cuts[:-1], lengths)
+    return UnitigPartition(graph, tuple(spelled[i] for i in order),
+                           paths[shift + np.arange(n)], sorted_cuts)
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,21 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter, deque
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from asmlab.errors import DisconnectedGraphError, NoCoveringWalkError
+from asmlab.errors import DisconnectedGraphError, FastaParseError, NoCoveringWalkError
+from asmlab.formats import FastaRecord
 from asmlab.graph import DeBruijnGraph, Walk
 from asmlab.sequence import (
+    ALPHABET,
     MAX_K,
     DnaString,
     ReadSet,
     decode_kmer,
+    first_invalid,
     from_codes,
     packed_kmers,
     to_codes,
@@ -863,3 +866,101 @@ def _reference_correct_one(read: str, k: int, threshold: int,
     if not changed:
         return read
     return from_codes(codes)
+
+
+# ---------------------------------------------------------------------------
+# Frozen line-by-line FASTA parser
+# ---------------------------------------------------------------------------
+# FASTA parsing as it was before it ran over all records at once: one
+# DnaString, one header split and one FastaRecord per record. Kept verbatim.
+
+
+def _reference_symbol_error(pieces: list[str], lines: Iterable[int],
+                            where: str) -> FastaParseError:
+    """The error naming the line of the first symbol outside the alphabet in
+    ``pieces``, the consecutive lines of one sequence. Called only after
+    :class:`DnaString` has rejected their concatenation."""
+    for piece, line_no in zip(pieces, lines):
+        pos = first_invalid(piece)
+        if pos >= 0:
+            break
+    return FastaParseError(
+        f"invalid symbol {piece[pos]!r} in {where} (alphabet is {ALPHABET})", line=line_no)
+
+
+def reference_parse_fasta(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
+    lines = list(map(str.strip, text.splitlines()))
+    heads = [i for i, line in enumerate(lines) if line.startswith(">")]
+    for i, line in enumerate(lines[:heads[0]] if heads else lines):
+        if line:
+            raise FastaParseError("sequence data before any '>' header", line=i + 1)
+    records: list[FastaRecord] = []
+    for head, end in zip(heads, heads[1:] + [len(lines)]):
+        fields = lines[head][1:].split(None, 1)
+        if not fields:
+            raise FastaParseError("empty FASTA header", line=head + 1)
+        body = lines[head + 1:end]  # blank lines join as nothing
+        try:
+            seq = DnaString("".join(body).upper())  # the one scan of the record's symbols
+        except ValueError:
+            if drop_ambiguous:
+                continue
+            raise _reference_symbol_error([line.upper() for line in body],
+                                          range(head + 2, end + 1),
+                                          f"record {fields[0]!r}") from None
+        if not seq:
+            raise FastaParseError(f"record {fields[0]!r} has an empty sequence", line=head + 1)
+        records.append(FastaRecord(fields[0], seq, fields[1] if len(fields) > 1 else ""))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# Frozen chain-walk unitigs
+# ---------------------------------------------------------------------------
+# maximal_unitigs as it was before one depth-first search replaced the
+# Python walk along the link array. Kept verbatim, except that it returns
+# (unitigs, spellings) instead of a UnitigPartition.
+
+
+def chain_walk_maximal_unitigs(graph: DeBruijnGraph) -> tuple[tuple[tuple[str, ...], ...],
+                                                               tuple[str, ...]]:
+    """Extract every maximal unitig; works on any graph, including
+    disconnected ones and isolated vertices (singleton unitigs).
+
+    Works on vertex indices and the degree arrays: an edge whose tail has
+    one out-edge and whose head has one in-edge links the two, and the
+    unitigs are the chains of links. A vertex that no link enters starts a
+    unitig; what is left after those are followed are pure cycles, each
+    started at its smallest vertex. A unitig is spelled from its first
+    vertex and the last-symbol codes of the rest.
+    """
+    n = len(graph.vertices)
+    tails, heads = graph.edge_endpoints()
+    chained = (graph.out_degrees == 1)[tails] & (graph.in_degrees == 1)[heads]
+    link = np.full(n, -1, dtype=np.intp)
+    link[tails[chained]] = heads[chained]
+    entered = np.zeros(n, dtype=bool)
+    entered[heads[chained]] = True
+
+    link_of = link.tolist()
+    claimed = [False] * len(link_of)
+    paths: list[list[int]] = []
+    for start in np.flatnonzero(~entered).tolist() + list(range(len(link_of))):
+        if claimed[start]:
+            continue
+        path = [start]
+        claimed[start] = True
+        nxt = link_of[start]
+        while nxt >= 0 and not claimed[nxt]:
+            path.append(nxt)
+            claimed[nxt] = True
+            nxt = link_of[nxt]
+        paths.append(path)
+
+    names = graph.vertices
+    last_codes = (graph.packed_vertices & 3).astype(np.uint8)
+    spelled = [names[p[0]] + from_codes(last_codes[p[1:]]) for p in paths]
+    order = sorted(range(len(paths)), key=spelled.__getitem__)
+    return (tuple(tuple(map(names.__getitem__, paths[i])) for i in order),
+            tuple(spelled[i] for i in order))
+

@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 
 import pytest
@@ -20,6 +21,7 @@ from asmlab.formats import (
     write_fasta,
 )
 from asmlab.sequence import DnaString, ReadSet
+from helpers import reference_parse_fasta
 
 PROPERTY = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -211,3 +213,71 @@ class TestConfig:
     def test_defaults(self):
         cfg = read_config(io.StringIO(""))
         assert cfg == StageConfig()
+
+
+# pieces of FASTA text: headers with and without descriptions, bare '>'
+# headers, blank and whitespace lines, mixed-case and ambiguous bodies,
+# symbols outside ASCII (one of which, 'ß', uppercases to two symbols),
+# data before the first header, and every kind of line ending
+_HEADERS = st.builds(lambda lead, name, tail: f">{lead}{name}{tail}",
+                     st.sampled_from(["", " ", "\t"]),
+                     st.text(alphabet="abr019_.|-", min_size=1, max_size=5),
+                     st.sampled_from(["", " desc", "  two words ", "\tx y", " "]))
+_BARE_HEADERS = st.sampled_from([">", "> ", ">\t"])
+_GOOD_BODIES = st.text(alphabet="ACGTacgt", min_size=1, max_size=12)
+_ANY_BODIES = st.text(alphabet="ACGTacgtNn ßſıé\x00\x1f", max_size=8) | st.sampled_from(
+    ["Aß", "ßT", "ſ", "ı", "ACGN", "é", "\x00", "A\x1f"])
+_BLANKS = st.sampled_from(["", " ", "\t \t"])
+
+
+def _mostly(common, rare, one_in: int):
+    """``common``, but ``rare`` about once in ``one_in`` draws."""
+    return st.sampled_from(range(one_in)).flatmap(
+        lambda i: rare if i == one_in - 1 else common)
+
+
+_RECORDS = st.tuples(
+    _mostly(_HEADERS, _BARE_HEADERS, 40),
+    _mostly(st.lists(_mostly(_GOOD_BODIES, st.one_of(_ANY_BODIES, _BLANKS), 10),
+                     min_size=1, max_size=3), st.just([]), 40))
+_PREAMBLES = _mostly(st.just([]), st.lists(st.one_of(_BLANKS, _ANY_BODIES), min_size=1,
+                                           max_size=2), 6)
+_ENDINGS = st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c"]),
+                    min_size=1, max_size=3)
+
+
+def _fasta_text(preamble, records, endings) -> str:
+    lines = [*preamble, *(line for head, body in records for line in (head, *body))]
+    return "".join(line + end for line, end in zip(lines, itertools.cycle(endings)))
+
+
+fasta_texts = st.builds(_fasta_text, _PREAMBLES, st.lists(_RECORDS, max_size=6), _ENDINGS)
+
+
+def _outcome(parse):
+    try:
+        return [(r.id, str(r.sequence), r.description) for r in parse()]
+    except FastaParseError as exc:
+        return (type(exc), str(exc), exc.line)
+
+
+class TestParseFastaMatchesLineByLine:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fasta_texts, st.booleans())
+    def test_same_records_or_same_error(self, text, drop_ambiguous):
+        expected = _outcome(lambda: reference_parse_fasta(text, drop_ambiguous))
+        assert _outcome(lambda: read_fasta(io.StringIO(text), drop_ambiguous)) == expected
+        if isinstance(expected, list) and expected:
+            reads = read_reads(io.StringIO(text), drop_ambiguous)
+            assert list(reads) == [seq for _, seq, _ in expected]
+            assert all(type(r) is DnaString for r in reads)
+
+    @pytest.mark.parametrize("drop_ambiguous", [False, True])
+    def test_symbol_that_grows_when_uppercased(self, drop_ambiguous):
+        # 'ß' uppercases to 'SS': the record after it keeps its extent
+        text = ">a\nAß\n>b\nACGT\n"
+        expected = _outcome(lambda: reference_parse_fasta(text, drop_ambiguous))
+        assert _outcome(lambda: read_fasta(io.StringIO(text), drop_ambiguous)) == expected
+        if drop_ambiguous:
+            assert expected == [("b", "ACGT", "")]

@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from asmlab import graph as dbg
 from asmlab.sequence import DnaString, ReadSet
@@ -14,6 +17,7 @@ from asmlab.unitig import (
     safety_suite,
     unitig_contigs,
 )
+from helpers import chain_walk_maximal_unitigs
 
 
 def graph_of(text: str, k: int = 3) -> dbg.DeBruijnGraph:
@@ -218,3 +222,60 @@ class TestSafetySuite:
             assert not report.bug_flags
             assert report.unknown_count == 0
         assert evaluated >= 15
+
+
+def _cycle_kmers(text: str, k: int) -> list[str]:
+    circular = (text * k)[:len(text) + k - 1]
+    return [circular[i:i + k] for i in range(len(text))]
+
+
+@st.composite
+def unitig_graphs(draw):
+    """Graphs with several pure cycles, self-loops, isolated vertices,
+    random extra edges, or no edges at all."""
+    k = draw(st.integers(min_value=3, max_value=6))
+    edges: list[str] = []
+    for text in draw(st.lists(st.text(alphabet="ACGT", min_size=1, max_size=9), max_size=4)):
+        edges += _cycle_kmers(text, k)  # a pure cycle unless it meets other edges
+    edges += draw(st.lists(st.text(alphabet="ACGT", min_size=k, max_size=k), max_size=12))
+    if draw(st.booleans()):
+        edges.append(draw(st.sampled_from("ACGT")) * k)  # a self-loop
+    isolated = draw(st.lists(st.text(alphabet="ACGT", min_size=k - 1, max_size=k - 1),
+                             max_size=3))
+    return dbg.DeBruijnGraph(k, edges, isolated)
+
+
+class TestUnitigsMatchChainWalk:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(unitig_graphs())
+    def test_same_unitigs_and_spellings(self, g):
+        unitigs, spellings = chain_walk_maximal_unitigs(g)
+        partition = maximal_unitigs(g)
+        assert partition.spellings == spellings
+        assert partition.unitigs == unitigs
+        assert partition == maximal_unitigs(g)
+
+    @pytest.mark.parametrize("g", [
+        dbg.DeBruijnGraph(3, []),
+        dbg.DeBruijnGraph(3, [], ["GT", "AC"]),
+        dbg.DeBruijnGraph(3, ["AAA"]),
+        dbg.DeBruijnGraph(3, ["AAA", "CCC", "ACG", "CGT", "GTA", "TAC"], ["GG"]),
+    ], ids=["empty", "edgeless", "self-loop", "cycles"])
+    def test_corner_graphs(self, g):
+        unitigs, spellings = chain_walk_maximal_unitigs(g)
+        partition = maximal_unitigs(g)
+        assert (partition.unitigs, partition.spellings) == (unitigs, spellings)
+
+    def test_many_unitigs_take_linear_time(self):
+        # random 21-mers share almost no 20-mer, so nearly every edge is a
+        # unitig of its own; a search that rescans one row per unitig would
+        # make about 2 * 10^10 steps here
+        rng = random.Random(5)
+        g = dbg.DeBruijnGraph(21, {"".join(rng.choices("ACGT", k=21)) for _ in range(200_000)})
+        start = time.perf_counter()
+        partition = maximal_unitigs(g)
+        elapsed = time.perf_counter() - start
+        assert len(partition.spellings) > 198_000
+        assert partition.spellings == chain_walk_maximal_unitigs(g)[1]
+        assert elapsed < 5.0
