@@ -19,6 +19,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from asmlab import graph as dbg
 from asmlab import simulate
 from asmlab.errors import AssemblyError, FastaParseError
@@ -31,7 +33,7 @@ from asmlab.formats import (
     read_reads,
     write_fasta,
 )
-from asmlab.sequence import MAX_K, DnaString
+from asmlab.sequence import MAX_K, DnaString, read_lengths
 from asmlab.superstring import diagnose_overcollapse, exact_scs, greedy_scs
 from asmlab.unitig import Contig, ContigSet, maximal_unitigs
 
@@ -215,11 +217,13 @@ def _cmd_assemble(args) -> int:
         if args.correct < 1:
             raise ValueError("--correct MINMULT must be >= 1")
         if args.k <= MAX_K:  # a larger k stays correct_reads' parameter error
-            for number, read in enumerate(reads, start=1):
-                if len(read) < args.k:
-                    raise AssemblyError(f"{args.reads}: record {number} has {len(read)} nt, "
-                                        f"shorter than k={args.k}; read correction needs "
-                                        "every read to hold a k-mer")
+            lengths = read_lengths(reads)
+            short = np.flatnonzero(lengths < args.k)
+            if len(short):
+                number = int(short[0])
+                raise AssemblyError(f"{args.reads}: record {number + 1} has "
+                                    f"{lengths[number]} nt, shorter than k={args.k}; "
+                                    "read correction needs every read to hold a k-mer")
         reads = simulate.correct_reads(reads, args.k, args.correct)
     contigs, graph = assemble_contigs(reads, args.k, args.method)
     write_fasta(

@@ -8,6 +8,7 @@ a k-mer and its reverse complement are distinct objects throughout.
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -18,6 +19,8 @@ ALPHABET = "ACGT"
 MAX_K = 31  # 2 bits per symbol keeps any k-mer in one 62-bit integer
 # symbols counted per batch: bounds the temporary arrays whatever the input size
 _COUNT_BATCH = 1 << 21
+# windows packed per block: keeps the packing temporaries in cache
+_PACK_CHUNK = 1 << 14
 
 # byte value -> 2-bit code, 255 for anything outside the alphabet
 _ENCODE = bytearray([255]) * 256
@@ -122,7 +125,10 @@ class ReadSet:
     declared_read_length: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "reads", tuple(DnaString(r) for r in self.reads))
+        # reads that are DnaStrings already are kept as they are: wrapping
+        # each again would cost a call per read
+        if type(self.reads) is not tuple or not set(map(type, self.reads)) <= {DnaString}:
+            object.__setattr__(self, "reads", tuple(DnaString(r) for r in self.reads))
         if self.declared_read_length is not None:
             for i, r in enumerate(self.reads):
                 if len(r) != self.declared_read_length:
@@ -147,6 +153,11 @@ class ReadSet:
     def require_nonempty(self, operation: str) -> None:
         if not self.reads:
             raise ValueError(f"{operation} requires a nonempty read set")
+
+
+def read_lengths(reads: Sequence[str]) -> np.ndarray:
+    """The length of every read, as one ``int64`` array."""
+    return np.fromiter(map(len, reads), dtype=np.int64, count=len(reads))
 
 
 def encode_kmer(text: str) -> int:
@@ -230,13 +241,58 @@ def decode_kmers(packed: np.ndarray, k: int) -> list[str]:
 
 def window_packs(codes: np.ndarray, k: int) -> np.ndarray:
     """Every k-window along the last axis of a code array, packed into
-    ``uint64`` (k shift-and-or passes); the last axis shrinks to n-k+1."""
-    windows = codes.shape[-1] - k + 1
-    packed = codes[..., :windows].astype(np.uint64)
-    for j in range(1, k):
-        packed <<= 2
-        packed |= codes[..., j:j + windows]
-    return packed
+    ``uint64``; the last axis shrinks to n-k+1.
+
+    The windows are packed by doubling (see :func:`_pack_block`) over
+    blocks of about ``_PACK_CHUNK`` windows, rows of a matrix taken
+    together, so that the temporaries stay in cache.
+    """
+    n = codes.shape[-1]
+    windows = max(n - k + 1, 0)
+    lead = codes.shape[:-1]
+    rows = codes.reshape(math.prod(lead), n)
+    packed = np.empty((len(rows), windows), dtype=np.uint64)
+    if windows:
+        span = min(windows, _PACK_CHUNK)
+        group = max(1, _PACK_CHUNK // span)
+        for r in range(0, len(rows), group):
+            for at in range(0, windows, span):
+                stop = min(at + span, windows)
+                _pack_block(rows[r:r + group, at:stop + k - 1], k,
+                            packed[r:r + group, at:stop])
+    return packed.reshape(lead + (windows,))
+
+
+def _pack_block(codes: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write the packed k-windows of a code block into ``out``.
+
+    Windows of 2m symbols are one shift-and-or of two windows of m symbols,
+    so the windows of every power of two up to k take log2(k) passes. A
+    k-window is then the windows of the powers of two in k's binary
+    expansion, laid side by side (smallest first): one more shift-and-or
+    per set bit.
+    """
+    power = codes.astype(np.uint64)  # windows of m symbols, m = 1, 2, 4, ...
+    m, done, head = 1, 0, None  # head: packed windows of the first done symbols
+    while True:
+        if k & m:
+            last = done + m == k
+            width = out.shape[-1] if last else power.shape[-1] - done
+            if head is None:
+                head = power[..., :width]
+            else:
+                head = np.left_shift(head[..., :width], np.uint64(2 * m),
+                                     out=out if last else None)
+                head |= power[..., done:done + width]
+            done += m
+            if last:
+                if head is not out:  # k is a power of two
+                    out[...] = head
+                return
+        width = power.shape[-1] - m
+        doubled = power[..., :width] << np.uint64(2 * m)
+        doubled |= power[..., m:m + width]
+        power, m = doubled, 2 * m
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -253,8 +309,10 @@ def sorted_distinct(packed: np.ndarray) -> np.ndarray:
     return values[_run_starts(values)]
 
 
-def _count_batch(reads: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct packed k-mers of ``reads`` (sorted) and their counts.
+def _count_batch(reads: Sequence[str], lengths: np.ndarray,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed k-mers of ``reads`` (sorted) and their counts;
+    ``lengths`` holds the reads' lengths.
 
     Every window of the reads laid end to end is packed at once. A window
     that crosses from one read into the next is overwritten with a value
@@ -268,8 +326,8 @@ def _count_batch(reads: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     packed = window_packs(codes, k)
     # read i holds symbols [s, e): windows starting in [s, max(e-k+1, s))
     # lie inside it and those starting in [max(e-k+1, s), e) cross its end
-    ends = np.cumsum([len(r) for r in reads], dtype=np.int64)
-    starts = np.concatenate(([0], ends[:-1]))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
     crossing = np.maximum(ends - (k - 1), starts)
     runs = np.empty(2 * len(reads), dtype=np.int64)
     runs[0::2] = crossing - starts
@@ -282,35 +340,66 @@ def _count_batch(reads: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     return values[first], np.diff(first, append=len(values))
 
 
-def _batches(reads: Iterable[str]) -> Iterator[list[str]]:
-    batch: list[str] = []
-    size = 0
-    for r in reads:
-        batch.append(r)
-        size += len(r)
-        if size >= _COUNT_BATCH:
-            yield batch
-            batch, size = [], 0
-    if batch:
-        yield batch
+def _batches(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` ranges of reads, in order: each batch ends with the
+    read that brings it to ``_COUNT_BATCH`` symbols or more (the last batch
+    may hold fewer)."""
+    ends = np.cumsum(lengths)
+    start = 0
+    while start < len(lengths):
+        before = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, before + _COUNT_BATCH)) + 1
+        stop = min(stop, len(lengths))
+        yield start, stop
+        start = stop
+
+
+def _merge(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted runs of distinct keys and their counts into one, adding
+    the counts of a key found in several runs. Empties ``runs``, so the
+    runs' arrays are freed before the sort."""
+    if len(runs) == 1:
+        return runs.pop()
+    keys = np.concatenate([run[0] for run in runs])
+    counts = np.concatenate([run[1] for run in runs])
+    runs.clear()
+    # a stable sort is a timsort, which merges the sorted runs it finds
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = counts[order]
+    del order
+    first = _run_starts(keys)
+    if len(first) == len(keys):  # no key was in two runs
+        return keys, counts
+    return keys[first], np.add.reduceat(counts, first)
 
 
 def _count(reads: Iterable[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct packed k-mers (sorted ``uint64``) and their occurrence counts
-    (``int64``), by sorting and counting each batch of reads and summing the
-    batches' counts."""
+    (``int64``).
+
+    Each batch of reads is sorted and counted into a run. Runs wait until
+    they hold at least as many keys as the spectrum of the batches before
+    them, and are then merged into it in one sort. A merge passes over at
+    most twice the keys of the runs that waited, so merging costs about two
+    passes over each batch's keys whether or not the distinct k-mers stop
+    growing with the input (on reads with errors they keep growing), and
+    memory holds about twice the distinct k-mers plus one batch.
+    """
     _check_k(k)
-    parts = [_count_batch(batch, k) for batch in _batches(reads)]
-    if not parts:
+    reads = reads.reads if isinstance(reads, ReadSet) else tuple(reads)
+    lengths = read_lengths(reads)
+    runs = []  # the spectrum so far, then the runs waiting to be merged into it
+    waiting = 0
+    for start, stop in _batches(lengths):
+        runs.append(_count_batch(reads[start:stop], lengths[start:stop], k))
+        if len(runs) > 1:
+            waiting += len(runs[-1][0])
+            if waiting >= len(runs[0][0]):
+                runs, waiting = [_merge(runs)], 0
+    if not runs:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
-    keys = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts]).astype(np.int64, copy=False)
-    if len(parts) > 1 and len(keys):  # a k-mer may occur in several batches
-        order = np.argsort(keys)
-        keys = keys[order]
-        first = _run_starts(keys)
-        keys, counts = keys[first], np.add.reduceat(counts[order], first)
-    return keys, counts
+    return _merge(runs)
 
 
 @dataclass(frozen=True, eq=False)

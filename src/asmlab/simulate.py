@@ -22,6 +22,7 @@ from asmlab.sequence import (
     KmerSpectrum,
     ReadSet,
     from_codes,
+    read_lengths,
     spectrum_of_set,
     to_codes,
     window_packs,
@@ -239,13 +240,13 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
     if min_multiplicity < 1:
         raise ValueError(f"min_multiplicity must be >= 1, got {min_multiplicity}")
-    for i, r in enumerate(reads):
-        if len(r) < k:
-            raise ValueError(f"read {i} is shorter than k={k}")
+    lengths = read_lengths(reads)
+    short = np.flatnonzero(lengths < k)
+    if len(short):
+        raise ValueError(f"read {short[0]} is shorter than k={k}")
     spectrum = spectrum_of_set(reads, k)
     keep = np.ones(len(reads), dtype=bool)
     fixed: dict[int, DnaString] = {}
-    lengths = np.fromiter(map(len, reads), dtype=np.int64, count=len(reads))
     for batch in _length_batches(lengths):
         ends = lengths[batch]
         codes = np.zeros((len(batch), ends[-1]), dtype=np.uint8)

@@ -964,3 +964,21 @@ def chain_walk_maximal_unitigs(graph: DeBruijnGraph) -> tuple[tuple[tuple[str, .
     return (tuple(tuple(map(names.__getitem__, paths[i])) for i in order),
             tuple(spelled[i] for i in order))
 
+
+# ---------------------------------------------------------------------------
+# Frozen k-pass window packer
+# ---------------------------------------------------------------------------
+# ``sequence.window_packs`` as it stood before packing by doubling: k-1
+# shift-and-or passes over the whole array. Kept verbatim as the reference
+# for the differential tests.
+
+
+def reference_window_packs(codes: np.ndarray, k: int) -> np.ndarray:
+    """Every k-window along the last axis of a code array, packed into
+    ``uint64`` (k shift-and-or passes); the last axis shrinks to n-k+1."""
+    windows = codes.shape[-1] - k + 1
+    packed = codes[..., :windows].astype(np.uint64)
+    for j in range(1, k):
+        packed <<= 2
+        packed |= codes[..., j:j + windows]
+    return packed

@@ -279,14 +279,18 @@ class TestBadInput:
         assert err.value.code == 2
 
     def test_read_too_short_to_correct_is_data_error(self, tmp_path, capsys):
-        reads = tmp_path / "r.fasta"
-        reads.write_text(">r1\nACGTACGT\n>r2\nACG\n")
-        out = tmp_path / "c.fasta"
-        args = ["assemble", "--reads", str(reads), "-k", "5", "--method", "unitig",
-                "--out", str(out), "--correct", "1"]
-        assert main(args) == 1
-        assert f"{reads}: record 2 has 3 nt, shorter than k=5" in capsys.readouterr().err
-        assert not out.exists()
+        # the first read shorter than k is named, wherever it is
+        for fasta, record in [(">r1\nACGTACGT\n>r2\nACG\n", "record 2 has 3 nt"),
+                              (">r1\nACGTACGT\n>r2\nACGTA\n>r3\nAC\n>r4\nACG\n",
+                               "record 3 has 2 nt")]:
+            reads = tmp_path / "r.fasta"
+            reads.write_text(fasta)
+            out = tmp_path / "c.fasta"
+            args = ["assemble", "--reads", str(reads), "-k", "5", "--method", "unitig",
+                    "--out", str(out), "--correct", "1"]
+            assert main(args) == 1
+            assert f"{reads}: {record}, shorter than k=5" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_empty_reads_file_is_data_error(self, tmp_path, capsys):
         reads = tmp_path / "reads.fasta"

@@ -71,6 +71,14 @@ class TestBuild:
         with pytest.raises(AssemblyError, match=r"k-1=4 \(the longest has 3 nt\)"):
             dbg.build(ReadSet.of("AC", "ACG", ""), 5)
 
+    def test_short_read_warning_names_the_first_five(self, caplog):
+        reads = ReadSet.of("A", "ACGT", "C", "GT", "", "G", "T", "AA", "CCC")
+        with caplog.at_level(logging.WARNING, logger="asmlab.graph"):
+            g = dbg.build(reads, 4)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "skipping 7 read(s) shorter than k-1=3: A, C, GT, , G..."]
+        assert g.edge_kmers == ("ACGT",) and g.isolated_vertices() == ["CCC"]
+
     def test_k_minus_one_reads_become_isolated_vertices(self):
         g = dbg.build(ReadSet.of("ACGT", "TT"), 3)
         assert g.isolated_vertices() == ["TT"]

@@ -2,7 +2,9 @@
 against the frozen string-keyed implementations in ``helpers``."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from asmlab import graph as dbg
@@ -16,6 +18,7 @@ from helpers import (
     reference_build,
     reference_maximal_unitigs,
     reference_spectrum_counts,
+    reference_window_packs,
 )
 
 SYMBOLS = "ACGT"
@@ -115,6 +118,81 @@ def test_batched_counts_merge_exactly(monkeypatch, batch):
     for seed in range(60):
         reads, k = _read_set(seed)
         assert spectrum_of_set(reads, k).counts == reference_spectrum_counts(reads, k)
+    # each read set repeated, shuffled: most k-mers recur in many batches, so
+    # the running spectrum is folded with batches that share its keys
+    rng = random.Random(batch)
+    for seed in range(60, 80):
+        reads, k = _read_set(seed)
+        repeated = list(reads) * 6
+        rng.shuffle(repeated)
+        assert spectrum_of_set(repeated, k).counts == reference_spectrum_counts(repeated, k)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_window_packs_match_k_pass_packing(monkeypatch, chunk):
+    """Packing by doubling, over blocks of ``chunk`` windows (None: the
+    default block size), gives the frozen k-pass packer's windows for every
+    k, on 1-D, 2-D and 3-D code arrays whose window and row counts straddle
+    the block size."""
+    if chunk is None:
+        chunk = sequence._PACK_CHUNK
+    else:
+        monkeypatch.setattr(sequence, "_PACK_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    widths = sorted({1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 1} - {0})
+    for k in range(1, 32):
+        for windows in widths:
+            n = windows + k - 1
+            group = max(1, chunk // min(windows, chunk))  # rows packed together
+            for shape in [(n,), (1, n), (3, n), (group + 1, n), (2, 2, n)]:
+                codes = rng.integers(0, 4, shape, dtype=np.uint8)
+                packed = sequence.window_packs(codes, k)
+                assert packed.dtype == np.uint64
+                assert np.array_equal(packed, reference_window_packs(codes, k))
+
+
+def test_counting_memory_is_bounded_by_distinct_kmers_and_one_batch(monkeypatch):
+    """Counting in many small batches keeps about twice the distinct k-mers
+    and one batch, not every batch's k-mers at once: the traced peak stays
+    within 96 bytes per distinct k-mer and per batch symbol, plus 16 bytes
+    per read for the length arrays. (Keeping each batch's distinct k-mers
+    until the end peaks at about 26 MB here.)"""
+    batch = 4000
+    monkeypatch.setattr(sequence, "_COUNT_BATCH", batch)
+    genome = random_genome(5_000, seed=3)
+    profile = SimulationProfile(genome_length=5_000, num_reads=10_000, read_length=100, seed=4)
+    reads = uniform_reads(genome, profile)
+    tracemalloc.start()
+    try:
+        distinct = len(spectrum_of_set(reads, 31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distinct > 4_900  # about one k-mer per genome position
+    assert peak < 96 * (distinct + batch) + 16 * len(reads)
+
+
+def test_counting_merges_each_kmer_a_few_times(monkeypatch):
+    """When nearly every batch brings new k-mers, as on reads with errors,
+    the merges pass over each distinct k-mer a few times, not once per
+    batch: folding each of the 256 batches into one running spectrum
+    passes over each about 128 times here."""
+    monkeypatch.setattr(sequence, "_COUNT_BATCH", 1000)
+    rng = random.Random(5)
+    reads = ["".join(rng.choice(SYMBOLS) for _ in range(100)) for _ in range(2560)]
+    merged = []
+    merge = sequence._merge
+
+    def counting_merge(runs):
+        if len(runs) > 1:
+            merged.append(sum(len(keys) for keys, _ in runs))
+        return merge(runs)
+
+    monkeypatch.setattr(sequence, "_merge", counting_merge)
+    spectrum = spectrum_of_set(reads, 31)
+    assert spectrum.counts == reference_spectrum_counts(reads, 31)
+    assert len(merged) > 1
+    assert sum(merged) <= 3 * len(spectrum)
 
 
 def test_criterion_6_input():

@@ -45,6 +45,17 @@ class TestDnaString:
         with pytest.raises(ValueError):
             DnaString("acgt")
 
+    def test_readset_keeps_dnastrings_and_validates_plain_strings(self):
+        reads = (DnaString("ACGT"), DnaString("GGA"))
+        kept = ReadSet(reads)
+        assert kept.reads is reads
+        assert all(a is b for a, b in zip(kept.reads, reads))
+        mixed = ReadSet((reads[0], "TTG"))
+        assert type(mixed.reads[1]) is DnaString and mixed.reads[0] is reads[0]
+        assert ReadSet([reads[0]]).reads == (reads[0],)
+        with pytest.raises(ValueError, match="invalid symbol 'N' at position 2"):
+            ReadSet((reads[0], "ACN"))
+
     def test_readset_uniform_length_enforced(self):
         ReadSet.of("ACG", "CGT", declared_read_length=3)
         with pytest.raises(ValueError, match="declared read length"):
