@@ -232,7 +232,8 @@ def _cmd_assemble(args) -> int:
     )
     if args.dot:
         highlight = maximal_unitigs(graph).unitigs if args.method == "unitig" else None
-        Path(args.dot).write_text(dbg.export_dot(graph, highlight), encoding="ascii")
+        with open(args.dot, "w", encoding="ascii", newline="\n") as handle:
+            dbg.export_dot(graph, handle, highlight)
     print(f"wrote {len(contigs)} contig(s) to {args.out}")
     return 0
 
@@ -250,8 +251,9 @@ def _cmd_dbg(args) -> int:
         return 0
     graph = read_edge_list(args.graph)
     if args.dbg_command == "dot":
-        highlight = maximal_unitigs(graph) if args.unitigs else None
-        Path(args.out).write_text(dbg.export_dot(graph, highlight), encoding="ascii")
+        highlight = maximal_unitigs(graph).unitigs if args.unitigs else None
+        with open(args.out, "w", encoding="ascii", newline="\n") as handle:
+            dbg.export_dot(graph, handle, highlight)
         print(f"wrote DOT to {args.out}")
         return 0
     # walk

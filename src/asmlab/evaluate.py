@@ -168,36 +168,31 @@ def evaluate(contigs: ContigSet, truth: str, k: int) -> EvalReport:
             sum(1 for p in packs if p in truth_kmers) / len(packs) if packs else 1.0
         )
         per.append(ContigMetrics(contig.name, len(seq), exact, precision))
+    return _report(k, per, _covered_fraction(intervals, len(truth)), misassemblies)
+
+
+def evaluate_without_truth(contigs: ContigSet, k: int) -> EvalReport:
+    """Length-only metrics for runs with no ground truth."""
+    return _report(k, [ContigMetrics(c.name, len(c.sequence), None, None) for c in contigs],
+                   None, None)
+
+
+def _report(k: int, per: list[ContigMetrics], genome_fraction: Optional[float],
+            misassemblies: Optional[int]) -> EvalReport:
+    """The report over the per-contig rows, with the length summary; the
+    truth metrics are ``None`` when there is no truth."""
     lengths = [m.length for m in per]
     return EvalReport(
         k=k,
-        truth_available=True,
+        truth_available=misassemblies is not None,
         per_contig=tuple(per),
         contig_count=len(per),
         total_length=sum(lengths),
         max_length=max(lengths, default=0),
         mean_length=(sum(lengths) / len(lengths)) if lengths else 0.0,
         n50=compute_n50(lengths),
-        genome_fraction_covered=_covered_fraction(intervals, len(truth)),
+        genome_fraction_covered=genome_fraction,
         misassembly_count=misassemblies,
-    )
-
-
-def evaluate_without_truth(contigs: ContigSet, k: int) -> EvalReport:
-    """Length-only metrics for runs with no ground truth."""
-    lengths = [len(c.sequence) for c in contigs]
-    per = tuple(ContigMetrics(c.name, len(c.sequence), None, None) for c in contigs)
-    return EvalReport(
-        k=k,
-        truth_available=False,
-        per_contig=per,
-        contig_count=len(lengths),
-        total_length=sum(lengths),
-        max_length=max(lengths, default=0),
-        mean_length=(sum(lengths) / len(lengths)) if lengths else 0.0,
-        n50=compute_n50(lengths),
-        genome_fraction_covered=None,
-        misassembly_count=None,
     )
 
 
@@ -248,7 +243,8 @@ def _load_genome(config: StageConfig) -> DnaString:
         raise ValueError("config needs genome_length or genome_fasta")
     planted = None
     if config.plant_repeat_length is not None:
-        planted = (config.plant_repeat_length, config.plant_repeat_copies or 2)
+        copies = 2 if config.plant_repeat_copies is None else config.plant_repeat_copies
+        planted = (config.plant_repeat_length, copies)
     return simulate.random_genome(config.genome_length, planted, seed=config.seed)
 
 
@@ -323,7 +319,8 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
 
     if graph is not None:
         dot_path = directory / "graph.dot"
-        dot_path.write_text(dbg.export_dot(graph), encoding="ascii")
+        with open(dot_path, "w", encoding="ascii", newline="\n") as handle:
+            dbg.export_dot(graph, handle)
         artifacts["dot"] = dot_path
 
     if truth is not None:

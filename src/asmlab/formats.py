@@ -71,19 +71,18 @@ def _open_for_write(sink: Source):
     return sink, False
 
 
-def read_fasta(source: Source, drop_ambiguous: bool = False) -> list[FastaRecord]:
+def read_fasta(source: Source) -> list[FastaRecord]:
     """Parse FASTA (or FASTQ, whose quality lines are only checked to be as
     long as their sequence lines).
 
     Sequence lines are concatenated and uppercased. Any symbol outside
     A/C/G/T (explicitly including N) is a parse error naming the line
-    and the byte, unless ``drop_ambiguous`` is set, in which case the
-    whole offending record is dropped instead.
+    and the byte.
     """
     text = _read_text(source)
     if _is_fastq(text):
-        return _parse_fastq(text, drop_ambiguous)
-    lines, heads, sequences = _parse_fasta(text, drop_ambiguous)
+        return _parse_fastq(text)
+    lines, heads, sequences = _parse_fasta(text)
     records = []
     for head, seq in zip(heads.tolist(), sequences):
         fields = lines[head][1:].split(None, 1)
@@ -107,17 +106,15 @@ def _symbol_error(pieces: list[str], lines: Iterable[int], where: str) -> FastaP
         f"invalid symbol {piece[pos]!r} in {where} (alphabet is {ALPHABET})", line=line_no)
 
 
-def _parse_fasta(text: str, drop_ambiguous: bool) -> tuple[list[str], np.ndarray,
-                                                             list[DnaString]]:
-    """The stripped lines of a FASTA text, the line index of each kept
-    record's header, and the kept records' sequences.
+def _parse_fasta(text: str) -> tuple[list[str], np.ndarray, list[DnaString]]:
+    """The stripped lines of a FASTA text, the line index of each record's
+    header, and the records' sequences.
 
     The lines are split and stripped once, and the sequence lines are
     joined and searched for bad symbols once (uppercased and searched again
     only if some are found), so the work per record is one slice. The
     checks of each record run in this order: an empty header, a symbol
-    outside the alphabet (the record is dropped instead under
-    ``drop_ambiguous``), an empty sequence. The first record in file order
+    outside the alphabet, an empty sequence. The first record in file order
     that fails one is reported, after data before the first header.
     """
     lines = list(map(str.strip, text.splitlines()))
@@ -151,14 +148,11 @@ def _parse_fasta(text: str, drop_ambiguous: bool) -> tuple[list[str], np.ndarray
     starts, ends = bounds[:-1], bounds[1:]
     bad = np.zeros(len(heads), dtype=bool)
     bad[np.searchsorted(bounds, invalid, side="right") - 1] = True
-    failing = (lengths[heads] == 1) | (starts == ends)
-    if not drop_ambiguous:
-        failing |= bad
+    failing = (lengths[heads] == 1) | (starts == ends) | bad
     if failing.any():
         r = int(np.argmax(failing))
-        raise _record_error(lines, heads, r, bool(bad[r]) and not drop_ambiguous)
-    keep = ~bad
-    return lines, heads[keep], dna_slices(sequence, starts[keep].tolist(), ends[keep].tolist())
+        raise _record_error(lines, heads, r, bool(bad[r]))
+    return lines, heads, dna_slices(sequence, starts.tolist(), ends.tolist())
 
 
 def _record_error(lines: list[str], heads: np.ndarray, r: int, bad: bool) -> FastaParseError:
@@ -176,7 +170,7 @@ def _record_error(lines: list[str], heads: np.ndarray, r: int, bad: bool) -> Fas
     return FastaParseError(f"record {fields[0]!r} has an empty sequence", line=head + 1)
 
 
-def _parse_fastq(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
+def _parse_fastq(text: str) -> list[FastaRecord]:
     lines = text.splitlines()
     records: list[FastaRecord] = []
     i = 0
@@ -196,18 +190,15 @@ def _parse_fastq(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
         if not seq:
             raise FastaParseError(f"record {parts[0]!r} has an empty sequence", line=i + 2)
         try:
-            dna: Optional[DnaString] = DnaString(seq)
+            dna = DnaString(seq)
         except ValueError:
-            if not drop_ambiguous:
-                raise _symbol_error([seq], [i + 2], f"record {parts[0]!r}") from None
-            dna = None
+            raise _symbol_error([seq], [i + 2], f"record {parts[0]!r}") from None
         quality = lines[i + 3].strip()
         if len(quality) != len(seq):
             raise FastaParseError(
                 f"record {parts[0]!r} has {len(quality)} quality symbols "
                 f"for {len(seq)} bases", line=i + 4)
-        if dna is not None:
-            records.append(FastaRecord(parts[0], dna, parts[1] if len(parts) > 1 else ""))
+        records.append(FastaRecord(parts[0], dna, parts[1] if len(parts) > 1 else ""))
         i += 4
     return records
 
@@ -241,14 +232,14 @@ def fasta_bytes(records: Iterable[FastaRecord]) -> str:
     return buf.getvalue()
 
 
-def read_reads(source: Source, drop_ambiguous: bool = False) -> ReadSet:
+def read_reads(source: Source) -> ReadSet:
     """Load a FASTA/FASTQ file as a ReadSet (order preserved); a file that
     yields no reads is a :class:`FastaParseError`."""
     text = _read_text(source)
     if _is_fastq(text):
-        reads = [r.sequence for r in _parse_fastq(text, drop_ambiguous)]
+        reads = [r.sequence for r in _parse_fastq(text)]
     else:
-        reads = _parse_fasta(text, drop_ambiguous)[2]
+        reads = _parse_fasta(text)[2]
     if not reads:
         name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
         raise FastaParseError(f"no reads in {name}", line=1)
@@ -337,6 +328,18 @@ class StageConfig:
 
 
 _METHODS = ("unitig", "cpp-walk", "scs-greedy", "scs-exact")
+_GRAPH_METHODS = ("unitig", "cpp-walk")
+# the integer keys and their (smallest, largest or None) values
+_INT_RANGES = {
+    "genome_length": (1, None),
+    "plant_repeat_length": (1, None),
+    "plant_repeat_copies": (1, None),
+    "num_reads": (1, None),
+    "read_length": (1, None),
+    "min_multiplicity": (1, None),
+    "seed": (0, None),
+    "k": (1, MAX_K),
+}
 
 
 def _parse_bool(value: str) -> bool:
@@ -361,11 +364,13 @@ def parse_gaps(value: str) -> tuple[tuple[int, int], ...]:
 
 def read_config(source: Source) -> StageConfig:
     """Parse ``key = value`` lines ('#' starts a comment) into a
-    :class:`StageConfig`; a malformed line, an unknown key or a bad value
-    is a :class:`ConfigError` naming the file and line."""
+    :class:`StageConfig`; a malformed line, an unknown key, a bad value or
+    a key that its companions would make meaningless is a
+    :class:`ConfigError` naming the file and line."""
     text = _read_text(source)
     in_file = f"{source}, " if isinstance(source, (str, Path)) else ""
     config = StageConfig()
+    where_set: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -375,14 +380,28 @@ def read_config(source: Source) -> StageConfig:
         if not eq or not key:
             raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
         _apply_key(config, key, value, where)
+        where_set[key] = where
+    if config.k is not None and config.k < 2 and config.method in _GRAPH_METHODS:
+        raise ConfigError(f"{where_set['k']}: key 'k': method {config.method!r} "
+                          f"needs k >= 2, got {config.k}")
+    if config.plant_repeat_copies is not None and config.plant_repeat_length is None:
+        raise ConfigError(f"{where_set['plant_repeat_copies']}: key 'plant_repeat_copies' "
+                          "needs plant_repeat_length")
+    if config.plant_repeat_length is not None and config.genome_fasta:
+        raise ConfigError(f"{where_set['plant_repeat_length']}: key 'plant_repeat_length' "
+                          "only applies to a random genome, not to genome_fasta")
     return config
 
 
 def _apply_key(config: StageConfig, key: str, value: str, where: str) -> None:
     try:
-        if key in ("genome_length", "plant_repeat_length", "plant_repeat_copies",
-                   "num_reads", "read_length", "seed", "k", "min_multiplicity"):
-            setattr(config, key, int(value))
+        if key in _INT_RANGES:
+            number = int(value)
+            low, high = _INT_RANGES[key]
+            if number < low or (high is not None and number > high):
+                span = f">= {low}" if high is None else f"in [{low}, {high}]"
+                raise ValueError(f"must be {span}, got {number}")
+            setattr(config, key, number)
         elif key == "error_rate":
             rate = float(value)
             if not 0.0 <= rate < 1.0:

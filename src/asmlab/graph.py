@@ -30,7 +30,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, TextIO
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -58,6 +58,7 @@ from asmlab.sequence import (
 logger = logging.getLogger(__name__)
 
 ORACLE_EDGE_LIMIT = 16
+_EMBED_MAX_K = 12          # largest order tried when labelling a bubble graph
 _NO_PATH = 1 << 30         # depth of an unreachable vertex: no duplication path
 
 
@@ -257,7 +258,7 @@ def build(reads: ReadSet, k: int) -> DeBruijnGraph:
             shown = ", ".join(too_short[:5]) + ("..." if len(too_short) > 5 else "")
             logger.warning("skipping %d read(s) shorter than k-1=%d: %s",
                            len(too_short), k - 1, shown)
-    graph = DeBruijnGraph._from_packed(k, spectrum_of_set(usable, k).packed(),
+    graph = DeBruijnGraph._from_packed(k, spectrum_of_set(usable, k).keys,
                                        encode_kmers(list(isolated), k - 1))
     lone = len(graph.isolated_vertices()) if isolated else 0
     if lone:
@@ -495,11 +496,7 @@ def shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
 # ---------------------------------------------------------------------------
 
 
-def oracle_shortest_edge_covering_walk(
-    graph: DeBruijnGraph,
-    max_edges: int = ORACLE_EDGE_LIMIT,
-    mode: str = "one",
-):
+def oracle_shortest_edge_covering_walk(graph: DeBruijnGraph, mode: str = "one"):
     """Exhaustive breadth-first search over (vertex, covered-edge-subset)
     states, started from every vertex.
 
@@ -512,10 +509,10 @@ def oracle_shortest_edge_covering_walk(
     n_edges = graph.num_edges
     if n_edges == 0:
         raise ValueError("graph has no edges; nothing to cover")
-    if n_edges > max_edges:
+    if n_edges > ORACLE_EDGE_LIMIT:
         raise ResourceLimitError(
-            f"oracle handles at most {max_edges} edges, got {n_edges}",
-            limit=max_edges,
+            f"oracle handles at most {ORACLE_EDGE_LIMIT} edges, got {n_edges}",
+            limit=ORACLE_EDGE_LIMIT,
         )
     edge_index = {e: i for i, e in enumerate(graph.edge_kmers)}
     verts = [v for v in graph.vertices
@@ -659,8 +656,7 @@ def make_bubble_graph_with_names(
     return graph, labels
 
 
-def _embed_de_bruijn_labels(vertices: list[str], edges: list[tuple[str, str]],
-                            max_k: int = 12) -> dict[str, str]:
+def _embed_de_bruijn_labels(vertices: list[str], edges: list[tuple[str, str]]) -> dict[str, str]:
     """Assign (k-1)-mer labels so that every designed edge satisfies the
     de Bruijn overlap rule, by backtracking over the alphabet.
 
@@ -687,11 +683,11 @@ def _embed_de_bruijn_labels(vertices: list[str], edges: list[tuple[str, str]],
     if len(order) != len(vertices):
         raise ValueError("bubble topology must be connected")
 
-    for k in range(3, max_k + 1):
+    for k in range(3, _EMBED_MAX_K + 1):
         result = _try_embed(order, out, inn, k - 1)
         if result is not None:
             return result
-    raise ValueError(f"could not embed bubble topology with k <= {max_k}")
+    raise ValueError(f"could not embed bubble topology with k <= {_EMBED_MAX_K}")
 
 
 def _try_embed(order: list[str], out: dict[str, list[str]],
@@ -742,33 +738,32 @@ _PALETTE = (
 )
 
 
-def export_dot(graph: DeBruijnGraph, highlight=None) -> str:
-    """Deterministic DOT text for the graph.
+def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
+    """Write deterministic DOT text for the graph to an open text handle,
+    one line at a time.
 
     ``highlight`` may be a :class:`Walk` (its edges are drawn bold red) or
-    a vertex partition (a unitig partition or any iterable of vertex
-    groups), in which case each group is filled with its own color.
+    an iterable of vertex groups (the ``unitigs`` of a unitig partition,
+    say), in which case each group is filled with its own color.
     """
-    lines = ["digraph debruijn {"]
     node_color: dict[str, str] = {}
     walk_edges: set[str] = set()
     if isinstance(highlight, Walk):
         walk_edges = set(highlight.edges)
     elif highlight is not None:
-        groups = getattr(highlight, "unitigs", highlight)
-        for i, group in enumerate(groups):
+        for i, group in enumerate(highlight):
             color = _PALETTE[i % len(_PALETTE)]
             for v in group:
                 node_color[str(v)] = color
+    handle.write("digraph debruijn {\n")
     for v in graph.vertices:
         attrs = [f'label="{v}"']
         if v in node_color:
             attrs += ["style=filled", f'fillcolor="{node_color[v]}"']
-        lines.append(f'    "{v}" [{" ".join(attrs)}];')
+        handle.write(f'    "{v}" [{" ".join(attrs)}];\n')
     for e in graph.edge_kmers:
         attrs = [f'label="{e}"']
         if e in walk_edges:
             attrs += ['color="red"', "penwidth=2.0"]
-        lines.append(f'    "{e[:-1]}" -> "{e[1:]}" [{" ".join(attrs)}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        handle.write(f'    "{e[:-1]}" -> "{e[1:]}" [{" ".join(attrs)}];\n')
+    handle.write("}\n")

@@ -115,31 +115,19 @@ def dna_slices(text: str, starts: Sequence[int], ends: Sequence[int]) -> list[Dn
 
 @dataclass(frozen=True)
 class ReadSet:
-    """An ordered collection of reads.
-
-    ``declared_read_length`` asserts that every read has a uniform length;
-    construction fails if any read disagrees.
-    """
+    """An ordered collection of reads."""
 
     reads: tuple[DnaString, ...]
-    declared_read_length: Optional[int] = None
 
     def __post_init__(self):
         # reads that are DnaStrings already are kept as they are: wrapping
         # each again would cost a call per read
         if type(self.reads) is not tuple or not set(map(type, self.reads)) <= {DnaString}:
             object.__setattr__(self, "reads", tuple(DnaString(r) for r in self.reads))
-        if self.declared_read_length is not None:
-            for i, r in enumerate(self.reads):
-                if len(r) != self.declared_read_length:
-                    raise ValueError(
-                        f"read {i} has length {len(r)}, "
-                        f"declared read length is {self.declared_read_length}"
-                    )
 
     @classmethod
-    def of(cls, *reads: str, declared_read_length: Optional[int] = None) -> "ReadSet":
-        return cls(tuple(DnaString(r) for r in reads), declared_read_length)
+    def of(cls, *reads: str) -> "ReadSet":
+        return cls(tuple(DnaString(r) for r in reads))
 
     def __len__(self) -> int:
         return len(self.reads)
@@ -473,10 +461,6 @@ class KmerSpectrum:
 
     def total_count(self) -> int:
         return int(self.multiplicities.sum())
-
-    def packed(self) -> np.ndarray:
-        """Distinct members as a sorted, read-only ``uint64`` array."""
-        return self.keys
 
     @cached_property
     def counts(self) -> dict[int, int]:

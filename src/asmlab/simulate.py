@@ -121,7 +121,7 @@ def idealized_reads(genome: str, read_length: int) -> ReadSet:
         DnaString(genome[i:i + read_length])
         for i in range(len(genome) - read_length + 1)
     )
-    return ReadSet(reads, declared_read_length=read_length)
+    return ReadSet(reads)
 
 
 def _allowed_starts(genome_length: int, read_length: int,
@@ -161,7 +161,7 @@ def uniform_reads(genome: str, profile: SimulationProfile) -> ReadSet:
         shift = rng.integers(1, 4, size=windows.shape, dtype=np.uint8)
         windows = np.where(hit, (windows + shift) % 4, windows)
     reads = tuple(DnaString(from_codes(row)) for row in windows)
-    return ReadSet(reads, declared_read_length=ell)
+    return ReadSet(reads)
 
 
 def unspanned_probability(
@@ -260,8 +260,7 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
     logger.info("read correction (k=%d, min multiplicity %d): %d read(s) in, "
                 "%d changed, %d dropped", k, min_multiplicity, len(reads), len(fixed),
                 len(reads) - len(out))
-    # substitution preserves length, so a declared uniform length survives
-    return ReadSet(out, declared_read_length=reads.declared_read_length)
+    return ReadSet(out)
 
 
 def _length_batches(lengths: np.ndarray):

@@ -114,33 +114,28 @@ def greedy_scs(reads: ReadSet) -> ScsResult:
     return ScsResult(DnaString(current), "greedy", tuple(trace))
 
 
-def exact_scs(reads: ReadSet, read_limit: int = EXACT_READ_LIMIT) -> ScsResult:
+def exact_scs(reads: ReadSet) -> ScsResult:
     """Exponential exact solver over read orderings.
 
     Substring-redundant reads are absorbed first. Over every ordering of
     the remainder, consecutive reads merge with maximal pairwise overlap;
     the result is a minimum-length superstring, lexicographically smallest
-    among equal-length optima. Instances with more than ``read_limit``
-    non-redundant reads are refused.
+    among equal-length optima. Instances with more than
+    ``EXACT_READ_LIMIT`` non-redundant reads are refused.
     """
     reads.require_nonempty("exact_scs")
     core = _distinct_non_redundant(reads)
     n = len(core)
-    if n > read_limit:
+    if n > EXACT_READ_LIMIT:
         raise ResourceLimitError(
-            f"exact_scs handles at most {read_limit} distinct non-redundant reads, "
+            f"exact_scs handles at most {EXACT_READ_LIMIT} distinct non-redundant reads, "
             f"got {n}",
-            limit=read_limit,
+            limit=EXACT_READ_LIMIT,
         )
     words = [str(reads[i]) for i in core]
     order = sorted(range(n), key=lambda j: words[j])  # canonical input order
     words = [words[j] for j in order]
     core = [core[j] for j in order]
-
-    if n == 1:
-        trace = [MergeStep(core[0], "seed", 0)]
-        trace += _absorbed_steps(reads, core, skip={core[0]})
-        return ScsResult(DnaString(words[0]), "exact", tuple(trace))
 
     ov = [[max_overlap(a, b) for b in words] for a in words]
     full = (1 << n) - 1
@@ -183,16 +178,9 @@ def exact_scs(reads: ReadSet, read_limit: int = EXACT_READ_LIMIT) -> ScsResult:
     trace = [MergeStep(core[chain[0]], "seed", 0)]
     for a, b in zip(chain, chain[1:]):
         trace.append(MergeStep(core[b], "end", ov[a][b]))
-    trace += _absorbed_steps(reads, core, skip=set(core))
+    merged = set(core)
+    trace += [MergeStep(i, "absorbed", len(r)) for i, r in enumerate(reads) if i not in merged]
     return ScsResult(DnaString(best[1]), "exact", tuple(trace))
-
-
-def _absorbed_steps(reads: ReadSet, core: list[int], skip: set[int]) -> list[MergeStep]:
-    return [
-        MergeStep(i, "absorbed", len(reads[i]))
-        for i in range(len(reads))
-        if i not in skip
-    ]
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,6 @@ class UnitigPartition:
         cuts = self.cuts.tolist()
         return tuple(tuple([names[v] for v in path[a:b]]) for a, b in zip(cuts, cuts[1:]))
 
-    def spelled(self) -> list[str]:
-        return list(self.spellings)
-
 
 def _preorder(link: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """The vertices reached from ``roots`` along ``link`` (the link leaving
@@ -195,9 +192,7 @@ class SafetyVerdict:
     note: str = ""
 
 
-def is_safe_bounded(graph: DeBruijnGraph,
-                    candidate: Union[Walk, str],
-                    walk_length_bound: int) -> SafetyVerdict:
+def is_safe_bounded(graph: DeBruijnGraph, candidate: Union[Walk, str]) -> SafetyVerdict:
     """Decide whether the candidate is a subwalk of every edge-covering walk.
 
     The candidate is a :class:`Walk` (or a bare vertex label for the
@@ -210,16 +205,11 @@ def is_safe_bounded(graph: DeBruijnGraph,
     subwalks, so reachability of a fully-covered never-matched state is an
     exact unsafety test. ``unknown`` is returned only when the product
     space exceeds the oracle's state budget; a verdict of ``safe`` or
-    ``unsafe`` is never approximate. The bound must be at least the edge
-    count (enough for any witness to cover the graph).
+    ``unsafe`` is never approximate.
     """
     n_edges = graph.num_edges
     if n_edges == 0:
         raise ValueError("safety is undefined on a graph with no edges")
-    if walk_length_bound < n_edges:
-        raise ValueError(
-            f"walk_length_bound={walk_length_bound} is below the edge count {n_edges}"
-        )
 
     if isinstance(candidate, str):
         if candidate not in graph.vertex_index:
@@ -341,8 +331,7 @@ class SafetyReport:
         return "\n".join(lines) + "\n"
 
 
-def safety_suite(graph: DeBruijnGraph, contigs: ContigSet,
-                 bound: Optional[int] = None) -> SafetyReport:
+def safety_suite(graph: DeBruijnGraph, contigs: ContigSet) -> SafetyReport:
     """Run the safety oracle on every contig.
 
     On graphs satisfying the preconditions, an ``unsafe`` verdict for a
@@ -354,8 +343,6 @@ def safety_suite(graph: DeBruijnGraph, contigs: ContigSet,
     pre = check_safety_preconditions(graph)
     if not pre.satisfied:
         return SafetyReport(False, f"preconditions unmet: {pre.detail}", ())
-    if bound is None:
-        bound = 2 * graph.num_edges + graph.k
     rows = []
     for contig in contigs:
         # a spelled string's (k-1)-mers are vertices and its k-mers edges
@@ -370,7 +357,7 @@ def safety_suite(graph: DeBruijnGraph, contigs: ContigSet,
             continue
         isolated = (isinstance(candidate, str)
                     and graph.out_degree(candidate) == graph.in_degree(candidate) == 0)
-        verdict = is_safe_bounded(graph, candidate, bound)
+        verdict = is_safe_bounded(graph, candidate)
         flagged = (
             verdict.status == "unsafe"
             and contig.source == "unitig"

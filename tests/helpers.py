@@ -814,7 +814,7 @@ def reference_correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> Re
         corrected = _reference_correct_one(text, k, min_multiplicity, counts)
         if corrected is not None:
             kept.append(DnaString(corrected))
-    return ReadSet(tuple(kept), declared_read_length=reads.declared_read_length)
+    return ReadSet(tuple(kept))
 
 
 def _reference_correct_one(read: str, k: int, threshold: int,

@@ -156,8 +156,7 @@ def test_criterion_5_unitig_safety_property_suite():
         if not check_safety_preconditions(graph).satisfied:
             continue
         evaluated += 1
-        report = safety_suite(graph, unitig_contigs(graph),
-                              bound=2 * graph.num_edges + graph.k)
+        report = safety_suite(graph, unitig_contigs(graph))
         assert report.applicable
         assert not report.bug_flags, f"unsafe unitig on genome {genome}"
         assert report.unknown_count == 0, f"unknown verdict on genome {genome}"

@@ -273,6 +273,36 @@ class TestBadInput:
                      "--out-dir", str(tmp_path / "s")]) == 1
         assert f"{cfg}, line 1: key 'k'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,line,key,message", [
+        ("plant_repeat_copies = 0", 5, "plant_repeat_copies", "must be >= 1, got 0"),
+        ("plant_repeat_copies = 3", 5, "plant_repeat_copies", "needs plant_repeat_length"),
+        ("genome_fasta = {genome}\nplant_repeat_length = 5", 6, "plant_repeat_length",
+         "only applies to a random genome"),
+        ("k = 40", 5, "k", "must be in [1, 31], got 40"),
+        ("k = 1\nmethod = cpp-walk", 5, "k", "method 'cpp-walk' needs k >= 2, got 1"),
+        ("k = 1", 5, "k", "method 'unitig' needs k >= 2, got 1"),
+        ("seed = -3", 5, "seed", "must be >= 0, got -3"),
+        ("read_length = 0", 5, "read_length", "must be >= 1, got 0"),
+        ("genome_length = 0", 5, "genome_length", "must be >= 1, got 0"),
+        ("num_reads = 0", 5, "num_reads", "must be >= 1, got 0"),
+        ("plant_repeat_length = 0", 5, "plant_repeat_length", "must be >= 1, got 0"),
+        ("min_multiplicity = 0", 5, "min_multiplicity", "must be >= 1, got 0"),
+    ], ids=["copies-zero", "copies-alone", "plant-with-genome-fasta", "k-above-31",
+            "k-one-cpp-walk", "k-one-unitig", "seed-negative", "read-length-zero",
+            "genome-length-zero", "num-reads-zero", "plant-length-zero",
+            "min-multiplicity-zero"])
+    def test_config_value_out_of_range_is_data_error(self, tmp_path, capsys, gtrue_fasta,
+                                                     extra, line, key, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("genome_length = 200\nread_length = 20\nnum_reads = 50\nk = 11\n"
+                       + extra.format(genome=gtrue_fasta) + "\n")
+        out_dir = tmp_path / "s"
+        assert main(["stage", "--stage", "2", "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}, line {line}: key '{key}'" in err and message in err
+        assert not out_dir.exists()
+
     def test_missing_config_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["stage", "--stage", "1"])

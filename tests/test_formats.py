@@ -51,11 +51,6 @@ class TestReadFasta:
             read_fasta(io.StringIO(">r1\nACGN\n"))
         assert "'N'" in str(err.value)
 
-    def test_drop_ambiguous_removes_record(self):
-        text = ">bad\nACGN\n>good\nACGT\n"
-        records = read_fasta(io.StringIO(text), drop_ambiguous=True)
-        assert [r.id for r in records] == ["good"]
-
     def test_empty_sequence_rejected(self):
         with pytest.raises(FastaParseError, match="empty sequence"):
             read_fasta(io.StringIO(">r1\n>r2\nACGT\n"))
@@ -78,8 +73,6 @@ class TestReadFasta:
         path.write_text("")
         with pytest.raises(FastaParseError, match=f"no reads in {re.escape(str(path))}"):
             read_reads(path)
-        with pytest.raises(FastaParseError, match="no reads"):
-            read_reads(io.StringIO(">bad\nACGN\n"), drop_ambiguous=True)
 
     @pytest.mark.parametrize("text,line", [
         (">r1\nACGT\n\nAC\nGTN\n>r2\nA\n", 5),
@@ -88,8 +81,6 @@ class TestReadFasta:
     def test_symbol_error_line_after_single_scan(self, text, line):
         with pytest.raises(FastaParseError, match=f"line {line}: invalid symbol 'N' in record 'r1'"):
             read_fasta(io.StringIO(text))
-        assert read_fasta(io.StringIO(text), drop_ambiguous=True) == \
-            ([FastaRecord("r2", DnaString("A"))] if text.startswith(">") else [])
 
     def test_read_reads_wraps_into_readset(self):
         reads = read_reads(io.StringIO(">a\nACG\n>b\nCGT\n"))
@@ -264,20 +255,17 @@ def _outcome(parse):
 class TestParseFastaMatchesLineByLine:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(fasta_texts, st.booleans())
-    def test_same_records_or_same_error(self, text, drop_ambiguous):
-        expected = _outcome(lambda: reference_parse_fasta(text, drop_ambiguous))
-        assert _outcome(lambda: read_fasta(io.StringIO(text), drop_ambiguous)) == expected
+    @given(fasta_texts)
+    def test_same_records_or_same_error(self, text):
+        expected = _outcome(lambda: reference_parse_fasta(text, False))
+        assert _outcome(lambda: read_fasta(io.StringIO(text))) == expected
         if isinstance(expected, list) and expected:
-            reads = read_reads(io.StringIO(text), drop_ambiguous)
+            reads = read_reads(io.StringIO(text))
             assert list(reads) == [seq for _, seq, _ in expected]
             assert all(type(r) is DnaString for r in reads)
 
-    @pytest.mark.parametrize("drop_ambiguous", [False, True])
-    def test_symbol_that_grows_when_uppercased(self, drop_ambiguous):
+    def test_symbol_that_grows_when_uppercased(self):
         # 'ß' uppercases to 'SS': the record after it keeps its extent
         text = ">a\nAß\n>b\nACGT\n"
-        expected = _outcome(lambda: reference_parse_fasta(text, drop_ambiguous))
-        assert _outcome(lambda: read_fasta(io.StringIO(text), drop_ambiguous)) == expected
-        if drop_ambiguous:
-            assert expected == [("b", "ACGT", "")]
+        expected = _outcome(lambda: reference_parse_fasta(text, False))
+        assert _outcome(lambda: read_fasta(io.StringIO(text))) == expected

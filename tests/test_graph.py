@@ -1,3 +1,4 @@
+import io
 import logging
 import random
 
@@ -424,27 +425,33 @@ class TestBubbleGraph:
         assert count == 4
 
 
+def dot_text(graph, highlight=None) -> str:
+    handle = io.StringIO()
+    dbg.export_dot(graph, handle, highlight)
+    return handle.getvalue()
+
+
 class TestExportDot:
     def test_node_and_edge_counts(self, fig_graph):
-        text = dbg.export_dot(fig_graph)
+        text = dot_text(fig_graph)
         assert text.count("->") == 12
         assert sum(1 for ln in text.splitlines() if "label" in ln and "->" not in ln) == 12
 
     def test_empty_graph(self):
         g = dbg.DeBruijnGraph(3, [])
-        text = dbg.export_dot(g)
+        text = dot_text(g)
         assert text.startswith("digraph") and text.rstrip().endswith("}")
 
     def test_walk_highlight(self, g_true, fig_graph):
         walk = dbg.walk_of(g_true, fig_graph)
-        text = dbg.export_dot(fig_graph, highlight=walk)
+        text = dot_text(fig_graph, highlight=walk)
         assert 'color="red"' in text
 
     def test_partition_highlight(self, fig_graph):
         from asmlab.unitig import maximal_unitigs
 
         partition = maximal_unitigs(fig_graph)
-        text = dbg.export_dot(fig_graph, highlight=partition)
+        text = dot_text(fig_graph, highlight=partition.unitigs)
         assert "fillcolor" in text
         # vertices of one unitig share a color
         trunk_lines = [ln for ln in text.splitlines()
@@ -454,4 +461,4 @@ class TestExportDot:
         assert len(colors) == 1
 
     def test_deterministic(self, fig_graph):
-        assert dbg.export_dot(fig_graph) == dbg.export_dot(fig_graph)
+        assert dot_text(fig_graph) == dot_text(fig_graph)

@@ -77,7 +77,7 @@ def assert_same_unitigs(graph: dbg.DeBruijnGraph, ref: ReferenceDeBruijnGraph) -
     partition = maximal_unitigs(graph)
     expected = reference_maximal_unitigs(ref)
     assert partition.unitigs == expected
-    assert partition.spelled() == [p[0] + "".join(v[-1] for v in p[1:]) for p in expected]
+    assert list(partition.spellings) == [p[0] + "".join(v[-1] for v in p[1:]) for p in expected]
 
 
 def assert_layer_matches(reads: ReadSet, k: int) -> None:

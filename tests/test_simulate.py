@@ -51,7 +51,6 @@ class TestIdealizedReads:
     def test_window_count(self, g_true):
         reads = idealized_reads(g_true, 3)
         assert len(reads) == 17
-        assert reads.declared_read_length == 3
         assert all(is_common_superstring(g_true, [r]) for r in reads)
 
     def test_spectrum_equality(self, g_true):
@@ -161,7 +160,7 @@ class TestCorrectReads:
         original = str(reads[100])
         flipped = {"A": "C", "C": "A", "G": "T", "T": "G"}[original[17]]
         reads[100] = DnaString(original[:17] + flipped + original[18:])
-        out = correct_reads(ReadSet(tuple(reads), declared_read_length=40), 15, 3)
+        out = correct_reads(ReadSet(tuple(reads)), 15, 3)
         assert len(out) == len(reads)
         assert str(out[100]) == original
 
@@ -241,7 +240,6 @@ class TestCorrectReadsMatchesReference:
         reads = criterion_7_reads(seed)
         out = correct_reads(reads, 21, 3)
         assert out == reference_correct_reads(reads, 21, 3)
-        assert out.declared_read_length == 100
 
     @pytest.mark.parametrize("batch", [1, 97, 1000])
     def test_small_batches_give_the_same_reads(self, monkeypatch, batch):

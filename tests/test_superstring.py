@@ -127,6 +127,16 @@ class TestOvercollapseDiagnostic:
         result = exact_scs(ReadSet.of("AAAA"))
         report = diagnose_overcollapse(result, 4)
         assert not report.implementation_bug
+        # one non-redundant read, with a duplicate and substrings absorbed
+        reads = ReadSet.of("CGT", "ACGTA", "GTA", "ACGTA", "AC")
+        result = exact_scs(reads)
+        assert result.superstring == "ACGTA"
+        assert result.merge_order == (
+            MergeStep(1, "seed", 0), MergeStep(0, "absorbed", 3),
+            MergeStep(2, "absorbed", 3), MergeStep(3, "absorbed", 5),
+            MergeStep(4, "absorbed", 2))
+        assert result.replay(reads) == result.superstring
+        assert not diagnose_overcollapse(result, 5).implementation_bug
 
 
 class TestRepeatBoundProperty:

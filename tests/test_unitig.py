@@ -104,20 +104,15 @@ class TestPreconditions:
 
 class TestIsSafeBounded:
     def test_single_edge_always_safe(self, fig_graph):
-        verdict = is_safe_bounded(fig_graph, dbg.Walk(fig_graph, ("AAT",)),
-                                  fig_graph.num_edges)
+        verdict = is_safe_bounded(fig_graph, dbg.Walk(fig_graph, ("AAT",)))
         assert verdict.status == "safe"
 
     def test_nonisolated_vertex_safe(self, fig_graph):
-        assert is_safe_bounded(fig_graph, "AA", fig_graph.num_edges).status == "safe"
+        assert is_safe_bounded(fig_graph, "AA").status == "safe"
 
     def test_isolated_vertex_unsafe(self):
         g = dbg.build(ReadSet.of("ACGT", "TT"), 3)
-        assert is_safe_bounded(g, "TT", g.num_edges).status == "unsafe"
-
-    def test_bound_below_edge_count_rejected(self, fig_graph):
-        with pytest.raises(ValueError, match="below the edge count"):
-            is_safe_bounded(fig_graph, dbg.Walk(fig_graph, ("AAT",)), 3)
+        assert is_safe_bounded(g, "TT").status == "unsafe"
 
     def test_connector_then_top_branch_is_safe_nonunitig(self):
         # every covering walk re-enters the second bubble straight after the
@@ -125,7 +120,7 @@ class TestIsSafeBounded:
         g, names = dbg.make_bubble_graph_with_names(2)
         edge = lambda u, w: names[u] + names[w][-1]
         candidate = dbg.Walk(g, (edge("jx0", "j1"), edge("j1", "jx1")))
-        assert is_safe_bounded(g, candidate, 2 * g.num_edges + g.k).status == "safe"
+        assert is_safe_bounded(g, candidate).status == "safe"
 
     def test_branch_connector_branch_is_unsafe(self):
         # a covering walk can pair the top of bubble 2 with the bottom of
@@ -133,7 +128,7 @@ class TestIsSafeBounded:
         g, names = dbg.make_bubble_graph_with_names(3)
         edge = lambda u, w: names[u] + names[w][-1]
         candidate = dbg.Walk(g, (edge("j1", "jx1"), edge("jx1", "j2"), edge("j2", "jx2")))
-        verdict = is_safe_bounded(g, candidate, 2 * g.num_edges + g.k)
+        verdict = is_safe_bounded(g, candidate)
         assert verdict.status == "unsafe"
         witness = verdict.witness
         assert dbg.is_edge_covering(witness)
@@ -163,14 +158,14 @@ class TestIsSafeBounded:
                  "GA", "AT", "TT", "TC", "CC", "CA", "AG"]
         walk = dbg.Walk(fig_graph,
                         tuple(u + w[-1] for u, w in zip(verts, verts[1:])))
-        verdict = is_safe_bounded(fig_graph, walk, 2 * fig_graph.num_edges + fig_graph.k)
+        verdict = is_safe_bounded(fig_graph, walk)
         assert verdict.status == "safe"
         assert dbg.spell(walk) == "AATTCCAGCTGATTCCAG"
 
 
 class TestSafetySuite:
     def test_running_example_all_safe(self, fig_graph):
-        report = safety_suite(fig_graph, unitig_contigs(fig_graph), bound=24)
+        report = safety_suite(fig_graph, unitig_contigs(fig_graph))
         assert report.applicable
         assert [r.verdict for r in report.rows] == ["safe"] * 4
         assert not report.bug_flags
@@ -218,7 +213,7 @@ class TestSafetySuite:
             if not check_safety_preconditions(g).satisfied:
                 continue
             evaluated += 1
-            report = safety_suite(g, unitig_contigs(g), bound=2 * g.num_edges + g.k)
+            report = safety_suite(g, unitig_contigs(g))
             assert not report.bug_flags
             assert report.unknown_count == 0
         assert evaluated >= 15
