@@ -14,13 +14,25 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from asmlab import graph as dbg
 from asmlab import simulate
 from asmlab.errors import FastaParseError
 from asmlab.formats import FastaRecord, StageConfig, read_fasta, read_reads, write_fasta
-from asmlab.sequence import DnaString, ReadSet, packed_kmers, spectrum
+from asmlab.sequence import (
+    DnaString,
+    ReadSet,
+    check_k,
+    in_sorted,
+    joined_codes,
+    read_lengths,
+    sorted_distinct,
+    symbol_batches,
+    window_packs,
+)
 from asmlab.superstring import exact_scs, greedy_scs
 from asmlab.unitig import Contig, ContigSet, unitig_contigs
 
@@ -114,61 +126,118 @@ def compute_n50(lengths) -> int:
     return ordered[-1]
 
 
-def _occurrences(needle: str, haystack: str) -> list[int]:
-    """All (possibly overlapping) match positions."""
-    out = []
-    start = haystack.find(needle)
-    while start != -1:
-        out.append(start)
-        start = haystack.find(needle, start + 1)
-    return out
+def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``firsts[i], firsts[i] + 1, ...`` (``counts[i]`` values) for every i,
+    laid end to end."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(firsts - offsets, counts) + np.arange(counts.sum())
 
 
-def _covered_fraction(intervals: list[tuple[int, int]], span: int) -> float:
-    """Fraction of [0, span) covered by the union of half-open intervals."""
-    if span <= 0:
-        return 0.0
-    merged_total = 0
-    last_end = -1
-    for start, end in sorted(intervals):
-        start = max(start, last_end)
-        if end > start:
-            merged_total += end - start
-            last_end = end
-        else:
-            last_end = max(last_end, end)
-    return merged_total / span
+class _SeedIndex(NamedTuple):
+    """The truth's packed ``seed``-windows by start (``packs``), and the same
+    windows sorted (``keys``) with their starts in that order (``starts``,
+    ascending among equal windows)."""
+
+    seed: int
+    packs: np.ndarray
+    keys: np.ndarray
+    starts: np.ndarray
+
+
+def _seed_index(truth_codes: np.ndarray, seed: int) -> _SeedIndex:
+    packs = window_packs(truth_codes, seed)
+    starts = np.argsort(packs, kind="stable")
+    return _SeedIndex(seed, packs, packs[starts], starts)
+
+
+def _exact_hits(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                index: _SeedIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Every exact occurrence in the truth of every contig at least
+    ``index.seed`` long, as (contig, truth start) arrays; contig i holds
+    ``lengths[i]`` symbols of ``codes`` from ``starts[i]`` on.
+
+    A contig can only occur where its first seed-window does. Each such
+    candidate is checked on the contig's seed-windows at offsets seed,
+    2*seed, ... and the one ending the contig: with the first, they tile it.
+    """
+    seed = index.seed
+    windows = window_packs(codes, seed)
+    live = np.flatnonzero(lengths >= seed)
+    first = windows[starts[live]]
+    low = np.searchsorted(index.keys, first, side="left")
+    counts = np.searchsorted(index.keys, first, side="right") - low
+    contig = np.repeat(live, counts)
+    pos = index.starts[_ranges(low, counts)]
+    fits = pos + lengths[contig] - seed < len(index.packs)  # ends inside the truth
+    contig, pos = contig[fits], pos[fits]
+    length = lengths[contig]
+    tiles = (length - 1) // seed  # after the first
+    pair = np.repeat(np.arange(len(contig)), tiles)
+    offset = np.minimum(_ranges(np.ones_like(tiles), tiles) * seed, length[pair] - seed)
+    wrong = windows[starts[contig[pair]] + offset] != index.packs[pos[pair] + offset]
+    ok = np.ones(len(contig), dtype=bool)
+    ok[pair[wrong]] = False
+    return contig[ok], pos[ok]
+
+
+def _kmer_hits(codes: np.ndarray, starts: np.ndarray, windows: np.ndarray, k: int,
+               truth_kmers: np.ndarray) -> np.ndarray:
+    """How many of its k-windows contig i, with ``windows[i]`` of them (at
+    least one) from ``starts[i]`` of ``codes`` on, has in ``truth_kmers``
+    (the truth's distinct packed k-mers, ascending)."""
+    if not len(windows):
+        return np.zeros(0, dtype=np.int64)
+    found = in_sorted(truth_kmers, window_packs(codes, k)[_ranges(starts, windows)])
+    return np.add.reduceat(found, np.cumsum(windows) - windows, dtype=np.int64)
 
 
 def evaluate(contigs: ContigSet, truth: str, k: int) -> EvalReport:
     """Score a contig set against a known reference.
 
-    Exact matching is by substring search; repeated occurrences all count
-    toward genome coverage. k-mer precision is the fraction of a contig's
-    k-mer occurrences present in the truth spectrum (vacuously 1 for
-    contigs shorter than k).
+    A contig is exact where it occurs in the truth, and its (possibly
+    overlapping) occurrences all count toward genome coverage; they are
+    found through one index of the truth's (k-1)-windows, each candidate
+    checked symbol for symbol. k-mer precision is the fraction of a
+    contig's k-mer occurrences present in the truth spectrum (1 for an
+    exact contig, vacuously 1 for contigs shorter than k).
     """
     if not truth:
         raise ValueError("truth genome must be nonempty")
-    truth = str(truth)
-    truth_kmers = spectrum(truth, k).distinct_packed()
-    per = []
-    intervals: list[tuple[int, int]] = []
-    misassemblies = 0
-    for contig in contigs:
-        seq = str(contig.sequence)
-        hits = _occurrences(seq, truth)
-        exact = bool(hits)
-        if exact:
-            intervals.extend((h, h + len(seq)) for h in hits)
-        else:
-            misassemblies += 1
-        packs = packed_kmers(seq, k)
-        precision = (
-            sum(1 for p in packs if p in truth_kmers) / len(packs) if packs else 1.0
-        )
-        per.append(ContigMetrics(contig.name, len(seq), exact, precision))
-    return _report(k, per, _covered_fraction(intervals, len(truth)), misassemblies)
+    check_k(k)
+    truth_codes = joined_codes((truth,))
+    # every contig is at least k-1 long; for k = 1 only the empty contig is
+    # shorter than the seed, and it occurs everywhere and covers nothing
+    index = _seed_index(truth_codes, max(k - 1, 1))
+    truth_kmers = sorted_distinct(window_packs(truth_codes, k))
+    sequences = [c.sequence for c in contigs]
+    lengths = read_lengths(sequences)
+    exact = lengths == 0
+    hits = np.zeros(len(sequences), dtype=np.int64)  # k-windows found in the truth
+    hit_starts, hit_ends = [], []
+    for at, stop in symbol_batches(lengths):
+        length = lengths[at:stop]
+        codes = joined_codes(sequences[at:stop])
+        starts = np.cumsum(length) - length
+        contig, pos = _exact_hits(codes, starts, length, index)
+        exact[at + contig] = True
+        hit_starts.append(pos)
+        hit_ends.append(pos + length[contig])
+        scored = np.flatnonzero(~exact[at:stop] & (length >= k))
+        hits[at + scored] = _kmer_hits(codes, starts[scored], length[scored] - k + 1, k,
+                                       truth_kmers)
+    span = len(truth_codes)
+    depth = np.zeros(span + 1, dtype=np.int64)  # coverage depth, differenced
+    if hit_starts:
+        depth += np.bincount(np.concatenate(hit_starts), minlength=span + 1)
+        depth -= np.bincount(np.concatenate(hit_ends), minlength=span + 1)
+    covered = int(np.count_nonzero(np.cumsum(depth[:span]) > 0))
+    per = [
+        ContigMetrics(contig.name, length, found,
+                      hit / (length - k + 1) if length >= k and not found else 1.0)
+        for contig, length, found, hit in zip(contigs, lengths.tolist(), exact.tolist(),
+                                              hits.tolist())
+    ]
+    return _report(k, per, covered / span, len(per) - int(exact.sum()))
 
 
 def evaluate_without_truth(contigs: ContigSet, k: int) -> EvalReport:

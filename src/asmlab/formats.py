@@ -364,13 +364,13 @@ def parse_gaps(value: str) -> tuple[tuple[int, int], ...]:
 
 def read_config(source: Source) -> StageConfig:
     """Parse ``key = value`` lines ('#' starts a comment) into a
-    :class:`StageConfig`; a malformed line, an unknown key, a bad value or
-    a key that its companions would make meaningless is a
+    :class:`StageConfig`; a malformed line, an unknown or repeated key, a
+    bad value or a key that its companions would make meaningless is a
     :class:`ConfigError` naming the file and line."""
     text = _read_text(source)
     in_file = f"{source}, " if isinstance(source, (str, Path)) else ""
     config = StageConfig()
-    where_set: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -379,17 +379,21 @@ def read_config(source: Source) -> StageConfig:
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq or not key:
             raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
+        if key in line_of:
+            raise ConfigError(f"{where}: key {key!r} is already set on line "
+                              f"{line_of[key]}")
         _apply_key(config, key, value, where)
-        where_set[key] = where
+        line_of[key] = line_no
     if config.k is not None and config.k < 2 and config.method in _GRAPH_METHODS:
-        raise ConfigError(f"{where_set['k']}: key 'k': method {config.method!r} "
-                          f"needs k >= 2, got {config.k}")
+        raise ConfigError(f"{in_file}line {line_of['k']}: key 'k': method "
+                          f"{config.method!r} needs k >= 2, got {config.k}")
     if config.plant_repeat_copies is not None and config.plant_repeat_length is None:
-        raise ConfigError(f"{where_set['plant_repeat_copies']}: key 'plant_repeat_copies' "
-                          "needs plant_repeat_length")
+        raise ConfigError(f"{in_file}line {line_of['plant_repeat_copies']}: key "
+                          "'plant_repeat_copies' needs plant_repeat_length")
     if config.plant_repeat_length is not None and config.genome_fasta:
-        raise ConfigError(f"{where_set['plant_repeat_length']}: key 'plant_repeat_length' "
-                          "only applies to a random genome, not to genome_fasta")
+        raise ConfigError(f"{in_file}line {line_of['plant_repeat_length']}: key "
+                          "'plant_repeat_length' only applies to a random genome, "
+                          "not to genome_fasta")
     return config
 
 

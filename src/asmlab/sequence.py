@@ -171,24 +171,13 @@ def decode_kmer(packed: int, k: int) -> str:
     return "".join(out)
 
 
-def _check_k(k: int) -> None:
+def check_k(k: int) -> None:
+    """Raise ``ValueError`` unless ``k`` is a k-mer length a packed int holds."""
     if not isinstance(k, int) or k < 1 or k > MAX_K:
         raise ValueError(f"k must be an integer in [1, {MAX_K}], got {k!r}")
 
 
-def packed_kmers(text: str, k: int) -> list[int]:
-    """All k-mers of ``text`` in order, as packed integers (rolling encode)."""
-    if len(text) < k:
-        return []
-    mask = (1 << (2 * k)) - 1
-    codes = to_codes(text)
-    value = 0
-    for code in codes[:k - 1]:
-        value = (value << 2) | code
-    return [value := ((value << 2) | code) & mask for code in codes[k - 1:]]
-
-
-def _joined_codes(texts: Sequence[str]) -> np.ndarray:
+def joined_codes(texts: Sequence[str]) -> np.ndarray:
     """The codes of ``texts`` laid end to end; a symbol outside the alphabet
     is reported at its position in its own string."""
     joined = "".join(texts)
@@ -205,11 +194,11 @@ def _joined_codes(texts: Sequence[str]) -> np.ndarray:
 def encode_kmers(kmers: Sequence[str], k: int) -> np.ndarray:
     """Pack k-mers that all have length ``k`` into a ``uint64`` array, in
     input order; the vectorized form of :func:`encode_kmer`."""
-    _check_k(k)
+    check_k(k)
     for kmer in kmers:
         if len(kmer) != k:
             raise ValueError(f"k-mer {kmer!r} does not have length {k}")
-    codes = _joined_codes(kmers).reshape(len(kmers), k)
+    codes = joined_codes(kmers).reshape(len(kmers), k)
     packed = np.zeros(len(kmers), dtype=np.uint64)
     for j in range(k):
         packed <<= 2
@@ -283,6 +272,33 @@ def _pack_block(codes: np.ndarray, k: int, out: np.ndarray) -> None:
         power, m = doubled, 2 * m
 
 
+def in_sorted(keys: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """Whether each value of ``packed`` (any shape) is one of ``keys``, an
+    ascending array of distinct values; one ``searchsorted`` pass."""
+    flat = packed.ravel()
+    found = np.zeros(len(flat), dtype=bool)
+    if len(keys):
+        order, _, hit = _sorted_lookup(keys, flat)
+        found[order] = hit
+    return found.reshape(packed.shape)
+
+
+def _sorted_lookup(keys: np.ndarray,
+                   flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Search the nonempty ascending ``keys`` for each value of ``flat``:
+    the order that sorts the queries and, for the queries in that order,
+    the index of the first key not below each and whether it is equal.
+
+    The queries are sorted first, so the search visits the keys in order:
+    several times faster than random probes once the keys outgrow the cache.
+    """
+    order = np.argsort(flat)
+    wanted = flat[order]
+    at = np.searchsorted(keys, wanted)
+    np.minimum(at, len(keys) - 1, out=at)
+    return order, at, keys[at] == wanted
+
+
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Index of the first element of each run of equal values."""
     if not len(values):
@@ -307,7 +323,7 @@ def _count_batch(reads: Sequence[str], lengths: np.ndarray,
     above every k-mer, so after an in-place sort the real k-mers form a
     prefix.
     """
-    codes = _joined_codes(reads)
+    codes = joined_codes(reads)
     windows = len(codes) - k + 1
     if windows <= 0:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
@@ -328,10 +344,10 @@ def _count_batch(reads: Sequence[str], lengths: np.ndarray,
     return values[first], np.diff(first, append=len(values))
 
 
-def _batches(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
-    """``(start, stop)`` ranges of reads, in order: each batch ends with the
-    read that brings it to ``_COUNT_BATCH`` symbols or more (the last batch
-    may hold fewer)."""
+def symbol_batches(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` ranges of strings (reads or contigs), in order: each
+    batch ends with the string that brings it to ``_COUNT_BATCH`` symbols or
+    more (the last batch may hold fewer)."""
     ends = np.cumsum(lengths)
     start = 0
     while start < len(lengths):
@@ -374,12 +390,12 @@ def _count(reads: Iterable[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     growing with the input (on reads with errors they keep growing), and
     memory holds about twice the distinct k-mers plus one batch.
     """
-    _check_k(k)
+    check_k(k)
     reads = reads.reads if isinstance(reads, ReadSet) else tuple(reads)
     lengths = read_lengths(reads)
     runs = []  # the spectrum so far, then the runs waiting to be merged into it
     waiting = 0
-    for start, stop in _batches(lengths):
+    for start, stop in symbol_batches(lengths):
         runs.append(_count_batch(reads[start:stop], lengths[start:stop], k))
         if len(runs) > 1:
             waiting += len(runs[-1][0])
@@ -444,19 +460,12 @@ class KmerSpectrum:
     def multiplicities_of(self, packed: np.ndarray) -> np.ndarray:
         """The occurrence count of every packed k-mer of a ``uint64`` array
         (any shape), 0 for a non-member; one ``searchsorted`` pass.
-
-        The queries are sorted first, so the search visits the keys in
-        order: several times faster than random probes once the keys
-        outgrow the cache.
         """
         flat = packed.ravel()
         found = np.zeros(len(flat), dtype=np.int64)
         if len(self.keys):
-            order = np.argsort(flat)
-            wanted = flat[order]
-            at = np.searchsorted(self.keys, wanted)
-            np.minimum(at, len(self.keys) - 1, out=at)
-            found[order] = np.where(self.keys[at] == wanted, self.multiplicities[at], 0)
+            order, at, hit = _sorted_lookup(self.keys, flat)
+            found[order] = np.where(hit, self.multiplicities[at], 0)
         return found.reshape(packed.shape)
 
     def total_count(self) -> int:
@@ -513,11 +522,12 @@ def spectrum_subset_check(g: str, reads: ReadSet | Iterable[str], k: int) -> Sub
     On failure, reports the leftmost offending k-mer and its 0-based
     position in ``g``.
     """
-    _check_k(k)
-    allowed = spectrum_of_set(reads, k).distinct_packed()
-    for pos, p in enumerate(packed_kmers(g, k)):
-        if p not in allowed:
-            return SubsetCheck(False, decode_kmer(p, k), pos)
+    check_k(k)
+    allowed = spectrum_of_set(reads, k).keys
+    missing = np.flatnonzero(~in_sorted(allowed, window_packs(joined_codes((g,)), k)))
+    if len(missing):
+        pos = int(missing[0])
+        return SubsetCheck(False, g[pos:pos + k], pos)
     return SubsetCheck(True, None, None)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from asmlab.errors import DisconnectedGraphError, FastaParseError, NoCoveringWalkError
+from asmlab.evaluate import ContigMetrics, EvalReport, _report
 from asmlab.formats import FastaRecord
 from asmlab.graph import DeBruijnGraph, Walk
 from asmlab.sequence import (
@@ -26,13 +27,36 @@ from asmlab.sequence import (
     decode_kmer,
     first_invalid,
     from_codes,
-    packed_kmers,
+    spectrum,
     to_codes,
 )
+from asmlab.unitig import ContigSet
+
+
+def packed_kmers(text: str, k: int) -> list[int]:
+    """All k-mers of ``text`` in order, as packed integers (rolling encode)."""
+    if len(text) < k:
+        return []
+    mask = (1 << (2 * k)) - 1
+    codes = to_codes(text)
+    value = 0
+    for code in codes[:k - 1]:
+        value = (value << 2) | code
+    return [value := ((value << 2) | code) & mask for code in codes[k - 1:]]
 
 
 def naive_spectrum(s: str, k: int) -> Counter:
     return Counter(s[i:i + k] for i in range(len(s) - k + 1))
+
+
+def brute_spectrum_subset_check(g: str, reads, k: int) -> tuple:
+    """The leftmost k-window of ``g`` found in no read's set of k-windows,
+    as ``(ok, kmer, position)``."""
+    allowed = {r[i:i + k] for r in reads for i in range(len(r) - k + 1)}
+    for pos in range(len(g) - k + 1):
+        if g[pos:pos + k] not in allowed:
+            return (False, g[pos:pos + k], pos)
+    return (True, None, None)
 
 
 def brute_longest_repeat(s: str):
@@ -982,3 +1006,69 @@ def reference_window_packs(codes: np.ndarray, k: int) -> np.ndarray:
         packed <<= 2
         packed |= codes[..., j:j + windows]
     return packed
+
+
+# ---------------------------------------------------------------------------
+# Reference truth evaluation
+# ---------------------------------------------------------------------------
+# ``asmlab.evaluate.evaluate`` as it stood before the seed index over the
+# truth: a substring scan of the whole truth per contig, and k-mer precision
+# one packed int at a time against a frozenset. Kept verbatim for the
+# differential test.
+
+
+def _occurrences(needle: str, haystack: str) -> list[int]:
+    """All (possibly overlapping) match positions."""
+    out = []
+    start = haystack.find(needle)
+    while start != -1:
+        out.append(start)
+        start = haystack.find(needle, start + 1)
+    return out
+
+
+def _covered_fraction(intervals: list[tuple[int, int]], span: int) -> float:
+    """Fraction of [0, span) covered by the union of half-open intervals."""
+    if span <= 0:
+        return 0.0
+    merged_total = 0
+    last_end = -1
+    for start, end in sorted(intervals):
+        start = max(start, last_end)
+        if end > start:
+            merged_total += end - start
+            last_end = end
+        else:
+            last_end = max(last_end, end)
+    return merged_total / span
+
+
+def reference_evaluate(contigs: ContigSet, truth: str, k: int) -> EvalReport:
+    """Score a contig set against a known reference.
+
+    Exact matching is by substring search; repeated occurrences all count
+    toward genome coverage. k-mer precision is the fraction of a contig's
+    k-mer occurrences present in the truth spectrum (vacuously 1 for
+    contigs shorter than k).
+    """
+    if not truth:
+        raise ValueError("truth genome must be nonempty")
+    truth = str(truth)
+    truth_kmers = spectrum(truth, k).distinct_packed()
+    per = []
+    intervals: list[tuple[int, int]] = []
+    misassemblies = 0
+    for contig in contigs:
+        seq = str(contig.sequence)
+        hits = _occurrences(seq, truth)
+        exact = bool(hits)
+        if exact:
+            intervals.extend((h, h + len(seq)) for h in hits)
+        else:
+            misassemblies += 1
+        packs = packed_kmers(seq, k)
+        precision = (
+            sum(1 for p in packs if p in truth_kmers) / len(packs) if packs else 1.0
+        )
+        per.append(ContigMetrics(contig.name, len(seq), exact, precision))
+    return _report(k, per, _covered_fraction(intervals, len(truth)), misassemblies)

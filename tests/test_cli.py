@@ -294,8 +294,14 @@ class TestBadInput:
     def test_config_value_out_of_range_is_data_error(self, tmp_path, capsys, gtrue_fasta,
                                                      extra, line, key, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("genome_length = 200\nread_length = 20\nnum_reads = 50\nk = 11\n"
-                       + extra.format(genome=gtrue_fasta) + "\n")
+        extra = extra.format(genome=gtrue_fasta)
+        # a key may be set once: a base line whose key the extra sets is
+        # commented out, which keeps the extra on line 5
+        later = {line.partition("=")[0].strip() for line in extra.splitlines()}
+        base = [line if line.partition("=")[0].strip() not in later else f"# {line}"
+                for line in ("genome_length = 200", "read_length = 20", "num_reads = 50",
+                             "k = 11")]
+        cfg.write_text("\n".join(base + [extra]) + "\n")
         out_dir = tmp_path / "s"
         assert main(["stage", "--stage", "2", "--config", str(cfg),
                      "--out-dir", str(out_dir)]) == 1
@@ -363,6 +369,19 @@ class TestEval:
         assert "misassembly_count = 0" in text
         assert "genome_fraction_covered = 1.000000" in text
         assert (tmp_path / "report.txt.json").exists()
+
+    def test_k_above_31_is_usage_error(self, tmp_path, capsys):
+        # contigs long enough for the contig set, so only the k range is wrong
+        genome = "ACGTTGCAAGGCTTACCGATCGATTGCAGGTCCATGAC"
+        truth = tmp_path / "truth.fasta"
+        truth.write_text(f">t\n{genome}\n")
+        contigs = tmp_path / "contigs.fasta"
+        contigs.write_text(f">c0\n{genome[:31]}\n>c1\n{genome[3:]}\n")
+        report = tmp_path / "r.txt"
+        assert main(["eval", "--contigs", str(contigs), "--truth", str(truth),
+                     "-k", "32", "--report", str(report)]) == 2
+        assert "k must be an integer in [1, 31], got 32" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_truth_flag_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

@@ -15,8 +15,9 @@ from asmlab.evaluate import (
 )
 from asmlab.formats import FastaRecord, StageConfig, write_fasta
 from asmlab.sequence import DnaString
+from asmlab.simulate import random_genome
 from asmlab.unitig import Contig, ContigSet, unitig_contigs
-from helpers import coverage_marking_oracle, n50_oracle
+from helpers import coverage_marking_oracle, n50_oracle, reference_evaluate
 
 PROPERTY = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -100,6 +101,89 @@ class TestEvaluate:
         data = json.loads(report.to_json())
         assert data["misassembly_count"] == 0
         assert data["contig_count"] == 4
+
+
+def assert_matches_reference(contigs, truth, k):
+    fast = evaluate(contigs, truth, k)
+    slow = reference_evaluate(contigs, truth, k)
+    assert fast.to_json() == slow.to_json()
+    assert fast.to_text() == slow.to_text()
+
+
+def planted_truth(seed):
+    """A random genome with a 3-copy planted repeat, a tandem repeat (whose
+    pieces occur overlapping) and the genome's own start repeated at its end."""
+    core = str(random_genome(700, (60, 3), seed=seed))
+    return core[:300] + "ACG" * 30 + core[300:] + core[:40]
+
+
+def padded_truth(seed):
+    """A random core between 100 nt poly-A pads."""
+    return "A" * 100 + str(random_genome(600, seed=seed)) + "A" * 100
+
+
+def mixed_contigs(truth, k, seed):
+    """Pieces of the truth (at its ends, k-1 long, random), the same with one
+    substitution, random absent strings, poly-A and tandem pieces, and
+    contigs longer than the truth."""
+    rng = random.Random(seed)
+    n, low = len(truth), max(k - 1, 1)
+    seqs = [truth[:low], truth[n - low:], truth[:3 * k], truth[-3 * k:], truth,
+            truth + "C", "G" + truth, "A" * (low + 5), "ACG" * k, "CGA" * (k + 2)]
+    for _ in range(40):
+        length = rng.randint(low, min(n, 4 * k))
+        start = rng.randint(0, n - length)
+        piece = truth[start:start + length]
+        seqs.append(piece)
+        at = rng.randrange(length)
+        seqs.append(piece[:at] + rng.choice(sorted(set("ACGT") - {piece[at]}))
+                    + piece[at + 1:])
+        seqs.append("".join(rng.choice("ACGT") for _ in range(length)))
+    return contig_set(k, *seqs)
+
+
+class TestMatchesReference:
+    """``evaluate`` against the frozen substring-scan evaluation, string for
+    string in both report formats."""
+
+    @pytest.mark.parametrize("k", [2, 3, 21, 31])
+    @pytest.mark.parametrize("make_truth", [planted_truth, padded_truth])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mixed_contigs(self, make_truth, k, seed):
+        truth = make_truth(seed)
+        assert_matches_reference(mixed_contigs(truth, k, seed), truth, k)
+
+    def test_planted_repeat_occurrences(self):
+        truth = planted_truth(4)
+        repeat = truth[:40]  # also the truth's last 40 symbols
+        contigs = contig_set(21, repeat, repeat[5:30], "ACG" * 7)
+        assert_matches_reference(contigs, truth, 21)
+
+    def test_truth_shorter_than_k(self):
+        assert_matches_reference(contig_set(3, "AC", "CA", "ACG", "GT"), "AC", 3)
+        assert_matches_reference(contig_set(21, "A" * 20, "ACGT" * 6), "ACGTA", 21)
+
+    def test_k1_with_empty_contig(self):
+        assert_matches_reference(contig_set(1, "", "A", "CG", "T", "GAC", ""), "ACGA", 1)
+
+    def test_no_contigs(self):
+        assert_matches_reference(contig_set(5), "ACGTACGT", 5)
+
+    @PROPERTY
+    @given(st.text(alphabet="AC", min_size=1, max_size=30),
+           st.integers(min_value=1, max_value=5), st.data())
+    def test_two_letter_truths(self, truth, k, data):
+        seqs = []
+        for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+            if data.draw(st.booleans()):
+                start = data.draw(st.integers(min_value=0, max_value=len(truth)))
+                end = data.draw(st.integers(min_value=start, max_value=len(truth)))
+                piece = truth[start:end]
+            else:
+                piece = data.draw(st.text(alphabet="ACG", max_size=12))
+            if len(piece) >= k - 1:
+                seqs.append(piece)
+        assert_matches_reference(contig_set(k, *seqs), truth, k)
 
 
 class TestRunStage:

@@ -201,6 +201,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}, line 2: key 'k'"):
             read_config(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("k = 11\nseed = 3\n# k = 13\n  k = 15  # again\n")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}, line 4: "
+                           "key 'k' is already set on line 1"):
+            read_config(path)
+
     def test_defaults(self):
         cfg = read_config(io.StringIO(""))
         assert cfg == StageConfig()

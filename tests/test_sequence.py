@@ -25,7 +25,12 @@ from asmlab.sequence import (
     to_codes,
 )
 from conftest import G_SCS, G_SOL, G_TRUE
-from helpers import brute_longest_repeat, brute_max_overlap, naive_spectrum
+from helpers import (
+    brute_longest_repeat,
+    brute_max_overlap,
+    brute_spectrum_subset_check,
+    naive_spectrum,
+)
 
 PROPERTY = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -285,6 +290,13 @@ class TestSpectrumSubsetCheck:
         reads = ReadSet.of(*(g[i:i + k] for i in range(len(g) - k + 1)))
         if spectrum_subset_check(g, reads, k).ok:
             assert spectrum_subset_check(g, reads, k - 1).ok
+
+    @PROPERTY
+    @given(dna, st.lists(st.text(alphabet="ACGT", max_size=12), max_size=8),
+           st.integers(min_value=1, max_value=5))
+    def test_matches_string_set_oracle(self, g, reads, k):
+        expected = brute_spectrum_subset_check(g, reads, k)
+        assert spectrum_subset_check(g, reads, k) == expected
 
 
 class TestLongestRepeat:
