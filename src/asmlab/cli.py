@@ -4,11 +4,13 @@ Subcommands follow the modeling ladder: ``simulate`` produces reads,
 ``scs`` runs the superstring solvers, ``assemble`` runs the graph-based
 assemblers (maximal unitigs or the shortest edge-covering walk), ``eval``
 scores contigs against a truth genome, and ``stage`` drives a whole
-simulate -> assemble -> evaluate run from a config file.
+simulate -> assemble -> evaluate run from a config file, through the same
+steps of :mod:`asmlab.evaluate` as the subcommands.
 
 Exit codes: 0 success, 1 domain error (bad graph shape, solver caps,
 unparseable data files, bad values in a config file, reads too short to
-correct), 2 usage error (bad flags or parameter values).
+correct, contigs shorter than k-1), 2 usage error (bad flags, parameter
+values or a config missing a key its stage needs).
 """
 
 from __future__ import annotations
@@ -23,8 +25,15 @@ import numpy as np
 
 from asmlab import graph as dbg
 from asmlab import simulate
-from asmlab.errors import AssemblyError, FastaParseError
-from asmlab.evaluate import StageResult, assemble_contigs, evaluate, run_stage
+from asmlab.errors import AssemblyError
+from asmlab.evaluate import (
+    assemble_contigs,
+    evaluate,
+    read_genome,
+    run_stage,
+    write_contigs,
+    write_reads,
+)
 from asmlab.formats import (
     FastaRecord,
     parse_gaps,
@@ -33,7 +42,7 @@ from asmlab.formats import (
     read_reads,
     write_fasta,
 )
-from asmlab.sequence import MAX_K, DnaString, read_lengths
+from asmlab.sequence import MAX_K, DnaString, check_k, read_lengths
 from asmlab.superstring import diagnose_overcollapse, exact_scs, greedy_scs
 from asmlab.unitig import Contig, ContigSet, maximal_unitigs
 
@@ -149,10 +158,7 @@ def _load_genome_arg(args) -> DnaString:
     if args.genome:
         if args.plant_repeat:
             raise ValueError("--plant-repeat only applies to --random-length genomes")
-        records = read_fasta(args.genome)
-        if not records:
-            raise FastaParseError(f"no FASTA records in {args.genome}", line=1)
-        return records[0].sequence
+        return read_genome(args.genome)
     planted = None
     if args.plant_repeat:
         length, _, copies = args.plant_repeat.partition(",")
@@ -182,7 +188,7 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
         )
         reads = simulate.uniform_reads(genome, profile)
-    write_fasta([FastaRecord(f"r{i}", r) for i, r in enumerate(reads)], args.reads)
+    write_reads(reads, args.reads)
     if args.genome_out:
         write_fasta([FastaRecord("truth", genome)], args.genome_out)
     print(f"wrote {len(reads)} reads to {args.reads}")
@@ -226,10 +232,7 @@ def _cmd_assemble(args) -> int:
                                     "read correction needs every read to hold a k-mer")
         reads = simulate.correct_reads(reads, args.k, args.correct)
     contigs, graph = assemble_contigs(reads, args.k, args.method)
-    write_fasta(
-        [FastaRecord(c.name, c.sequence, description=c.source) for c in contigs],
-        args.out,
-    )
+    write_contigs(contigs, args.out)
     if args.dot:
         highlight = maximal_unitigs(graph).unitigs if args.method == "unitig" else None
         with open(args.dot, "w", encoding="ascii", newline="\n") as handle:
@@ -277,17 +280,15 @@ def _cmd_dbg(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.k < 1:
-        raise ValueError(f"-k must be >= 1, got {args.k}")
-    contig_records = read_fasta(args.contigs)
-    truth_records = read_fasta(args.truth)
-    if not truth_records:
-        raise FastaParseError(f"no FASTA records in {args.truth}", line=1)
-    contigs = ContigSet(
-        args.k,
-        tuple(Contig(r.id, r.sequence, source="file") for r in contig_records),
-    )
-    report = evaluate(contigs, truth_records[0].sequence, args.k)
+    check_k(args.k)
+    records = read_fasta(args.contigs)
+    for number, record in enumerate(records, start=1):
+        if len(record.sequence) < args.k - 1:
+            raise AssemblyError(f"{args.contigs}: record {number} ({record.id}) has "
+                                f"{len(record.sequence)} nt, shorter than k-1={args.k - 1}")
+    contigs = ContigSet(args.k, tuple(Contig(r.id, r.sequence, source="file")
+                                      for r in records))
+    report = evaluate(contigs, read_genome(args.truth), args.k)
     Path(args.report).write_text(report.to_text(), encoding="ascii")
     json_path = Path(args.report).with_suffix(Path(args.report).suffix + ".json")
     json_path.write_text(report.to_json(), encoding="ascii")
@@ -297,15 +298,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_stage(args) -> int:
     config = read_config(args.config)
-    if args.out_dir:
-        out_dir = args.out_dir
-    elif config.out_dir:
-        out_dir = config.out_dir
-    elif os.environ.get(ARTIFACT_DIR_ENV):
-        out_dir = str(Path(os.environ[ARTIFACT_DIR_ENV]) / f"stage{args.stage}")
-    else:
-        out_dir = None  # run_stage falls back to ./asmlab-stage<N>
-    result: StageResult = run_stage(args.stage, config, out_dir=out_dir)
+    out_dir = args.out_dir  # run_stage falls back to the config's, then ./asmlab-stage<N>
+    if not (out_dir or config.out_dir) and os.environ.get(ARTIFACT_DIR_ENV):
+        out_dir = Path(os.environ[ARTIFACT_DIR_ENV]) / f"stage{args.stage}"
+    result = run_stage(args.stage, config, out_dir=out_dir)
     print(f"artifacts in {result.artifact_dir}")
     print(result.report.to_text(), end="")
     return 0

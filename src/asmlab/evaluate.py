@@ -20,7 +20,7 @@ import numpy as np
 
 from asmlab import graph as dbg
 from asmlab import simulate
-from asmlab.errors import FastaParseError
+from asmlab.errors import AssemblyError, FastaParseError
 from asmlab.formats import FastaRecord, StageConfig, read_fasta, read_reads, write_fasta
 from asmlab.sequence import (
     DnaString,
@@ -266,7 +266,7 @@ def _report(k: int, per: list[ContigMetrics], genome_fraction: Optional[float],
 
 
 # ---------------------------------------------------------------------------
-# Stage orchestration
+# Pipeline steps, shared by the stages and the CLI subcommands
 # ---------------------------------------------------------------------------
 
 
@@ -284,16 +284,10 @@ def assemble_contigs(reads: ReadSet, k: int, method: str) -> tuple[ContigSet, Op
         return unitig_contigs(graph), graph
     if method == "cpp-walk":
         graph = dbg.build(reads, k)
-        contigs = []
-        for i, component in enumerate(graph.weakly_connected_components()):
-            sub = graph.subgraph(component)
-            walk = dbg.shortest_edge_covering_walk(sub)
-            contigs.append(Contig(
-                name=f"w{i}",
-                sequence=DnaString(dbg.spell(walk)),
-                source="cpp-walk",
-            ))
-        return ContigSet(k, tuple(contigs)), graph
+        walks = (dbg.shortest_edge_covering_walk(graph.subgraph(component))
+                 for component in graph.weakly_connected_components())
+        return ContigSet(k, tuple(Contig(f"w{i}", DnaString(dbg.spell(walk)), "cpp-walk")
+                                  for i, walk in enumerate(walks))), graph
     if method in ("scs-greedy", "scs-exact"):
         solver = greedy_scs if method == "scs-greedy" else exact_scs
         result = solver(reads)
@@ -302,14 +296,50 @@ def assemble_contigs(reads: ReadSet, k: int, method: str) -> tuple[ContigSet, Op
     raise ValueError(f"unknown assembly method {method!r}")
 
 
+def read_genome(path) -> DnaString:
+    """The first record of a FASTA file: the genome or the truth."""
+    records = read_fasta(path)
+    if not records:
+        raise FastaParseError(f"no FASTA records in {path}", line=1)
+    return records[0].sequence
+
+
+def write_reads(reads: ReadSet, path) -> None:
+    """Write reads as FASTA records ``r0, r1, ...``."""
+    write_fasta([FastaRecord(f"r{i}", r) for i, r in enumerate(reads)], path)
+
+
+def write_contigs(contigs: ContigSet, path) -> None:
+    """Write contigs as FASTA records: the name as id, the source as description."""
+    write_fasta([FastaRecord(c.name, c.sequence, description=c.source) for c in contigs],
+                path)
+
+
+# the config keys each stage cannot run without; a tuple is a choice of keys
+_STAGE_KEYS = {
+    1: ("k", "read_length", ("genome_length", "genome_fasta")),
+    2: ("k", "read_length", ("genome_length", "genome_fasta"), "num_reads"),
+    3: ("k", "reads_fasta"),
+}
+
+
+def _check_stage(stage: int, config: StageConfig) -> None:
+    """Reject a stage its config cannot run: a missing key is a usage
+    error, stage-2 correction of reads shorter than k a domain error."""
+    if stage not in _STAGE_KEYS:
+        raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
+    for need in _STAGE_KEYS[stage]:
+        keys = need if isinstance(need, tuple) else (need,)
+        if all(getattr(config, key) in (None, "") for key in keys):
+            raise ValueError(f"stage {stage} config needs {' or '.join(keys)}")
+    if stage == 2 and config.correct and config.read_length < config.k:
+        raise AssemblyError(f"stage 2 correction needs read_length >= k, got read_length="
+                            f"{config.read_length} and k={config.k}")
+
+
 def _load_genome(config: StageConfig) -> DnaString:
     if config.genome_fasta:
-        records = read_fasta(config.genome_fasta)
-        if not records:
-            raise FastaParseError(f"no FASTA records in {config.genome_fasta}", line=1)
-        return records[0].sequence  # first record is the truth genome
-    if config.genome_length is None:
-        raise ValueError("config needs genome_length or genome_fasta")
+        return read_genome(config.genome_fasta)
     planted = None
     if config.plant_repeat_length is not None:
         copies = 2 if config.plant_repeat_copies is None else config.plant_repeat_copies
@@ -324,26 +354,23 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
     genome. Stage 2: uniform reads with the configured errors/gaps and
     optional correction. Stage 3: externally supplied reads, evaluated
     against a truth genome when one is configured; it does not correct
-    them, and warns when the config asks it to.
+    them, and warns when the config asks it to. The config is checked
+    first; the directory (``out_dir``, else the config's, else
+    ``./asmlab-stage<N>``) is made once the reads and truth are in hand.
     """
-    if stage not in (1, 2, 3):
-        raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
-    if config.k is None:
-        raise ValueError("config needs k")
-    directory = Path(out_dir or config.out_dir or f"asmlab-stage{stage}")
-    directory.mkdir(parents=True, exist_ok=True)
-    artifacts: dict = {}
-
+    _check_stage(stage, config)
     truth: Optional[DnaString] = None
-    if stage in (1, 2):
-        if config.read_length is None:
-            raise ValueError("config needs read_length for simulated stages")
+    if stage == 3:
+        reads = read_reads(config.reads_fasta)
+        if config.correct:
+            logger.warning("stage 3 does not correct its reads; ignoring correct = true")
+        if config.truth_fasta:
+            truth = read_genome(config.truth_fasta)
+    else:
         truth = _load_genome(config)
         if stage == 1:
             reads = simulate.idealized_reads(truth, config.read_length)
         else:
-            if config.num_reads is None:
-                raise ValueError("stage 2 needs num_reads")
             profile = simulate.SimulationProfile(
                 genome_length=len(truth),
                 num_reads=config.num_reads,
@@ -355,52 +382,27 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
             reads = simulate.uniform_reads(truth, profile)
             if config.correct:
                 reads = simulate.correct_reads(reads, config.k, config.min_multiplicity)
-        genome_path = directory / "genome.fasta"
-        write_fasta([FastaRecord("truth", truth)], genome_path)
-        artifacts["genome"] = genome_path
-    else:
-        if not config.reads_fasta:
-            raise ValueError("stage 3 needs reads_fasta")
-        reads = read_reads(config.reads_fasta)
-        if config.correct:
-            logger.warning("stage 3 does not correct its reads; ignoring correct = true")
-        if config.truth_fasta:
-            records = read_fasta(config.truth_fasta)
-            if not records:
-                raise FastaParseError(f"no FASTA records in {config.truth_fasta}", line=1)
-            truth = records[0].sequence
 
-    reads_path = directory / "reads.fasta"
-    write_fasta(
-        [FastaRecord(f"r{i}", r) for i, r in enumerate(reads)],
-        reads_path,
-    )
-    artifacts["reads"] = reads_path
-
+    directory = Path(out_dir or config.out_dir or f"asmlab-stage{stage}")
+    directory.mkdir(parents=True, exist_ok=True)
+    artifacts: dict = {}
+    if stage != 3:
+        artifacts["genome"] = directory / "genome.fasta"
+        write_fasta([FastaRecord("truth", truth)], artifacts["genome"])
+    artifacts["reads"] = directory / "reads.fasta"
+    write_reads(reads, artifacts["reads"])
     contigs, graph = assemble_contigs(reads, config.k, config.method)
-
-    contigs_path = directory / "contigs.fasta"
-    write_fasta(
-        [FastaRecord(c.name, c.sequence, description=c.source) for c in contigs],
-        contigs_path,
-    )
-    artifacts["contigs"] = contigs_path
-
+    artifacts["contigs"] = directory / "contigs.fasta"
+    write_contigs(contigs, artifacts["contigs"])
     if graph is not None:
-        dot_path = directory / "graph.dot"
-        with open(dot_path, "w", encoding="ascii", newline="\n") as handle:
+        artifacts["dot"] = directory / "graph.dot"
+        with open(artifacts["dot"], "w", encoding="ascii", newline="\n") as handle:
             dbg.export_dot(graph, handle)
-        artifacts["dot"] = dot_path
 
-    if truth is not None:
-        report = evaluate(contigs, truth, config.k)
-    else:
-        report = evaluate_without_truth(contigs, config.k)
-
-    report_txt = directory / "report.txt"
-    report_txt.write_text(report.to_text(), encoding="ascii")
-    report_json = directory / "report.json"
-    report_json.write_text(report.to_json(), encoding="ascii")
-    artifacts["report_txt"] = report_txt
-    artifacts["report_json"] = report_json
+    report = (evaluate(contigs, truth, config.k) if truth is not None
+              else evaluate_without_truth(contigs, config.k))
+    artifacts["report_txt"] = directory / "report.txt"
+    artifacts["report_txt"].write_text(report.to_text(), encoding="ascii")
+    artifacts["report_json"] = directory / "report.json"
+    artifacts["report_json"].write_text(report.to_json(), encoding="ascii")
     return StageResult(report, directory, artifacts)

@@ -243,22 +243,19 @@ def build(reads: ReadSet, k: int) -> DeBruijnGraph:
     _check_order(k)
     reads.require_nonempty("de Bruijn graph construction")
     lengths = read_lengths(reads)
-    if lengths.min() >= k:
-        usable, isolated = reads, set()
-    else:
-        if lengths.max() < k - 1:
-            raise AssemblyError(
-                f"nothing to assemble: every read is shorter than k-1={k - 1} "
-                f"(the longest has {lengths.max()} nt)"
-            )
-        usable = [reads[i] for i in np.flatnonzero(lengths >= k).tolist()]
-        isolated = {reads[i] for i in np.flatnonzero(lengths == k - 1).tolist()}
-        too_short = [str(reads[i]) for i in np.flatnonzero(lengths < k - 1).tolist()]
-        if too_short:
-            shown = ", ".join(too_short[:5]) + ("..." if len(too_short) > 5 else "")
-            logger.warning("skipping %d read(s) shorter than k-1=%d: %s",
-                           len(too_short), k - 1, shown)
-    graph = DeBruijnGraph._from_packed(k, spectrum_of_set(usable, k).keys,
+    if lengths.max() < k - 1:
+        raise AssemblyError(
+            f"nothing to assemble: every read is shorter than k-1={k - 1} "
+            f"(the longest has {lengths.max()} nt)"
+        )
+    isolated = {reads[i] for i in np.flatnonzero(lengths == k - 1).tolist()}
+    too_short = [str(reads[i]) for i in np.flatnonzero(lengths < k - 1).tolist()]
+    if too_short:
+        shown = ", ".join(too_short[:5]) + ("..." if len(too_short) > 5 else "")
+        logger.warning("skipping %d read(s) shorter than k-1=%d: %s",
+                       len(too_short), k - 1, shown)
+    # reads shorter than k add no k-mer to the spectrum
+    graph = DeBruijnGraph._from_packed(k, spectrum_of_set(reads, k).keys,
                                        encode_kmers(list(isolated), k - 1))
     lone = len(graph.isolated_vertices()) if isolated else 0
     if lone:

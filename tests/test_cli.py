@@ -356,6 +356,41 @@ class TestBadInput:
         assert main(args) == 1
         assert f"line 1: no FASTA records in {empty}" in capsys.readouterr().err
 
+    def test_stage2_correcting_reads_shorter_than_k_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "stage.cfg"
+        cfg.write_text("genome_length = 400\nnum_reads = 300\nread_length = 8\nk = 11\n"
+                       "correct = true\n")
+        out_dir = tmp_path / "s"
+        assert main(["stage", "--stage", "2", "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == 1
+        assert "needs read_length >= k, got read_length=8 and k=11" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("stage,text,key", [
+        (2, "genome_length = 400\nread_length = 30\nk = 11\n", "num_reads"),
+        (3, "k = 11\n", "reads_fasta"),
+    ], ids=["stage2-num-reads", "stage3-reads-fasta"])
+    def test_stage_config_missing_a_key_is_usage_error(self, tmp_path, capsys, stage, text,
+                                                        key):
+        cfg = tmp_path / "stage.cfg"
+        cfg.write_text(text)
+        out_dir = tmp_path / "s"
+        assert main(["stage", "--stage", str(stage), "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == 2
+        assert f"stage {stage} config needs {key}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_eval_contig_shorter_than_k_minus_one_is_data_error(self, tmp_path, capsys,
+                                                                gtrue_fasta):
+        contigs = tmp_path / "c.fa"
+        contigs.write_text(">u0 unitig\nAATTCCAGCTGA\n>u1 unitig\nACGT\n")
+        report = tmp_path / "r.txt"
+        assert main(["eval", "--contigs", str(contigs), "--truth", str(gtrue_fasta),
+                     "-k", "12", "--report", str(report)]) == 1
+        assert (f"{contigs}: record 2 (u1) has 4 nt, shorter than k-1=11"
+                in capsys.readouterr().err)
+        assert not report.exists()
+
 
 class TestEval:
     def test_running_example_report(self, tmp_path, gtrue_fasta, gtrue_reads):
@@ -428,6 +463,48 @@ class TestStage:
         kept = [r.sequence for r in read_fasta(tmp_path / "s3" / "reads.fasta")]
         assert kept == [r.sequence for r in given]
         assert "stage 3 does not correct its reads" in caplog.text
+
+    @pytest.mark.parametrize("stage,correct", [(1, None), (2, None), (2, 2)],
+                             ids=["stage1", "stage2", "stage2-corrected"])
+    def test_stage_matches_subcommands(self, tmp_path, stage, correct):
+        """A stage writes what simulate -> assemble -> dbg -> eval write."""
+        from asmlab.simulate import random_genome
+
+        genome = tmp_path / "genome.fasta"
+        write_fasta([FastaRecord("g", random_genome(1500, seed=21))], genome)
+        k, sample = "15", ["--len", "50", "--seed", "4"]
+        config = f"genome_fasta = {genome}\nread_length = 50\nk = {k}\nseed = 4\n"
+        if stage == 1:
+            sample.append("--idealized")
+        else:
+            sample += ["--num", "600", "--error-rate", "0.01", "--gap", "200:300"]
+            config += "num_reads = 600\nerror_rate = 0.01\ngaps = 200:300\n"
+        if correct:
+            config += f"correct = true\nmin_multiplicity = {correct}\n"
+        cfg, out, sub = tmp_path / "stage.cfg", tmp_path / "out", tmp_path / "sub"
+        cfg.write_text(config)
+        assert main(["stage", "--stage", str(stage), "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+
+        sub.mkdir()
+        assert main(["simulate", "--genome", str(genome), "--reads", str(sub / "reads.fasta"),
+                     "--genome-out", str(sub / "genome.fasta"), *sample]) == 0
+        assert main(["assemble", "--reads", str(sub / "reads.fasta"), "-k", k,
+                     "--method", "unitig", "--out", str(sub / "contigs.fasta"),
+                     *(["--correct", str(correct)] if correct else [])]) == 0
+        assert main(["dbg", "build", "--reads", str(out / "reads.fasta"), "-k", k,
+                     "--out", str(sub / "graph.edges")]) == 0
+        assert main(["dbg", "dot", "--graph", str(sub / "graph.edges"),
+                     "--out", str(sub / "graph.dot")]) == 0
+        assert main(["eval", "--contigs", str(sub / "contigs.fasta"), "--truth", str(genome),
+                     "-k", k, "--report", str(sub / "report.txt")]) == 0
+        (sub / "report.txt.json").rename(sub / "report.json")
+
+        names = ["genome.fasta", "contigs.fasta", "graph.dot", "report.txt", "report.json"]
+        if not correct:  # the corrected stage writes its corrected reads
+            names.append("reads.fasta")
+        for name in names:
+            assert (out / name).read_bytes() == (sub / name).read_bytes(), name
 
     def test_artifact_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ASMLAB_ARTIFACTS", str(tmp_path / "artifacts"))
