@@ -8,9 +8,10 @@ simulate -> assemble -> evaluate run from a config file, through the same
 steps of :mod:`asmlab.evaluate` as the subcommands.
 
 Exit codes: 0 success, 1 domain error (bad graph shape, solver caps,
-unparseable data files, bad values in a config file, reads too short to
-correct, contigs shorter than k-1), 2 usage error (bad flags, parameter
-values or a config missing a key its stage needs).
+unparseable data files, bad values in a config file, a genome shorter than
+its reads or gaps, reads too short to correct, contigs shorter than k-1),
+2 usage error (bad flags, parameter values or a config missing a key its
+stage needs).
 """
 
 from __future__ import annotations
@@ -289,10 +290,11 @@ def _cmd_eval(args) -> int:
     contigs = ContigSet(args.k, tuple(Contig(r.id, r.sequence, source="file")
                                       for r in records))
     report = evaluate(contigs, read_genome(args.truth), args.k)
-    Path(args.report).write_text(report.to_text(), encoding="ascii")
+    text = report.to_text()
+    Path(args.report).write_text(text, encoding="ascii")
     json_path = Path(args.report).with_suffix(Path(args.report).suffix + ".json")
     json_path.write_text(report.to_json(), encoding="ascii")
-    print(report.to_text(), end="")
+    print(text, end="")
     return 0
 
 
@@ -303,7 +305,7 @@ def _cmd_stage(args) -> int:
         out_dir = Path(os.environ[ARTIFACT_DIR_ENV]) / f"stage{args.stage}"
     result = run_stage(args.stage, config, out_dir=out_dir)
     print(f"artifacts in {result.artifact_dir}")
-    print(result.report.to_text(), end="")
+    print(result.report_text, end="")
     return 0
 
 

@@ -10,9 +10,9 @@ k-mer precision, genome fraction, N50, and misassembly count.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -39,6 +39,36 @@ from asmlab.unitig import Contig, ContigSet, unitig_contigs
 logger = logging.getLogger(__name__)
 
 
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+# the report and one contig row, keys sorted, as json.dumps(indent=2) lays them out
+_JSON_REPORT = """{
+  "contig_count": %d,
+  "contigs": %s,
+  "genome_fraction_covered": %s,
+  "k": %d,
+  "max_length": %d,
+  "mean_length": %s,
+  "misassembly_count": %s,
+  "n50": %d,
+  "total_length": %d,
+  "truth_available": %s
+}
+"""
+_JSON_ROW = """    {
+      "exact_substring": %s,
+      "kmer_precision": %s,
+      "length": %s,
+      "name": %s
+    }"""
+
+
+def _json_scalar(value) -> str:
+    """``None``, a float or an int written as ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
 @dataclass(frozen=True)
 class ContigMetrics:
     name: str
@@ -60,31 +90,20 @@ class EvalReport:
     genome_fraction_covered: Optional[float]
     misassembly_count: Optional[int]
 
-    def to_dict(self) -> dict:
-        data = {
-            "k": self.k,
-            "truth_available": self.truth_available,
-            "contig_count": self.contig_count,
-            "total_length": self.total_length,
-            "max_length": self.max_length,
-            "mean_length": self.mean_length,
-            "n50": self.n50,
-            "genome_fraction_covered": self.genome_fraction_covered,
-            "misassembly_count": self.misassembly_count,
-            "contigs": [
-                {
-                    "name": m.name,
-                    "length": m.length,
-                    "exact_substring": m.exact_substring,
-                    "kmer_precision": m.kmer_precision,
-                }
-                for m in self.per_contig
-            ],
-        }
-        return data
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes
+        it, byte for byte, with one template filled per contig row."""
+        per = self.per_contig
+        rows = zip(map(_JSON_WORDS.__getitem__, [m.exact_substring for m in per]),
+                   [_json_scalar(m.kmer_precision) for m in per],
+                   map(int.__repr__, [m.length for m in per]),
+                   map(encode_basestring_ascii, [m.name for m in per]))
+        contigs = "[\n" + ",\n".join(map(_JSON_ROW.__mod__, rows)) + "\n  ]" if per else "[]"
+        return _JSON_REPORT % (
+            self.contig_count, contigs, _json_scalar(self.genome_fraction_covered), self.k,
+            self.max_length, _json_scalar(self.mean_length),
+            _json_scalar(self.misassembly_count), self.n50, self.total_length,
+            _JSON_WORDS[self.truth_available])
 
     def to_text(self) -> str:
         lines = [
@@ -273,6 +292,7 @@ def _report(k: int, per: list[ContigMetrics], genome_fraction: Optional[float],
 @dataclass(frozen=True)
 class StageResult:
     report: EvalReport
+    report_text: str  # ``report.to_text()``, as written to report.txt
     artifact_dir: Path
     artifacts: dict
 
@@ -337,14 +357,28 @@ def _check_stage(stage: int, config: StageConfig) -> None:
                             f"{config.read_length} and k={config.k}")
 
 
-def _load_genome(config: StageConfig) -> DnaString:
+def _load_genome(stage: int, config: StageConfig) -> DnaString:
+    """The stage's genome, checked to hold the configured reads and (in
+    stage 2) gaps before any read is simulated."""
     if config.genome_fasta:
-        return read_genome(config.genome_fasta)
-    planted = None
-    if config.plant_repeat_length is not None:
-        copies = 2 if config.plant_repeat_copies is None else config.plant_repeat_copies
-        planted = (config.plant_repeat_length, copies)
-    return simulate.random_genome(config.genome_length, planted, seed=config.seed)
+        genome = read_genome(config.genome_fasta)
+        source = config.genome_fasta
+    else:
+        planted = None
+        if config.plant_repeat_length is not None:
+            copies = 2 if config.plant_repeat_copies is None else config.plant_repeat_copies
+            planted = (config.plant_repeat_length, copies)
+        genome = simulate.random_genome(config.genome_length, planted, seed=config.seed)
+        source = "genome_length"
+    if len(genome) < config.read_length:
+        raise AssemblyError(f"{source}: the genome has {len(genome)} nt, fewer than "
+                            f"read_length {config.read_length}")
+    if stage == 2:
+        for start, end in config.gaps:
+            if end > len(genome):
+                raise AssemblyError(f"{source}: gap {start}:{end} runs past the genome's "
+                                    f"{len(genome)} nt")
+    return genome
 
 
 def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
@@ -367,7 +401,7 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
         if config.truth_fasta:
             truth = read_genome(config.truth_fasta)
     else:
-        truth = _load_genome(config)
+        truth = _load_genome(stage, config)
         if stage == 1:
             reads = simulate.idealized_reads(truth, config.read_length)
         else:
@@ -401,8 +435,9 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
 
     report = (evaluate(contigs, truth, config.k) if truth is not None
               else evaluate_without_truth(contigs, config.k))
+    text = report.to_text()
     artifacts["report_txt"] = directory / "report.txt"
-    artifacts["report_txt"].write_text(report.to_text(), encoding="ascii")
+    artifacts["report_txt"].write_text(text, encoding="ascii")
     artifacts["report_json"] = directory / "report.json"
     artifacts["report_json"].write_text(report.to_json(), encoding="ascii")
-    return StageResult(report, directory, artifacts)
+    return StageResult(report, text, directory, artifacts)

@@ -365,8 +365,9 @@ def parse_gaps(value: str) -> tuple[tuple[int, int], ...]:
 def read_config(source: Source) -> StageConfig:
     """Parse ``key = value`` lines ('#' starts a comment) into a
     :class:`StageConfig`; a malformed line, an unknown or repeated key, a
-    bad value or a key that its companions would make meaningless is a
-    :class:`ConfigError` naming the file and line."""
+    bad value, a key that its companions would make meaningless, or reads
+    or gaps longer than ``genome_length`` is a :class:`ConfigError` naming
+    the file and line."""
     text = _read_text(source)
     in_file = f"{source}, " if isinstance(source, (str, Path)) else ""
     config = StageConfig()
@@ -394,6 +395,15 @@ def read_config(source: Source) -> StageConfig:
         raise ConfigError(f"{in_file}line {line_of['plant_repeat_length']}: key "
                           "'plant_repeat_length' only applies to a random genome, "
                           "not to genome_fasta")
+    if config.genome_length is not None:
+        length = f"genome_length {config.genome_length} (line {line_of['genome_length']})"
+        if config.read_length is not None and config.read_length > config.genome_length:
+            raise ConfigError(f"{in_file}line {line_of['read_length']}: key 'read_length': "
+                              f"{config.read_length} exceeds {length}")
+        for start, end in config.gaps:
+            if end > config.genome_length:
+                raise ConfigError(f"{in_file}line {line_of['gaps']}: key 'gaps': gap "
+                                  f"{start}:{end} runs past {length}")
     return config
 
 

@@ -50,6 +50,8 @@ from asmlab.sequence import (
     decode_kmer,
     decode_kmers,
     encode_kmers,
+    in_sorted,
+    kmer_symbols,
     read_lengths,
     sorted_distinct,
     spectrum_of_set,
@@ -735,32 +737,71 @@ _PALETTE = (
 )
 
 
+_DOT_BATCH = 1 << 14  # DOT lines laid out per write: bounds the buffer on any graph
+_PLAIN_TAIL = b"];\n"
+_FILL_TAILS = (_PLAIN_TAIL,
+               *(b' style=filled fillcolor="%s"];\n' % c.encode("ascii") for c in _PALETTE))
+_WALK_TAILS = (_PLAIN_TAIL, b' color="red" penwidth=2.0];\n')
+
+
+def _write_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tuple,
+                 tails: tuple[bytes, ...], kinds: np.ndarray) -> None:
+    """Write one DOT line per ``width``-mer of ``packed``: a fixed-width head
+    of ``pieces`` (literal bytes, or a (start, stop) slice of the k-mer's
+    symbols) and the tail ``tails[kinds[i]]``. Each batch of lines is laid
+    out in one byte buffer and written at once."""
+    template, fields = b"", []
+    for piece in pieces:
+        if isinstance(piece, bytes):
+            template += piece
+        else:
+            fields.append((len(template), *piece))
+            template += bytes(piece[1] - piece[0])
+    head = len(template)
+    tail_widths = np.array([len(tail) for tail in tails])
+    for at in range(0, len(packed), _DOT_BATCH):
+        symbols = kmer_symbols(packed[at:at + _DOT_BATCH], width)
+        kind = kinds[at:at + _DOT_BATCH]
+        ends = head + tail_widths[kind]
+        lines = np.empty((len(kind), ends.max()), dtype=np.uint8)
+        lines[:, :head] = np.frombuffer(template, dtype=np.uint8)
+        for column, start, stop in fields:
+            lines[:, column:column + stop - start] = symbols[:, start:stop]
+        for t in np.unique(kind).tolist():
+            tail = np.frombuffer(tails[t], dtype=np.uint8)
+            lines[kind == t, head:head + len(tail)] = tail
+        if ends.min() < lines.shape[1]:  # lines of several lengths: drop the padding
+            lines = lines[np.arange(lines.shape[1]) < ends[:, None]]
+        handle.write(lines.tobytes().decode("ascii"))
+
+
 def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
-    """Write deterministic DOT text for the graph to an open text handle,
-    one line at a time.
+    """Write deterministic DOT text for the graph to an open text handle.
 
     ``highlight`` may be a :class:`Walk` (its edges are drawn bold red) or
     an iterable of vertex groups (the ``unitigs`` of a unitig partition,
-    say), in which case each group is filled with its own color.
+    say), in which case each group is filled with its own color; a vertex
+    named by several groups takes the last one's. Lines are spelled from
+    the packed vertices and edges, ``_DOT_BATCH`` at a time; only the
+    vertex names that groups are looked up by are ever decoded.
     """
-    node_color: dict[str, str] = {}
-    walk_edges: set[str] = set()
+    k = graph.k
+    fill = np.zeros(len(graph.packed_vertices), dtype=np.intp)  # index into _FILL_TAILS
+    bold = np.zeros(graph.num_edges, dtype=np.intp)  # index into _WALK_TAILS
     if isinstance(highlight, Walk):
-        walk_edges = set(highlight.edges)
+        if highlight.graph.k == k:  # a walk of another order has none of these edges
+            walk = encode_kmers(highlight.edges, k)
+            walk = walk[in_sorted(graph.packed_edges, walk)]
+            bold[np.searchsorted(graph.packed_edges, walk)] = 1
     elif highlight is not None:
-        for i, group in enumerate(highlight):
-            color = _PALETTE[i % len(_PALETTE)]
-            for v in group:
-                node_color[str(v)] = color
+        index = graph.vertex_index
+        for i, group in enumerate(highlight):  # a later group's color wins
+            members = [j for j in map(index.get, map(str, group)) if j is not None]
+            fill[members] = 1 + i % len(_PALETTE)
     handle.write("digraph debruijn {\n")
-    for v in graph.vertices:
-        attrs = [f'label="{v}"']
-        if v in node_color:
-            attrs += ["style=filled", f'fillcolor="{node_color[v]}"']
-        handle.write(f'    "{v}" [{" ".join(attrs)}];\n')
-    for e in graph.edge_kmers:
-        attrs = [f'label="{e}"']
-        if e in walk_edges:
-            attrs += ['color="red"', "penwidth=2.0"]
-        handle.write(f'    "{e[:-1]}" -> "{e[1:]}" [{" ".join(attrs)}];\n')
+    _write_lines(handle, graph.packed_vertices, k - 1,
+                 (b'    "', (0, k - 1), b'" [label="', (0, k - 1), b'"'), _FILL_TAILS, fill)
+    _write_lines(handle, graph.packed_edges, k,
+                 (b'    "', (0, k - 1), b'" -> "', (1, k), b'" [label="', (0, k), b'"'),
+                 _WALK_TAILS, bold)
     handle.write("}\n")

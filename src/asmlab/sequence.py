@@ -206,13 +206,20 @@ def encode_kmers(kmers: Sequence[str], k: int) -> np.ndarray:
     return packed
 
 
-def decode_kmers(packed: np.ndarray, k: int) -> list[str]:
-    """Inverse of :func:`encode_kmers`: every k-mer of ``packed`` decoded in
-    one vectorized pass."""
+def kmer_symbols(packed: np.ndarray, k: int) -> np.ndarray:
+    """The symbols of every k-mer of ``packed`` as ASCII bytes: a ``uint8``
+    matrix with one row of k symbols per k-mer."""
     codes = np.empty((len(packed), k), dtype=np.uint8)
     for j in range(k):
         codes[:, j] = (packed >> (2 * (k - 1 - j))) & 3
-    text = from_codes(codes)
+    symbols = np.frombuffer(codes.tobytes().translate(_DECODE), dtype=np.uint8)
+    return symbols.reshape(codes.shape)
+
+
+def decode_kmers(packed: np.ndarray, k: int) -> list[str]:
+    """Inverse of :func:`encode_kmers`: every k-mer of ``packed`` decoded in
+    one vectorized pass."""
+    text = kmer_symbols(packed, k).tobytes().decode("ascii")
     return [text[i:i + k] for i in range(0, len(text), k)]
 
 

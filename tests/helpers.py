@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 from collections import Counter, deque
 from typing import Iterable, Optional, Sequence
 
@@ -1072,3 +1073,74 @@ def reference_evaluate(contigs: ContigSet, truth: str, k: int) -> EvalReport:
         )
         per.append(ContigMetrics(contig.name, len(seq), exact, precision))
     return _report(k, per, _covered_fraction(intervals, len(truth)), misassemblies)
+
+
+# ---------------------------------------------------------------------------
+# Reference DOT and report JSON writers
+# ---------------------------------------------------------------------------
+# ``asmlab.graph.export_dot`` as it stood before lines were laid out from the
+# packed arrays: every vertex and edge name decoded, one attribute list and
+# one write per line. ``EvalReport.to_json`` as it stood before the row
+# template: ``json.dumps`` over a dict of the report. Kept verbatim for the
+# differential tests.
+
+_REFERENCE_PALETTE = (
+    "lightblue", "lightsalmon", "palegreen", "plum", "khaki",
+    "lightpink", "aquamarine", "wheat", "lightgray", "orange",
+)
+
+
+def reference_export_dot(graph: DeBruijnGraph, handle, highlight=None) -> None:
+    """Write deterministic DOT text for the graph to an open text handle,
+    one line at a time.
+
+    ``highlight`` may be a :class:`Walk` (its edges are drawn bold red) or
+    an iterable of vertex groups (the ``unitigs`` of a unitig partition,
+    say), in which case each group is filled with its own color.
+    """
+    node_color: dict[str, str] = {}
+    walk_edges: set[str] = set()
+    if isinstance(highlight, Walk):
+        walk_edges = set(highlight.edges)
+    elif highlight is not None:
+        for i, group in enumerate(highlight):
+            color = _REFERENCE_PALETTE[i % len(_REFERENCE_PALETTE)]
+            for v in group:
+                node_color[str(v)] = color
+    handle.write("digraph debruijn {\n")
+    for v in graph.vertices:
+        attrs = [f'label="{v}"']
+        if v in node_color:
+            attrs += ["style=filled", f'fillcolor="{node_color[v]}"']
+        handle.write(f'    "{v}" [{" ".join(attrs)}];\n')
+    for e in graph.edge_kmers:
+        attrs = [f'label="{e}"']
+        if e in walk_edges:
+            attrs += ['color="red"', "penwidth=2.0"]
+        handle.write(f'    "{e[:-1]}" -> "{e[1:]}" [{" ".join(attrs)}];\n')
+    handle.write("}\n")
+
+
+def reference_report_json(report: EvalReport) -> str:
+    """The report as one ``json.dumps(indent=2, sort_keys=True)`` call."""
+    data = {
+        "k": report.k,
+        "truth_available": report.truth_available,
+        "contig_count": report.contig_count,
+        "total_length": report.total_length,
+        "max_length": report.max_length,
+        "mean_length": report.mean_length,
+        "n50": report.n50,
+        "genome_fraction_covered": report.genome_fraction_covered,
+        "misassembly_count": report.misassembly_count,
+        "contigs": [
+            {
+                "name": m.name,
+                "length": m.length,
+                "exact_substring": m.exact_substring,
+                "kmer_precision": m.kmer_precision,
+            }
+            for m in report.per_contig
+        ],
+    }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

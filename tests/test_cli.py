@@ -1,14 +1,18 @@
 import gzip
 import itertools
+import json
 import logging
 from pathlib import Path
 
 import pytest
 
 from asmlab.cli import main
+from asmlab.evaluate import evaluate
 from asmlab.formats import FastaRecord, read_fasta, write_fasta
 from asmlab.sequence import DnaString
+from asmlab.unitig import Contig, ContigSet
 from conftest import G_TRUE
+from helpers import reference_report_json
 
 
 @pytest.fixture
@@ -219,6 +223,21 @@ class TestDbg:
                      "--unitigs"]) == 0
         assert "fillcolor" in out.read_text()
 
+    def test_assemble_dot_equals_build_then_dot(self, tmp_path):
+        reads = tmp_path / "reads.fasta"
+        assert main(["simulate", "--random-length", "800", "--num", "200", "--len", "40",
+                     "--error-rate", "0.02", "--seed", "6", "--reads", str(reads)]) == 0
+        direct = tmp_path / "direct.dot"
+        assert main(["assemble", "--reads", str(reads), "-k", "11", "--method", "unitig",
+                     "--out", str(tmp_path / "c.fasta"), "--dot", str(direct)]) == 0
+        edges, staged = tmp_path / "graph.edges", tmp_path / "staged.dot"
+        assert main(["dbg", "build", "--reads", str(reads), "-k", "11",
+                     "--out", str(edges)]) == 0
+        assert main(["dbg", "dot", "--graph", str(edges), "--out", str(staged),
+                     "--unitigs"]) == 0
+        assert direct.read_bytes() == staged.read_bytes()
+        assert direct.read_text().count("fillcolor") > 10
+
 
 class TestBadInput:
     def test_edge_list_outside_alphabet_is_data_error(self, tmp_path, capsys):
@@ -366,6 +385,39 @@ class TestBadInput:
         assert "needs read_length >= k, got read_length=8 and k=11" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("extra,line,key,message", [
+        ("read_length = 60", 2, "read_length", "60 exceeds genome_length 40 (line 1)"),
+        ("gaps = 10:20 30:41", 2, "gaps", "gap 30:41 runs past genome_length 40 (line 1)"),
+    ], ids=["read-length", "gap-end"])
+    def test_config_longer_than_its_genome_is_data_error(self, tmp_path, capsys, extra,
+                                                         line, key, message):
+        cfg = tmp_path / "stage.cfg"
+        cfg.write_text(f"genome_length = 40\n{extra}\nnum_reads = 20\nk = 5\n"
+                       + ("" if key == "read_length" else "read_length = 8\n"))
+        out_dir = tmp_path / "s"
+        for stage in ("1", "2"):
+            assert main(["stage", "--stage", stage, "--config", str(cfg),
+                         "--out-dir", str(out_dir)]) == 1
+            err = capsys.readouterr().err
+            assert f"{cfg}, line {line}: key '{key}': {message}" in err
+            assert not out_dir.exists()
+
+    @pytest.mark.parametrize("stage,extra,message", [
+        ("1", "read_length = 60", "the genome has 19 nt, fewer than read_length 60"),
+        ("2", "read_length = 60", "the genome has 19 nt, fewer than read_length 60"),
+        ("2", "read_length = 4\ngaps = 2:5 10:20", "gap 10:20 runs past the genome's 19 nt"),
+    ], ids=["stage1-read-length", "stage2-read-length", "stage2-gap-end"])
+    def test_genome_fasta_shorter_than_its_reads_is_data_error(self, tmp_path, capsys,
+                                                              gtrue_fasta, stage, extra,
+                                                              message):
+        cfg = tmp_path / "stage.cfg"
+        cfg.write_text(f"genome_fasta = {gtrue_fasta}\n{extra}\nnum_reads = 20\nk = 3\n")
+        out_dir = tmp_path / "s"
+        assert main(["stage", "--stage", stage, "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == 1
+        assert f"error: {gtrue_fasta}: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("stage,text,key", [
         (2, "genome_length = 400\nread_length = 30\nk = 11\n", "num_reads"),
         (3, "k = 11\n", "reads_fasta"),
@@ -393,6 +445,21 @@ class TestBadInput:
 
 
 class TestEval:
+    def test_json_report_escapes_contig_ids(self, tmp_path, gtrue_fasta):
+        contigs = tmp_path / "contigs.fasta"
+        contigs.write_text('>c"1 quoted\nATTCCAG\n>c\\2\nGGGG\n>plain\nGCTGA\n')
+        report = tmp_path / "report.txt"
+        assert main(["eval", "--contigs", str(contigs), "--truth", str(gtrue_fasta),
+                     "-k", "3", "--report", str(report)]) == 0
+        written = (tmp_path / "report.txt.json").read_text()
+        records = read_fasta(contigs)
+        expected = evaluate(ContigSet(3, tuple(Contig(r.id, r.sequence, source="file")
+                                               for r in records)),
+                            read_fasta(gtrue_fasta)[0].sequence, 3)
+        assert written == reference_report_json(expected)
+        rows = json.loads(written)["contigs"]
+        assert [row["name"] for row in rows] == ['c"1', "c\\2", "plain"]
+
     def test_running_example_report(self, tmp_path, gtrue_fasta, gtrue_reads):
         contigs = tmp_path / "contigs.fasta"
         main(["assemble", "--reads", str(gtrue_reads), "-k", "3",

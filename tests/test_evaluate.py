@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from asmlab import graph as dbg
 from asmlab.evaluate import (
+    ContigMetrics,
+    _report,
     compute_n50,
     evaluate,
     evaluate_without_truth,
@@ -17,7 +19,12 @@ from asmlab.formats import FastaRecord, StageConfig, write_fasta
 from asmlab.sequence import DnaString
 from asmlab.simulate import random_genome
 from asmlab.unitig import Contig, ContigSet, unitig_contigs
-from helpers import coverage_marking_oracle, n50_oracle, reference_evaluate
+from helpers import (
+    coverage_marking_oracle,
+    n50_oracle,
+    reference_evaluate,
+    reference_report_json,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -238,3 +245,41 @@ class TestRunStage:
     def test_bad_stage_number(self):
         with pytest.raises(ValueError):
             run_stage(4, StageConfig(k=3))
+
+
+class TestReportJson:
+    """``EvalReport.to_json`` against the frozen ``json.dumps`` writer, byte
+    for byte."""
+
+    def test_with_and_without_truth(self, g_true, fig_graph):
+        contigs = unitig_contigs(fig_graph)
+        for report in (evaluate(contigs, g_true, 3), evaluate_without_truth(contigs, 3),
+                       evaluate(mixed_contigs(padded_truth(2), 21, 2), padded_truth(2), 21)):
+            assert report.to_json() == reference_report_json(report)
+
+    def test_zero_contigs(self):
+        for report in (evaluate(contig_set(5), "ACGTACGT", 5),
+                       evaluate_without_truth(contig_set(5), 5)):
+            assert report.to_json() == reference_report_json(report)
+            assert json.loads(report.to_json())["contigs"] == []
+
+    def test_names_that_need_escaping(self):
+        names = ['c"1', "c\\2", "tab\there", "caf\u00e9", "\u2603"]
+        contigs = ContigSet(3, tuple(Contig(n, DnaString("ACGT"), source="file")
+                                     for n in names))
+        report = evaluate(contigs, "TTACGTT", 3)
+        assert report.to_json() == reference_report_json(report)
+        assert [row["name"] for row in json.loads(report.to_json())["contigs"]] == names
+
+    @PROPERTY
+    @given(st.lists(st.tuples(st.text(max_size=8), st.integers(min_value=0, max_value=10**9),
+                              st.sampled_from([True, False, None]),
+                              st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0))),
+                    max_size=12),
+           st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+           st.integers(min_value=1, max_value=31))
+    def test_any_rows_and_fractions(self, rows, fraction, k):
+        per = [ContigMetrics(name, length, exact, precision)
+               for name, length, exact, precision in rows]
+        report = _report(k, per, fraction, None if fraction is None else len(per) // 2)
+        assert report.to_json() == reference_report_json(report)

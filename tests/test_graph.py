@@ -16,10 +16,17 @@ from asmlab.errors import (
     ResourceLimitError,
 )
 from asmlab.sequence import ReadSet
-from asmlab.simulate import idealized_reads, random_genome
+from asmlab.simulate import (
+    SimulationProfile,
+    idealized_reads,
+    random_genome,
+    uniform_reads,
+)
+from asmlab.unitig import maximal_unitigs
 from helpers import (
     _string_bfs_tree,
     all_optimal_covering_spellings,
+    reference_export_dot,
     reference_shortest_edge_covering_walk,
     string_shortest_edge_covering_walk,
 )
@@ -462,3 +469,88 @@ class TestExportDot:
 
     def test_deterministic(self, fig_graph):
         assert dot_text(fig_graph) == dot_text(fig_graph)
+
+
+def reference_dot_text(graph, highlight=None) -> str:
+    handle = io.StringIO()
+    reference_export_dot(graph, handle, highlight)
+    return handle.getvalue()
+
+
+def error_graph(genome_length: int, k: int, seed: int) -> dbg.DeBruijnGraph:
+    """A graph of reads with substitution errors: many short unitigs."""
+    genome = random_genome(genome_length, seed=seed)
+    profile = SimulationProfile(genome_length=genome_length, num_reads=genome_length // 5,
+                                read_length=30, error_rate=0.02, seed=seed + 1)
+    return dbg.build(uniform_reads(genome, profile), k)
+
+
+class TestExportDotMatchesReference:
+    """The DOT laid out from the packed arrays is byte for byte the DOT of
+    the frozen line-by-line writer."""
+
+    def assert_same(self, graph, highlight=None):
+        assert dot_text(graph, highlight) == reference_dot_text(graph, highlight)
+
+    def test_running_example_in_every_mode(self, g_true, fig_graph):
+        self.assert_same(fig_graph)
+        self.assert_same(fig_graph, dbg.walk_of(g_true, fig_graph))
+        self.assert_same(fig_graph, maximal_unitigs(fig_graph).unitigs)
+
+    def test_empty_graph(self):
+        self.assert_same(dbg.DeBruijnGraph(3, []))
+        self.assert_same(dbg.DeBruijnGraph(3, []), [["AC"]])
+
+    def test_isolated_vertices(self):
+        graph = dbg.DeBruijnGraph(4, ["ACGT", "CGTA"], isolated_vertices=["TTT", "AAA"])
+        assert graph.isolated_vertices() == ["AAA", "TTT"]
+        self.assert_same(graph)
+        self.assert_same(graph, maximal_unitigs(graph).unitigs)
+
+    @pytest.mark.parametrize("k", [2, 31])
+    def test_smallest_and_largest_order(self, k):
+        genome = random_genome(300, seed=k)
+        graph = dbg.build(idealized_reads(genome, 40), k)
+        self.assert_same(graph)
+        self.assert_same(graph, maximal_unitigs(graph).unitigs)
+        walk = dbg.walk_of(genome[:60], graph)
+        self.assert_same(graph, walk)
+
+    def test_walk_of_another_graph(self, g_true, fig_graph):
+        # edges the exported graph lacks, or of another order, are not drawn
+        other = dbg.build(ReadSet.of("AATTCCAGCTGATTCCAGTA"), 3)
+        self.assert_same(fig_graph, dbg.walk_of("AGTA", other))
+        self.assert_same(fig_graph, dbg.walk_of("AATTCC", dbg.build(ReadSet.of(g_true), 4)))
+
+    def test_palette_wraps_and_the_last_group_wins(self):
+        graph = error_graph(600, 9, seed=3)
+        unitigs = maximal_unitigs(graph).unitigs
+        assert len(unitigs) > 2 * len(dbg._PALETTE)
+        # a vertex named again by a later group, and names that are no vertex
+        groups = [*unitigs, (unitigs[0][0], unitigs[5][-1]), ("ACGT", "NNNNNNNN", "")]
+        text = dot_text(graph, groups)
+        assert text == reference_dot_text(graph, groups)
+        assert text.count("fillcolor") == len(graph.packed_vertices)
+
+    def test_more_lines_than_one_batch(self):
+        genome = random_genome(dbg._DOT_BATCH + 2000, seed=8)
+        graph = dbg.build(idealized_reads(genome, 40), 15)
+        assert len(graph.packed_vertices) > dbg._DOT_BATCH
+        self.assert_same(graph)
+        self.assert_same(graph, maximal_unitigs(graph).unitigs[::3])
+
+    def test_batch_boundaries_inside_highlights(self, monkeypatch):
+        graph = error_graph(300, 7, seed=4)
+        monkeypatch.setattr(dbg, "_DOT_BATCH", 7)
+        self.assert_same(graph, maximal_unitigs(graph).unitigs)
+        walk = dbg.walk_of(maximal_unitigs(graph).spellings[-1], graph)
+        self.assert_same(graph, walk)
+
+    @PROPERTY
+    @given(genomes, st.integers(min_value=2, max_value=5), st.data())
+    def test_random_graphs_and_groups(self, genome, k, data):
+        graph = dbg.build(ReadSet.of(genome), k)
+        names = list(graph.vertices)
+        groups = data.draw(st.lists(st.lists(st.sampled_from(names), max_size=4), max_size=14))
+        self.assert_same(graph)
+        self.assert_same(graph, groups)
