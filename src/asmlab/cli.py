@@ -45,7 +45,7 @@ from asmlab.formats import (
 )
 from asmlab.sequence import MAX_K, DnaString, check_k, read_lengths
 from asmlab.superstring import diagnose_overcollapse, exact_scs, greedy_scs
-from asmlab.unitig import Contig, ContigSet, maximal_unitigs
+from asmlab.unitig import Contig, ContigSet, unitig_contigs
 
 ARTIFACT_DIR_ENV = "ASMLAB_ARTIFACTS"
 
@@ -235,7 +235,7 @@ def _cmd_assemble(args) -> int:
     contigs, graph = assemble_contigs(reads, args.k, args.method)
     write_contigs(contigs, args.out)
     if args.dot:
-        highlight = maximal_unitigs(graph).unitigs if args.method == "unitig" else None
+        highlight = contigs if args.method == "unitig" else None
         with open(args.dot, "w", encoding="ascii", newline="\n") as handle:
             dbg.export_dot(graph, handle, highlight)
     print(f"wrote {len(contigs)} contig(s) to {args.out}")
@@ -255,7 +255,7 @@ def _cmd_dbg(args) -> int:
         return 0
     graph = read_edge_list(args.graph)
     if args.dbg_command == "dot":
-        highlight = maximal_unitigs(graph).unitigs if args.unitigs else None
+        highlight = unitig_contigs(graph) if args.unitigs else None
         with open(args.out, "w", encoding="ascii", newline="\n") as handle:
             dbg.export_dot(graph, handle, highlight)
         print(f"wrote DOT to {args.out}")

@@ -364,11 +364,8 @@ def _load_genome(stage: int, config: StageConfig) -> DnaString:
         genome = read_genome(config.genome_fasta)
         source = config.genome_fasta
     else:
-        planted = None
-        if config.plant_repeat_length is not None:
-            copies = 2 if config.plant_repeat_copies is None else config.plant_repeat_copies
-            planted = (config.plant_repeat_length, copies)
-        genome = simulate.random_genome(config.genome_length, planted, seed=config.seed)
+        genome = simulate.random_genome(config.genome_length, config.planted_repeat,
+                                        seed=config.seed)
         source = "genome_length"
     if len(genome) < config.read_length:
         raise AssemblyError(f"{source}: the genome has {len(genome)} nt, fewer than "
@@ -378,6 +375,10 @@ def _load_genome(stage: int, config: StageConfig) -> DnaString:
             if end > len(genome):
                 raise AssemblyError(f"{source}: gap {start}:{end} runs past the genome's "
                                     f"{len(genome)} nt")
+        if config.gaps and not simulate.allowed_starts(len(genome), config.read_length,
+                                                       config.gaps).size:
+            raise AssemblyError(f"{source}: no read of read_length {config.read_length} "
+                                f"fits between the gaps in the genome's {len(genome)} nt")
     return genome
 
 

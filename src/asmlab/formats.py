@@ -24,6 +24,7 @@ from asmlab.sequence import (
     first_invalid,
     invalid_positions,
 )
+from asmlab.simulate import allowed_starts, check_gaps
 
 FASTA_WRAP = 60
 _GZIP_MAGIC = b"\x1f\x8b"
@@ -326,6 +327,15 @@ class StageConfig:
     min_multiplicity: int = 2
     out_dir: Optional[str] = None
 
+    @property
+    def planted_repeat(self) -> Optional[tuple[int, int]]:
+        """(length, copies) of the repeat to plant in a random genome, two
+        copies unless set, or None."""
+        if self.plant_repeat_length is None:
+            return None
+        copies = 2 if self.plant_repeat_copies is None else self.plant_repeat_copies
+        return self.plant_repeat_length, copies
+
 
 _METHODS = ("unitig", "cpp-walk", "scs-greedy", "scs-exact")
 _GRAPH_METHODS = ("unitig", "cpp-walk")
@@ -365,9 +375,10 @@ def parse_gaps(value: str) -> tuple[tuple[int, int], ...]:
 def read_config(source: Source) -> StageConfig:
     """Parse ``key = value`` lines ('#' starts a comment) into a
     :class:`StageConfig`; a malformed line, an unknown or repeated key, a
-    bad value, a key that its companions would make meaningless, or reads
-    or gaps longer than ``genome_length`` is a :class:`ConfigError` naming
-    the file and line."""
+    bad value (gaps included: empty, negative or overlapping), a key that
+    its companions would make meaningless, or a planted repeat, reads or
+    gaps that ``genome_length`` cannot hold is a :class:`ConfigError`
+    naming the file and line."""
     text = _read_text(source)
     in_file = f"{source}, " if isinstance(source, (str, Path)) else ""
     config = StageConfig()
@@ -397,6 +408,12 @@ def read_config(source: Source) -> StageConfig:
                           "not to genome_fasta")
     if config.genome_length is not None:
         length = f"genome_length {config.genome_length} (line {line_of['genome_length']})"
+        if config.planted_repeat is not None:
+            repeat, copies = config.planted_repeat
+            if repeat * copies > config.genome_length:
+                raise ConfigError(f"{in_file}line {line_of['plant_repeat_length']}: key "
+                                  f"'plant_repeat_length': {copies} copies of {repeat} nt "
+                                  f"do not fit in {length}")
         if config.read_length is not None and config.read_length > config.genome_length:
             raise ConfigError(f"{in_file}line {line_of['read_length']}: key 'read_length': "
                               f"{config.read_length} exceeds {length}")
@@ -404,6 +421,12 @@ def read_config(source: Source) -> StageConfig:
             if end > config.genome_length:
                 raise ConfigError(f"{in_file}line {line_of['gaps']}: key 'gaps': gap "
                                   f"{start}:{end} runs past {length}")
+        if (config.gaps and config.read_length is not None
+                and not allowed_starts(config.genome_length, config.read_length,
+                                       config.gaps).size):
+            raise ConfigError(f"{in_file}line {line_of['gaps']}: key 'gaps': no read of "
+                              f"read_length {config.read_length} (line "
+                              f"{line_of['read_length']}) fits between them in {length}")
     return config
 
 
@@ -423,6 +446,7 @@ def _apply_key(config: StageConfig, key: str, value: str, where: str) -> None:
             config.error_rate = rate
         elif key == "gaps":
             config.gaps = parse_gaps(value)
+            check_gaps(config.gaps)
         elif key in ("genome_fasta", "reads_fasta", "truth_fasta", "out_dir"):
             setattr(config, key, value)
         elif key == "method":

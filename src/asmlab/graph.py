@@ -8,16 +8,18 @@ of the directed Chinese Postman Problem):
 
 - two or more sources, or two or more sinks, rule a covering walk out in
   O(V), before any search;
-- the solver runs on vertex indices: one multi-source ``shortest_path``
-  call over the CSR adjacency fills one path-cost matrix between
-  out-of-balance units, and one min-cost assignment on it, with a dummy
-  start row and a dummy end column, prices the shortest paths to
-  duplicate; each duplicated path is read from the deficit vertex's
-  ``breadth_first_order`` tree;
+- the solver runs on vertex indices: each deficit vertex's
+  ``breadth_first_order`` tree gives its duplication paths, and the depths
+  climbed in those trees fill one path-cost matrix between out-of-balance
+  units; one min-cost assignment on it, with a dummy start row and a dummy
+  end column, prices the shortest paths to duplicate;
 - every optimum spells its start vertex first, so only the smallest
-  optimal start is kept; each of its optimal ends is solved on the same
-  matrix less one row and one column and realized once, by a
-  smallest-successor-first Hierholzer walk; the smallest string wins.
+  optimal start is kept: the residual graph of that assignment prices
+  every forced start, and a second assignment with the start forced
+  prices every forced end (sensitivity analysis, Ahuja, Magnanti & Orlin
+  1993); each optimal end is solved on the matrix less one row and one
+  column and realized once, by a smallest-successor-first Hierholzer
+  walk; the smallest string wins.
 
 A subset-state breadth-first oracle double-checks small instances and can
 count all optimal walks.
@@ -35,7 +37,7 @@ from typing import Iterable, Optional, TextIO
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from asmlab.errors import (
     AssemblyError,
@@ -51,10 +53,12 @@ from asmlab.sequence import (
     decode_kmers,
     encode_kmers,
     in_sorted,
+    joined_codes,
     kmer_symbols,
     read_lengths,
     sorted_distinct,
     spectrum_of_set,
+    window_packs,
 )
 
 logger = logging.getLogger(__name__)
@@ -373,34 +377,115 @@ def _assign(cost: np.ndarray) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
     return None if total >= _NO_PATH else (total, rows, cols)
 
 
-def _open_walk_cost(paths: np.ndarray, surpluses: np.ndarray,
-                    start: Optional[int] = None) -> Optional[int]:
-    """Least duplication cost of an open walk from ``start`` (default: any
-    surplus vertex), or None. A dummy start row takes the surplus unit the
-    walk leaves first and a dummy end column the deficit unit it ends at;
-    dummy-to-dummy (a closed walk) is forbidden, since dropping any matched
-    pair of a closed option gives a cheaper open one."""
+def _open_walk_matrix(paths: np.ndarray, surpluses: np.ndarray,
+                      start: Optional[int] = None) -> np.ndarray:
+    """The open-walk duplication problem as one square assignment: a dummy
+    start row (the last) takes the surplus unit the walk leaves first, one
+    of ``start``'s when given, and a dummy end column (the last) the
+    deficit unit it ends at. Dummy-to-dummy (a closed walk) is forbidden,
+    since dropping any matched pair of a closed option gives a cheaper
+    open one."""
     n = len(surpluses)
     cost = np.full((n + 1, n + 1), _NO_PATH, dtype=np.int64)
     cost[:n, :n] = paths
     cost[n, :n] = 0 if start is None else np.where(surpluses == start, 0, _NO_PATH)
     cost[:n, n] = 0
+    return cost
+
+
+def _dummy_row_costs(cost: np.ndarray, match: np.ndarray, total: int) -> np.ndarray:
+    """For every column j, the least total of a perfect matching on the
+    square ``cost`` that pairs its last (dummy) row with j, priced from one
+    optimal matching M (row i to column ``match[i]``, of cost ``total``).
+
+    Forcing (n, j) changes M along one alternating cycle n -> j -> M^-1(j)
+    -> ... -> M(n) -> n of the residual graph, whose row -> column arcs
+    cost ``cost[i, j]`` and whose column -> row arcs, back along M, cost
+    ``-cost[M^-1(j), j]``. M is optimal, so that graph has no negative cycle
+    and Bellman-Ford rounds over dense rows find the shortest path from
+    every row to M(n) within n rounds. ``_NO_PATH`` entries are plain large
+    costs here, as in the assignment itself, so a forced total of at least
+    ``_NO_PATH`` means no matching avoids them."""
+    n = len(cost)
+    owner = np.empty(n, dtype=np.intp)
+    owner[match] = np.arange(n)
+    held = cost[owner, np.arange(n)]  # the cost of each column's pair in M
+    target = match[-1]
+    to = cost[:, target]  # from each row to M(n): the direct arc first
+    for _ in range(n):
+        via = to[owner] - held  # from each column, back along M, then on
+        via[target] = 0
+        shorter = (cost + via).min(axis=1)
+        if np.array_equal(shorter, to):
+            break
+        to = shorter
+    return total - cost[-1, target] - held + cost[-1] + to[owner]
+
+
+def _start_costs(paths: np.ndarray, surpluses: np.ndarray
+                 ) -> Optional[tuple[int, np.ndarray]]:
+    """The least open-walk duplication cost and, for each surplus unit, the
+    least cost of a walk that leaves it first, all from one assignment; None
+    when no walk exists."""
+    cost = _open_walk_matrix(paths, surpluses)
     solved = _assign(cost)
-    return None if solved is None else solved[0]
+    if solved is None:
+        return None
+    best, _, match = solved
+    return best, _dummy_row_costs(cost, match, best)[:-1]
+
+
+def _end_costs(paths: np.ndarray, surpluses: np.ndarray,
+               start: int) -> tuple[int, np.ndarray]:
+    """The least duplication cost of a walk from ``start`` and, for each
+    deficit unit, the least cost of one from ``start`` that ends there, all
+    from one assignment. Forcing an end pairs the dummy column with its row,
+    which is the dummy row's forcing on the transposed matrix."""
+    cost = _open_walk_matrix(paths, surpluses, start)
+    best, _, match = _assign(cost)
+    return best, _dummy_row_costs(cost.T, np.argsort(match), best)[:-1]
+
+
+def _tree_depths(trees: np.ndarray, roots: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The depth of every target in every root's BFS tree (``trees[t]`` is
+    the predecessor array of ``roots[t]``'s tree, negative where unreached),
+    or ``_NO_PATH``. All pairs climb toward their roots together, one parent
+    step per round; a pair drops out on reaching its root or leaving the
+    tree, so the rounds are the greatest depth."""
+    flat = trees.ravel()
+    row, at = (a.ravel() for a in np.indices((len(roots), len(targets))))
+    goal, base, at = roots[row], row * trees.shape[1], targets[at]
+    depths = np.full(at.size, _NO_PATH, dtype=np.int64)
+    pending = np.arange(at.size)
+    step = 0
+    while pending.size:
+        home = at == goal
+        depths[pending[home]] = step
+        climb = np.flatnonzero(~home & (at >= 0))
+        pending, goal, base = pending[climb], goal[climb], base[climb]
+        at = flat[base + at[climb]]
+        step += 1
+    return depths.reshape(len(roots), len(targets))
 
 
 def _duplication_plan(graph: DeBruijnGraph):
     """Imbalance units, the BFS parents of each deficit vertex, the
-    path-cost matrix and the optimal open-walk duplication cost of a weakly
-    connected graph.
+    path-cost matrix and the smallest optimal start of a weakly connected
+    graph.
 
     Units are vertex indices, one per missing out-edge (deficit) or in-edge
     (surplus), in ascending order. Entry (i, j) of the matrix is the length
     of the duplication path from deficit unit i to surplus unit j, or
-    ``_NO_PATH``. Raises :class:`NoCoveringWalkError` when no covering walk
-    exists: in O(V) for two or more sources or sinks (a covering walk starts
-    at every source and ends at every sink), otherwise when no finite-cost
-    assignment exists. A balanced graph returns no units and cost 0.
+    ``_NO_PATH``: the depth of j's vertex in the ``breadth_first_order``
+    tree of i's, climbed from the surplus vertices all at once. One
+    assignment on the matrix, with a dummy start row and a dummy end
+    column, gives the optimal cost, and its residual graph prices every
+    forced start; every optimum spells its start vertex first, so the
+    smallest optimal one is kept. Raises :class:`NoCoveringWalkError` when
+    no covering walk exists: in O(V) for two or more sources or sinks (a
+    covering walk starts at every source and ends at every sink), otherwise
+    when no finite-cost assignment exists. A balanced graph returns no
+    units and no start.
     """
     for kind, ends in (("sources", graph.sources()), ("sinks", graph.sinks())):
         if len(ends) > 1:
@@ -414,23 +499,25 @@ def _duplication_plan(graph: DeBruijnGraph):
     deficits = np.repeat(index, np.maximum(-balance, 0))
     surpluses = np.repeat(index, np.maximum(balance, 0))
     if not deficits.size:
-        return deficits, surpluses, {}, None, 0
+        return deficits, surpluses, {}, None, None
     tails, rows = np.unique(deficits, return_inverse=True)
+    heads, firsts, cols = np.unique(surpluses, return_index=True, return_inverse=True)
     # breadth_first_order scans each row's successors in ascending order, so
-    # every parent is the smallest first-discovered one; the predecessors of
-    # shortest_path are other shortest-path parents and would change walks
-    parents = {d: breadth_first_order(graph.adjacency, d, return_predecessors=True)[1]
-               for d in tails.tolist()}
-    depths = shortest_path(graph.adjacency, unweighted=True, indices=tails)
-    depths = np.where(np.isinf(depths), _NO_PATH, depths).astype(np.int64)
-    paths = depths[rows[:, None], surpluses]
-    best = _open_walk_cost(paths, surpluses)
-    if best is None:
+    # every parent is the smallest first-discovered one; other shortest-path
+    # parents would change walks
+    trees = np.stack([breadth_first_order(graph.adjacency, d, return_predecessors=True)[1]
+                      for d in tails.tolist()])
+    paths = _tree_depths(trees, tails, heads)[rows[:, None], cols]
+    priced = _start_costs(paths, surpluses)
+    if priced is None:
         raise NoCoveringWalkError(
             "the graph is connected but its imbalance pattern admits no "
             "edge-covering walk (a required duplication path is missing)"
         )
-    return deficits, surpluses, parents, paths, best
+    best, costs = priced
+    # the columns of one vertex are equal, so its first one prices it
+    start = int(heads[np.flatnonzero(costs[firsts] == best)[0]])
+    return deficits, surpluses, dict(zip(tails.tolist(), trees)), paths, start
 
 
 def covering_walk_feasibility(graph: DeBruijnGraph) -> tuple[bool, str]:
@@ -465,27 +552,23 @@ def shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
     if len(components) > 1:
         raise DisconnectedGraphError([graph.subgraph(c) for c in components])
 
-    deficits, surpluses, parents, paths, best = _duplication_plan(graph)
+    deficits, surpluses, parents, paths, start = _duplication_plan(graph)
     if not deficits.size:
         # a closed walk spells its start first: the smallest vertex wins
         start = int(np.flatnonzero(graph.out_degrees)[0])
         return _vertex_path_to_walk(graph, _euler_path(graph, start, [], {}))
 
-    # every optimum spells its start vertex first and all have one length
-    start = next(s for s in np.unique(surpluses).tolist()
-                 if _open_walk_cost(paths, surpluses, s) == best)
+    best, costs = _end_costs(paths, surpluses, start)
     # an end's solve pairs the units left once one unit of start and one
     # of end are taken: the matrix without that column and that row
     col = int(np.searchsorted(surpluses, start))
     rest_s, rest_paths = np.delete(surpluses, col), np.delete(paths, col, axis=1)
+    firsts = np.unique(deficits, return_index=True)[1]
     candidates = []
-    for end in np.unique(deficits).tolist():
-        row = int(np.searchsorted(deficits, end))
-        solved = _assign(np.delete(rest_paths, row, axis=0))
-        if solved is not None and solved[0] == best:
-            _, rows, cols = solved
-            pairs = zip(np.delete(deficits, row)[rows].tolist(), rest_s[cols].tolist())
-            candidates.append(_euler_path(graph, start, pairs, parents))
+    for row in firsts[costs[firsts] == best].tolist():
+        _, rows, cols = _assign(np.delete(rest_paths, row, axis=0))
+        pairs = zip(np.delete(deficits, row)[rows].tolist(), rest_s[cols].tolist())
+        candidates.append(_euler_path(graph, start, pairs, parents))
     # equal-length vertex paths from one start order as their spellings do
     return _vertex_path_to_walk(graph, min(candidates))
 
@@ -778,13 +861,17 @@ def _write_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tuple,
 def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
     """Write deterministic DOT text for the graph to an open text handle.
 
-    ``highlight`` may be a :class:`Walk` (its edges are drawn bold red) or
-    an iterable of vertex groups (the ``unitigs`` of a unitig partition,
-    say), in which case each group is filled with its own color; a vertex
-    named by several groups takes the last one's. Lines are spelled from
-    the packed vertices and edges, ``_DOT_BATCH`` at a time; only the
-    vertex names that groups are looked up by are ever decoded.
+    ``highlight`` may be a :class:`Walk` (its edges are drawn bold red), an
+    iterable of vertex groups, in which case each group is filled with its
+    own color and a vertex named by several groups takes the last one's, or
+    a :class:`~asmlab.unitig.ContigSet`, whose contigs are groups of their
+    (k-1)-windows: unitig contigs color exactly as the ``unitigs`` of the
+    partition they were spelled from. Lines are spelled from the packed
+    vertices and edges, ``_DOT_BATCH`` at a time; only the vertex names
+    that groups are looked up by are ever decoded.
     """
+    from asmlab.unitig import ContigSet  # unitig builds on this module
+
     k = graph.k
     fill = np.zeros(len(graph.packed_vertices), dtype=np.intp)  # index into _FILL_TAILS
     bold = np.zeros(graph.num_edges, dtype=np.intp)  # index into _WALK_TAILS
@@ -793,6 +880,18 @@ def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
             walk = encode_kmers(highlight.edges, k)
             walk = walk[in_sorted(graph.packed_edges, walk)]
             bold[np.searchsorted(graph.packed_edges, walk)] = 1
+    elif isinstance(highlight, ContigSet):
+        sequences = highlight.sequences()
+        ends = np.cumsum([len(s) for s in sequences])
+        windows = window_packs(joined_codes(sequences), k - 1)
+        at = np.arange(len(windows))
+        group = np.searchsorted(ends, at, side="right")
+        named = (at + k - 1 <= ends[group]) & in_sorted(graph.packed_vertices, windows)
+        # groups rise along the windows: the largest naming a vertex is the last
+        last = np.full(len(fill), -1)
+        np.maximum.at(last, np.searchsorted(graph.packed_vertices, windows[named]),
+                      group[named])
+        fill[last >= 0] = 1 + last[last >= 0] % len(_PALETTE)
     elif highlight is not None:
         index = graph.vertex_index
         for i, group in enumerate(highlight):  # a later group's color wins

@@ -61,15 +61,22 @@ class SimulationProfile:
             raise ValueError(f"num_reads must be >= 0, got {self.num_reads}")
         gaps = tuple(tuple(g) for g in self.gap_intervals)
         object.__setattr__(self, "gap_intervals", gaps)
-        last_end = None
-        for start, end in sorted(gaps):
-            if start < 0 or end <= start:
-                raise ValueError(f"bad gap interval [{start}, {end})")
-            if self.genome_length and end > self.genome_length:
-                raise ValueError(f"gap [{start}, {end}) exceeds genome length")
-            if last_end is not None and start < last_end:
-                raise ValueError("gap intervals must be pairwise disjoint")
-            last_end = end
+        check_gaps(gaps, self.genome_length)
+
+
+def check_gaps(gaps: tuple[tuple[int, int], ...], genome_length: int = 0) -> None:
+    """Raise ValueError unless every half-open gap [start, end) has
+    0 <= start < end, the gaps are pairwise disjoint and, when a genome
+    length is given, none runs past it."""
+    last_end = None
+    for start, end in sorted(gaps):
+        if start < 0 or end <= start:
+            raise ValueError(f"bad gap interval [{start}, {end})")
+        if genome_length and end > genome_length:
+            raise ValueError(f"gap [{start}, {end}) exceeds genome length")
+        if last_end is not None and start < last_end:
+            raise ValueError("gap intervals must be pairwise disjoint")
+        last_end = end
 
 
 def random_genome(
@@ -124,8 +131,9 @@ def idealized_reads(genome: str, read_length: int) -> ReadSet:
     return ReadSet(reads)
 
 
-def _allowed_starts(genome_length: int, read_length: int,
-                    gaps: tuple[tuple[int, int], ...]) -> np.ndarray:
+def allowed_starts(genome_length: int, read_length: int,
+                   gaps: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The starts of the read windows that touch no gap."""
     ok = np.ones(genome_length - read_length + 1, dtype=bool)
     for start, end in gaps:
         # window [s, s+L) intersects [start, end) iff s > start-L and s < end
@@ -148,7 +156,7 @@ def uniform_reads(genome: str, profile: SimulationProfile) -> ReadSet:
     for start, end in profile.gap_intervals:
         if end > L:
             raise ValueError(f"gap [{start}, {end}) exceeds genome length {L}")
-    starts_pool = _allowed_starts(L, ell, profile.gap_intervals)
+    starts_pool = allowed_starts(L, ell, profile.gap_intervals)
     if starts_pool.size == 0:
         raise ValueError("no read window avoids the configured gap intervals")
     rng = np.random.default_rng(profile.seed)

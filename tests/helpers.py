@@ -660,6 +660,59 @@ def string_shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
 
 
 # ---------------------------------------------------------------------------
+# Frozen start sweep and per-end solves
+# ---------------------------------------------------------------------------
+# How the index solver priced starts and ends before one assignment's
+# residual graph priced them all: one forced assignment per start vertex,
+# then one assignment per end vertex on the matrix less the start's first
+# column and the end's first row. Kept verbatim; costs are None where no
+# matching avoids every _SWEEP_NO_PATH pair.
+
+_SWEEP_NO_PATH = 1 << 30
+
+
+def _sweep_assign(cost: np.ndarray) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
+    if not cost.size:  # a per-end solve with one unit a side: nothing to pair
+        none = np.empty(0, dtype=np.intp)
+        return 0, none, none
+    rows, cols = linear_sum_assignment(cost)
+    total = int(cost[rows, cols].sum())
+    return None if total >= _SWEEP_NO_PATH else (total, rows, cols)
+
+
+def _sweep_open_walk_cost(paths: np.ndarray, surpluses: np.ndarray,
+                          start: Optional[int] = None) -> Optional[int]:
+    n = len(surpluses)
+    cost = np.full((n + 1, n + 1), _SWEEP_NO_PATH, dtype=np.int64)
+    cost[:n, :n] = paths
+    cost[n, :n] = 0 if start is None else np.where(surpluses == start, 0, _SWEEP_NO_PATH)
+    cost[:n, n] = 0
+    solved = _sweep_assign(cost)
+    return None if solved is None else solved[0]
+
+
+def sweep_start_costs(paths: np.ndarray, surpluses: np.ndarray) -> dict[int, Optional[int]]:
+    """Surplus vertex -> least duplication cost of an open walk leaving it
+    first, one forced assignment per vertex."""
+    return {s: _sweep_open_walk_cost(paths, surpluses, s)
+            for s in np.unique(surpluses).tolist()}
+
+
+def sweep_end_costs(paths: np.ndarray, deficits: np.ndarray, surpluses: np.ndarray,
+                    start: int) -> dict[int, Optional[int]]:
+    """Deficit vertex -> least duplication cost of an open walk from
+    ``start`` that ends there, one assignment per vertex."""
+    col = int(np.searchsorted(surpluses, start))
+    rest_paths = np.delete(paths, col, axis=1)
+    costs = {}
+    for end in np.unique(deficits).tolist():
+        row = int(np.searchsorted(deficits, end))
+        solved = _sweep_assign(np.delete(rest_paths, row, axis=0))
+        costs[end] = None if solved is None else solved[0]
+    return costs
+
+
+# ---------------------------------------------------------------------------
 # Frozen string-keyed k-mer layer
 # ---------------------------------------------------------------------------
 # The dict-loop k-mer counter, the string-dict de Bruijn graph and the

@@ -1,4 +1,5 @@
 import gzip
+import io
 import itertools
 import json
 import logging
@@ -6,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from asmlab import unitig
 from asmlab.cli import main
 from asmlab.evaluate import evaluate
 from asmlab.formats import FastaRecord, read_fasta, write_fasta
 from asmlab.sequence import DnaString
 from asmlab.unitig import Contig, ContigSet
 from conftest import G_TRUE
-from helpers import reference_report_json
+from helpers import reference_export_dot, reference_report_json
 
 
 @pytest.fixture
@@ -238,6 +240,26 @@ class TestDbg:
         assert direct.read_bytes() == staged.read_bytes()
         assert direct.read_text().count("fillcolor") > 10
 
+    def test_assemble_dot_runs_maximal_unitigs_once(self, tmp_path, monkeypatch):
+        reads = tmp_path / "reads.fasta"
+        assert main(["simulate", "--random-length", "800", "--num", "200", "--len", "40",
+                     "--error-rate", "0.02", "--seed", "6", "--reads", str(reads)]) == 0
+        graphs = []
+        real = unitig.maximal_unitigs
+
+        def counted(graph):
+            graphs.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(unitig, "maximal_unitigs", counted)
+        dot = tmp_path / "g.dot"
+        assert main(["assemble", "--reads", str(reads), "-k", "11", "--method", "unitig",
+                     "--out", str(tmp_path / "c.fasta"), "--dot", str(dot)]) == 0
+        assert len(graphs) == 1
+        handle = io.StringIO()
+        reference_export_dot(graphs[0], handle, real(graphs[0]).unitigs)
+        assert dot.read_text() == handle.getvalue()
+
 
 class TestBadInput:
     def test_edge_list_outside_alphabet_is_data_error(self, tmp_path, capsys):
@@ -306,10 +328,17 @@ class TestBadInput:
         ("num_reads = 0", 5, "num_reads", "must be >= 1, got 0"),
         ("plant_repeat_length = 0", 5, "plant_repeat_length", "must be >= 1, got 0"),
         ("min_multiplicity = 0", 5, "min_multiplicity", "must be >= 1, got 0"),
+        ("genome_length = 100\nplant_repeat_length = 60", 6, "plant_repeat_length",
+         "2 copies of 60 nt do not fit in genome_length 100 (line 5)"),
+        ("gaps = 30:20", 5, "gaps", "bad gap interval [30, 20)"),
+        ("gaps = 10:30 20:40", 5, "gaps", "gap intervals must be pairwise disjoint"),
+        ("genome_length = 400\ngaps = 0:395", 6, "gaps", "no read of read_length 20 "
+         "(line 2) fits between them in genome_length 400 (line 5)"),
     ], ids=["copies-zero", "copies-alone", "plant-with-genome-fasta", "k-above-31",
             "k-one-cpp-walk", "k-one-unitig", "seed-negative", "read-length-zero",
             "genome-length-zero", "num-reads-zero", "plant-length-zero",
-            "min-multiplicity-zero"])
+            "min-multiplicity-zero", "plant-too-long", "gap-reversed", "gaps-overlap",
+            "gaps-leave-no-read"])
     def test_config_value_out_of_range_is_data_error(self, tmp_path, capsys, gtrue_fasta,
                                                      extra, line, key, message):
         cfg = tmp_path / "bad.cfg"
@@ -406,7 +435,9 @@ class TestBadInput:
         ("1", "read_length = 60", "the genome has 19 nt, fewer than read_length 60"),
         ("2", "read_length = 60", "the genome has 19 nt, fewer than read_length 60"),
         ("2", "read_length = 4\ngaps = 2:5 10:20", "gap 10:20 runs past the genome's 19 nt"),
-    ], ids=["stage1-read-length", "stage2-read-length", "stage2-gap-end"])
+        ("2", "read_length = 4\ngaps = 0:17", "no read of read_length 4 fits between the "
+         "gaps in the genome's 19 nt"),
+    ], ids=["stage1-read-length", "stage2-read-length", "stage2-gap-end", "stage2-no-read"])
     def test_genome_fasta_shorter_than_its_reads_is_data_error(self, tmp_path, capsys,
                                                               gtrue_fasta, stage, extra,
                                                               message):

@@ -15,20 +15,22 @@ from asmlab.errors import (
     NoCoveringWalkError,
     ResourceLimitError,
 )
-from asmlab.sequence import ReadSet
+from asmlab.sequence import DnaString, ReadSet
 from asmlab.simulate import (
     SimulationProfile,
     idealized_reads,
     random_genome,
     uniform_reads,
 )
-from asmlab.unitig import maximal_unitigs
+from asmlab.unitig import Contig, ContigSet, maximal_unitigs, unitig_contigs
 from helpers import (
     _string_bfs_tree,
     all_optimal_covering_spellings,
     reference_export_dot,
     reference_shortest_edge_covering_walk,
     string_shortest_edge_covering_walk,
+    sweep_end_costs,
+    sweep_start_costs,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None,
@@ -292,19 +294,23 @@ class TestSolverMatchesReference:
                     == _outcome(string_shortest_edge_covering_walk, graph)), (k, len(text))
 
 
+def _kilobase_circles() -> list[dbg.DeBruijnGraph]:
+    """The kilobase genomes of TestSolverMatchesReference and a 5 kb one, as
+    circular graphs."""
+    rng = random.Random(505)
+    texts = [(k, str(random_genome(rng.randint(1000, 2000), seed=rng.randrange(2**32))))
+             for k in (5, 6) for _ in range(5)]
+    base = str(random_genome(2000, seed=11))
+    for perm, reverse in (("ACGT", False), ("TGCA", False), ("GATC", True), ("CTAG", True)):
+        text = base.translate(str.maketrans("ACGT", perm))
+        texts.append((5, text[::-1] if reverse else text))
+    texts.append((6, str(random_genome(5000, seed=11))))
+    return [dbg.DeBruijnGraph(k, _kmer_set(text + text[:k - 1], k)) for k, text in texts]
+
+
 class TestCsgraphBfsMatchesStringTree:
     def test_parents_and_depths_match_string_bfs_on_kilobase_genomes(self):
-        # the kilobase genomes of TestSolverMatchesReference, and a 5 kb one
-        rng = random.Random(505)
-        texts = [(k, str(random_genome(rng.randint(1000, 2000), seed=rng.randrange(2**32))))
-                 for k in (5, 6) for _ in range(5)]
-        base = str(random_genome(2000, seed=11))
-        for perm, reverse in (("ACGT", False), ("TGCA", False), ("GATC", True), ("CTAG", True)):
-            text = base.translate(str.maketrans("ACGT", perm))
-            texts.append((5, text[::-1] if reverse else text))
-        texts.append((6, str(random_genome(5000, seed=11))))
-        for k, text in texts:
-            graph = dbg.DeBruijnGraph(k, _kmer_set(text + text[:k - 1], k))
+        for graph in _kilobase_circles():
             names = graph.vertices
             deficits, surpluses, parents, paths, _ = dbg._duplication_plan(graph)
             assert sorted(parents) == np.unique(deficits).tolist()
@@ -316,10 +322,78 @@ class TestCsgraphBfsMatchesStringTree:
                 assert np.array_equal(np.flatnonzero(parent >= 0), reached[reached != d])
                 got = {names[v]: (int(depth[v]), None if v == d else names[parent[v]])
                        for v in reached.tolist()}
-                assert got == trees[d], (k, len(text), names[d])
+                assert got == trees[d], (graph.k, graph.num_edges, names[d])
             want = [[trees[d].get(names[s], (dbg._NO_PATH,))[0] for s in surpluses.tolist()]
                     for d in deficits.tolist()]
-            assert np.array_equal(paths, want), (k, len(text))
+            assert np.array_equal(paths, want), (graph.k, graph.num_edges)
+
+
+def _per_vertex(units: np.ndarray, costs: np.ndarray) -> dict:
+    """Vertex -> forced cost, None when no matching avoids ``_NO_PATH``;
+    every unit of one vertex must have the same cost."""
+    pairs = set(zip(units.tolist(),
+                    (None if c >= dbg._NO_PATH else c for c in costs.tolist())))
+    per = dict(pairs)
+    assert len(per) == len(pairs)
+    return per
+
+
+class TestForcedCostsMatchSweep:
+    """The residual-graph prices of every start and every end equal one
+    assignment per start and one per end, the solves they replaced."""
+
+    def assert_priced(self, paths, deficits, surpluses, every_start=True):
+        starts = sweep_start_costs(paths, surpluses)
+        priced = dbg._start_costs(paths, surpluses)
+        if priced is None:
+            assert set(starts.values()) == {None}
+            return None
+        best, costs = priced
+        assert _per_vertex(surpluses, costs) == starts
+        assert best == min(c for c in starts.values() if c is not None)
+        optimal = min(s for s, c in starts.items() if c == best)
+        for start, cost in starts.items():
+            if not every_start and start != optimal:
+                continue
+            ends = sweep_end_costs(paths, deficits, surpluses, start)
+            if cost is None:  # no walk leaves an infeasible start
+                assert set(ends.values()) == {None}
+                continue
+            total, end_costs = dbg._end_costs(paths, surpluses, start)
+            assert total == cost
+            assert _per_vertex(deficits, end_costs) == ends
+        return optimal
+
+    def test_every_start_and_end_on_3000_graphs(self):
+        graphs = _differential_graphs(random.Random(2024))
+        priced = 0
+        for _ in range(3000):
+            graph = next(graphs)
+            try:
+                deficits, surpluses, _, paths, start = dbg._duplication_plan(graph)
+            except NoCoveringWalkError:
+                continue
+            if deficits.size:
+                assert self.assert_priced(paths, deficits, surpluses) == start
+                priced += 1
+        assert priced >= 1000
+
+    def test_random_matrices_with_holes(self):
+        rng = np.random.default_rng(77)
+        infeasible = 0
+        for n in [1, 1, 2, 2, 2, 2] * 20 + list(rng.integers(3, 9, size=400)):
+            paths = rng.integers(0, rng.choice([2, 4, 9]), size=(n, n))
+            paths[rng.random((n, n)) < rng.choice([0.0, 0.3, 0.6, 0.9])] = dbg._NO_PATH
+            units = np.arange(n)
+            infeasible += self.assert_priced(paths, units, units) is None
+        # a 1 x 1 matrix always has a walk: its one surplus starts, its one deficit ends
+        assert self.assert_priced(np.array([[dbg._NO_PATH]]), np.arange(1), np.arange(1)) == 0
+        assert infeasible >= 20
+
+    def test_kilobase_genomes(self):
+        for graph in _kilobase_circles():
+            deficits, surpluses, _, paths, start = dbg._duplication_plan(graph)
+            assert self.assert_priced(paths, deficits, surpluses, every_start=False) == start
 
 
 class TestFailFastAndAssignments:
@@ -357,12 +431,16 @@ class TestFailFastAndAssignments:
             dbg.shortest_edge_covering_walk(g)
         assert dbg.covering_walk_feasibility(g)[0] is False
 
-    @pytest.mark.parametrize("length, k, shape, optimum", [
-        (2000, 5, (881, 56, 59), 1005),        # the reference solver's optimum
-        (5000, 6, (2872, 247, 244), 3450),     # the string solver's optimum
-    ], ids=["2kb-k5", "5kb-k6"])
+    # 2 + the number of optimal ends: one assignment prices every start, one
+    # every end from the smallest optimal start, and each optimal end is
+    # solved once more to realize its walk
+    @pytest.mark.parametrize("length, k, shape, optimum, solves", [
+        (2000, 5, (881, 56, 59), 1005, 7),        # the reference solver's optimum
+        (5000, 6, (2872, 247, 244), 3450, 3),     # the string solver's optimum
+        (10000, 7, (7511, 691, 677), 9227, 3),
+    ], ids=["2kb-k5", "5kb-k6", "10kb-k7"])
     def test_dense_circular_genome_needs_few_assignments(self, assignments, length, k,
-                                                         shape, optimum):
+                                                         shape, optimum, solves):
         genome = str(random_genome(length, seed=11))
         g = dbg.DeBruijnGraph(k, _kmer_set(genome + genome[:k - 1], k))
         surplus = [v for v in g.vertices if g.out_degree(v) > g.in_degree(v)]
@@ -371,7 +449,7 @@ class TestFailFastAndAssignments:
         walk = dbg.shortest_edge_covering_walk(g)
         assert dbg.is_edge_covering(walk)
         assert len(walk.edges) == optimum
-        assert 0 < len(assignments) <= 1 + len(surplus) + len(deficit)
+        assert len(assignments) == solves
 
 
 class TestOracle:
@@ -492,10 +570,16 @@ class TestExportDotMatchesReference:
     def assert_same(self, graph, highlight=None):
         assert dot_text(graph, highlight) == reference_dot_text(graph, highlight)
 
+    def assert_unitig_contigs_same(self, graph):
+        # unitig contigs color as the named unitigs of their partition
+        assert (dot_text(graph, unitig_contigs(graph))
+                == reference_dot_text(graph, maximal_unitigs(graph).unitigs))
+
     def test_running_example_in_every_mode(self, g_true, fig_graph):
         self.assert_same(fig_graph)
         self.assert_same(fig_graph, dbg.walk_of(g_true, fig_graph))
         self.assert_same(fig_graph, maximal_unitigs(fig_graph).unitigs)
+        self.assert_unitig_contigs_same(fig_graph)
 
     def test_empty_graph(self):
         self.assert_same(dbg.DeBruijnGraph(3, []))
@@ -506,6 +590,7 @@ class TestExportDotMatchesReference:
         assert graph.isolated_vertices() == ["AAA", "TTT"]
         self.assert_same(graph)
         self.assert_same(graph, maximal_unitigs(graph).unitigs)
+        self.assert_unitig_contigs_same(graph)
 
     @pytest.mark.parametrize("k", [2, 31])
     def test_smallest_and_largest_order(self, k):
@@ -513,6 +598,7 @@ class TestExportDotMatchesReference:
         graph = dbg.build(idealized_reads(genome, 40), k)
         self.assert_same(graph)
         self.assert_same(graph, maximal_unitigs(graph).unitigs)
+        self.assert_unitig_contigs_same(graph)
         walk = dbg.walk_of(genome[:60], graph)
         self.assert_same(graph, walk)
 
@@ -531,6 +617,22 @@ class TestExportDotMatchesReference:
         text = dot_text(graph, groups)
         assert text == reference_dot_text(graph, groups)
         assert text.count("fillcolor") == len(graph.packed_vertices)
+        self.assert_unitig_contigs_same(graph)
+
+    @PROPERTY
+    @given(genomes, st.integers(min_value=2, max_value=5), st.data())
+    def test_contigs_color_as_groups_of_their_windows(self, genome, k, data):
+        # slices of the genome share vertices (a later contig's color wins);
+        # free text mostly names no vertex
+        graph = dbg.build(ReadSet.of(genome), k)
+        slices = st.integers(0, len(genome) - k + 1).flatmap(
+            lambda s: st.integers(s + k - 1, len(genome)).map(lambda e: genome[s:e]))
+        free = st.text(alphabet="ACGT", min_size=k - 1, max_size=10)
+        texts = data.draw(st.lists(st.one_of(slices, free), max_size=12))
+        contigs = ContigSet(k, tuple(Contig(f"c{i}", DnaString(t), "test")
+                                     for i, t in enumerate(texts)))
+        groups = [[t[j:j + k - 1] for j in range(len(t) - k + 2)] for t in texts]
+        assert dot_text(graph, contigs) == reference_dot_text(graph, groups)
 
     def test_more_lines_than_one_batch(self):
         genome = random_genome(dbg._DOT_BATCH + 2000, seed=8)
@@ -543,6 +645,7 @@ class TestExportDotMatchesReference:
         graph = error_graph(300, 7, seed=4)
         monkeypatch.setattr(dbg, "_DOT_BATCH", 7)
         self.assert_same(graph, maximal_unitigs(graph).unitigs)
+        self.assert_unitig_contigs_same(graph)
         walk = dbg.walk_of(maximal_unitigs(graph).spellings[-1], graph)
         self.assert_same(graph, walk)
 
