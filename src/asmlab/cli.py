@@ -235,7 +235,7 @@ def _cmd_assemble(args) -> int:
     contigs, graph = assemble_contigs(reads, args.k, args.method)
     write_contigs(contigs, args.out)
     if args.dot:
-        highlight = contigs if args.method == "unitig" else None
+        highlight = contigs.sequences() if args.method == "unitig" else None
         with open(args.dot, "w", encoding="ascii", newline="\n") as handle:
             dbg.export_dot(graph, handle, highlight)
     print(f"wrote {len(contigs)} contig(s) to {args.out}")
@@ -255,7 +255,7 @@ def _cmd_dbg(args) -> int:
         return 0
     graph = read_edge_list(args.graph)
     if args.dbg_command == "dot":
-        highlight = unitig_contigs(graph) if args.unitigs else None
+        highlight = unitig_contigs(graph).sequences() if args.unitigs else None
         with open(args.out, "w", encoding="ascii", newline="\n") as handle:
             dbg.export_dot(graph, handle, highlight)
         print(f"wrote DOT to {args.out}")

@@ -861,17 +861,14 @@ def _write_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tuple,
 def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
     """Write deterministic DOT text for the graph to an open text handle.
 
-    ``highlight`` may be a :class:`Walk` (its edges are drawn bold red), an
-    iterable of vertex groups, in which case each group is filled with its
-    own color and a vertex named by several groups takes the last one's, or
-    a :class:`~asmlab.unitig.ContigSet`, whose contigs are groups of their
-    (k-1)-windows: unitig contigs color exactly as the ``unitigs`` of the
-    partition they were spelled from. Lines are spelled from the packed
-    vertices and edges, ``_DOT_BATCH`` at a time; only the vertex names
-    that groups are looked up by are ever decoded.
+    ``highlight`` may be a :class:`Walk` (its edges are drawn bold red) or
+    an iterable of spelled sequences, each of whose (k-1)-windows that is a
+    vertex is filled with the sequence's own color; a vertex named by
+    several sequences takes the last one's. Unitig contigs thus color
+    exactly as the vertex groups of the partition they were spelled from.
+    Lines are spelled from the packed vertices and edges, ``_DOT_BATCH`` at
+    a time; no vertex name is decoded.
     """
-    from asmlab.unitig import ContigSet  # unitig builds on this module
-
     k = graph.k
     fill = np.zeros(len(graph.packed_vertices), dtype=np.intp)  # index into _FILL_TAILS
     bold = np.zeros(graph.num_edges, dtype=np.intp)  # index into _WALK_TAILS
@@ -880,9 +877,9 @@ def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
             walk = encode_kmers(highlight.edges, k)
             walk = walk[in_sorted(graph.packed_edges, walk)]
             bold[np.searchsorted(graph.packed_edges, walk)] = 1
-    elif isinstance(highlight, ContigSet):
-        sequences = highlight.sequences()
-        ends = np.cumsum([len(s) for s in sequences])
+    elif highlight is not None:
+        sequences = [str(s) for s in highlight]
+        ends = np.cumsum([len(s) for s in sequences], dtype=np.intp)
         windows = window_packs(joined_codes(sequences), k - 1)
         at = np.arange(len(windows))
         group = np.searchsorted(ends, at, side="right")
@@ -892,11 +889,6 @@ def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
         np.maximum.at(last, np.searchsorted(graph.packed_vertices, windows[named]),
                       group[named])
         fill[last >= 0] = 1 + last[last >= 0] % len(_PALETTE)
-    elif highlight is not None:
-        index = graph.vertex_index
-        for i, group in enumerate(highlight):  # a later group's color wins
-            members = [j for j in map(index.get, map(str, group)) if j is not None]
-            fill[members] = 1 + i % len(_PALETTE)
     handle.write("digraph debruijn {\n")
     _write_lines(handle, graph.packed_vertices, k - 1,
                  (b'    "', (0, k - 1), b'" [label="', (0, k - 1), b'"'), _FILL_TAILS, fill)

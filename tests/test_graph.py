@@ -15,14 +15,14 @@ from asmlab.errors import (
     NoCoveringWalkError,
     ResourceLimitError,
 )
-from asmlab.sequence import DnaString, ReadSet
+from asmlab.sequence import ReadSet
 from asmlab.simulate import (
     SimulationProfile,
     idealized_reads,
     random_genome,
     uniform_reads,
 )
-from asmlab.unitig import Contig, ContigSet, maximal_unitigs, unitig_contigs
+from asmlab.unitig import maximal_unitigs, unitig_contigs
 from helpers import (
     _string_bfs_tree,
     all_optimal_covering_spellings,
@@ -536,7 +536,7 @@ class TestExportDot:
         from asmlab.unitig import maximal_unitigs
 
         partition = maximal_unitigs(fig_graph)
-        text = dot_text(fig_graph, highlight=partition.unitigs)
+        text = dot_text(fig_graph, highlight=partition.spellings)
         assert "fillcolor" in text
         # vertices of one unitig share a color
         trunk_lines = [ln for ln in text.splitlines()
@@ -570,26 +570,30 @@ class TestExportDotMatchesReference:
     def assert_same(self, graph, highlight=None):
         assert dot_text(graph, highlight) == reference_dot_text(graph, highlight)
 
+    def assert_sequences_same(self, graph, texts):
+        # a sequence colors as the group of its (k-1)-windows
+        k = graph.k
+        groups = [[t[j:j + k - 1] for j in range(len(t) - k + 2)] for t in texts]
+        assert dot_text(graph, texts) == reference_dot_text(graph, groups)
+
     def assert_unitig_contigs_same(self, graph):
         # unitig contigs color as the named unitigs of their partition
-        assert (dot_text(graph, unitig_contigs(graph))
+        assert (dot_text(graph, unitig_contigs(graph).sequences())
                 == reference_dot_text(graph, maximal_unitigs(graph).unitigs))
 
     def test_running_example_in_every_mode(self, g_true, fig_graph):
         self.assert_same(fig_graph)
         self.assert_same(fig_graph, dbg.walk_of(g_true, fig_graph))
-        self.assert_same(fig_graph, maximal_unitigs(fig_graph).unitigs)
         self.assert_unitig_contigs_same(fig_graph)
 
     def test_empty_graph(self):
         self.assert_same(dbg.DeBruijnGraph(3, []))
-        self.assert_same(dbg.DeBruijnGraph(3, []), [["AC"]])
+        self.assert_sequences_same(dbg.DeBruijnGraph(3, []), ["AC", "ACG"])
 
     def test_isolated_vertices(self):
         graph = dbg.DeBruijnGraph(4, ["ACGT", "CGTA"], isolated_vertices=["TTT", "AAA"])
         assert graph.isolated_vertices() == ["AAA", "TTT"]
         self.assert_same(graph)
-        self.assert_same(graph, maximal_unitigs(graph).unitigs)
         self.assert_unitig_contigs_same(graph)
 
     @pytest.mark.parametrize("k", [2, 31])
@@ -597,7 +601,6 @@ class TestExportDotMatchesReference:
         genome = random_genome(300, seed=k)
         graph = dbg.build(idealized_reads(genome, 40), k)
         self.assert_same(graph)
-        self.assert_same(graph, maximal_unitigs(graph).unitigs)
         self.assert_unitig_contigs_same(graph)
         walk = dbg.walk_of(genome[:60], graph)
         self.assert_same(graph, walk)
@@ -610,13 +613,15 @@ class TestExportDotMatchesReference:
 
     def test_palette_wraps_and_the_last_group_wins(self):
         graph = error_graph(600, 9, seed=3)
-        unitigs = maximal_unitigs(graph).unitigs
+        partition = maximal_unitigs(graph)
+        unitigs = partition.unitigs
         assert len(unitigs) > 2 * len(dbg._PALETTE)
-        # a vertex named again by a later group, and names that are no vertex
-        groups = [*unitigs, (unitigs[0][0], unitigs[5][-1]), ("ACGT", "NNNNNNNN", "")]
-        text = dot_text(graph, groups)
-        assert text == reference_dot_text(graph, groups)
-        assert text.count("fillcolor") == len(graph.packed_vertices)
+        # vertices named again by later sequences, and sequences too short
+        # to name a vertex or naming none
+        texts = [*partition.spellings, unitigs[0][0], unitigs[5][-1] + "A",
+                 "ACGT", "", "ACGTACGTACGTACGT"]
+        self.assert_sequences_same(graph, texts)
+        assert dot_text(graph, texts).count("fillcolor") == len(graph.packed_vertices)
         self.assert_unitig_contigs_same(graph)
 
     @PROPERTY
@@ -629,22 +634,18 @@ class TestExportDotMatchesReference:
             lambda s: st.integers(s + k - 1, len(genome)).map(lambda e: genome[s:e]))
         free = st.text(alphabet="ACGT", min_size=k - 1, max_size=10)
         texts = data.draw(st.lists(st.one_of(slices, free), max_size=12))
-        contigs = ContigSet(k, tuple(Contig(f"c{i}", DnaString(t), "test")
-                                     for i, t in enumerate(texts)))
-        groups = [[t[j:j + k - 1] for j in range(len(t) - k + 2)] for t in texts]
-        assert dot_text(graph, contigs) == reference_dot_text(graph, groups)
+        self.assert_sequences_same(graph, texts)
 
     def test_more_lines_than_one_batch(self):
         genome = random_genome(dbg._DOT_BATCH + 2000, seed=8)
         graph = dbg.build(idealized_reads(genome, 40), 15)
         assert len(graph.packed_vertices) > dbg._DOT_BATCH
         self.assert_same(graph)
-        self.assert_same(graph, maximal_unitigs(graph).unitigs[::3])
+        self.assert_sequences_same(graph, maximal_unitigs(graph).spellings[::3])
 
     def test_batch_boundaries_inside_highlights(self, monkeypatch):
         graph = error_graph(300, 7, seed=4)
         monkeypatch.setattr(dbg, "_DOT_BATCH", 7)
-        self.assert_same(graph, maximal_unitigs(graph).unitigs)
         self.assert_unitig_contigs_same(graph)
         walk = dbg.walk_of(maximal_unitigs(graph).spellings[-1], graph)
         self.assert_same(graph, walk)
@@ -653,7 +654,9 @@ class TestExportDotMatchesReference:
     @given(genomes, st.integers(min_value=2, max_value=5), st.data())
     def test_random_graphs_and_groups(self, genome, k, data):
         graph = dbg.build(ReadSet.of(genome), k)
-        names = list(graph.vertices)
-        groups = data.draw(st.lists(st.lists(st.sampled_from(names), max_size=4), max_size=14))
+        # vertex names laid end to end: each names itself and the windows
+        # across its joins
+        names = st.lists(st.sampled_from(list(graph.vertices)), max_size=4).map("".join)
+        texts = data.draw(st.lists(names, max_size=14))
         self.assert_same(graph)
-        self.assert_same(graph, groups)
+        self.assert_sequences_same(graph, texts)
