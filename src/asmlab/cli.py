@@ -43,7 +43,7 @@ from asmlab.formats import (
     read_reads,
     write_fasta,
 )
-from asmlab.sequence import MAX_K, DnaString, check_k, read_lengths
+from asmlab.sequence import DnaString, check_k, read_lengths
 from asmlab.superstring import diagnose_overcollapse, exact_scs, greedy_scs
 from asmlab.unitig import Contig, ContigSet, unitig_contigs
 
@@ -217,20 +217,18 @@ def _cmd_scs(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    if args.k < 2:
-        raise ValueError(f"-k must be >= 2, got {args.k}")
+    dbg.check_order(args.k)
     reads = read_reads(args.reads)
     if args.correct is not None:
         if args.correct < 1:
             raise ValueError("--correct MINMULT must be >= 1")
-        if args.k <= MAX_K:  # a larger k stays correct_reads' parameter error
-            lengths = read_lengths(reads)
-            short = np.flatnonzero(lengths < args.k)
-            if len(short):
-                number = int(short[0])
-                raise AssemblyError(f"{args.reads}: record {number + 1} has "
-                                    f"{lengths[number]} nt, shorter than k={args.k}; "
-                                    "read correction needs every read to hold a k-mer")
+        lengths = read_lengths(reads)
+        short = np.flatnonzero(lengths < args.k)
+        if len(short):
+            number = int(short[0])
+            raise AssemblyError(f"{args.reads}: record {number + 1} has "
+                                f"{lengths[number]} nt, shorter than k={args.k}; "
+                                "read correction needs every read to hold a k-mer")
         reads = simulate.correct_reads(reads, args.k, args.correct)
     contigs, graph = assemble_contigs(reads, args.k, args.method)
     write_contigs(contigs, args.out)
@@ -246,8 +244,7 @@ def _cmd_dbg(args) -> int:
     from asmlab.formats import read_edge_list, write_edge_list
 
     if args.dbg_command == "build":
-        if args.k < 2:
-            raise ValueError(f"-k must be >= 2, got {args.k}")
+        dbg.check_order(args.k)
         graph = dbg.build(read_reads(args.reads), args.k)
         write_edge_list(graph, args.out)
         print(f"wrote {graph.num_edges} edges / {len(graph.packed_vertices)} vertices "

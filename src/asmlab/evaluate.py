@@ -304,8 +304,7 @@ def assemble_contigs(reads: ReadSet, k: int, method: str) -> tuple[ContigSet, Op
         return unitig_contigs(graph), graph
     if method == "cpp-walk":
         graph = dbg.build(reads, k)
-        walks = (dbg.shortest_edge_covering_walk(graph.subgraph(component))
-                 for component in graph.weakly_connected_components())
+        walks = (dbg.shortest_edge_covering_walk(part) for part in graph.components())
         return ContigSet(k, tuple(Contig(f"w{i}", DnaString(dbg.spell(walk)), "cpp-walk")
                                   for i, walk in enumerate(walks))), graph
     if method in ("scs-greedy", "scs-exact"):

@@ -31,6 +31,7 @@ import heapq
 import logging
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from functools import cached_property
 from typing import Iterable, Optional, TextIO
 
@@ -52,7 +53,9 @@ from asmlab.sequence import (
     decode_kmer,
     decode_kmers,
     encode_kmers,
+    first_invalid,
     in_sorted,
+    invalid_positions,
     joined_codes,
     kmer_symbols,
     read_lengths,
@@ -68,7 +71,8 @@ _EMBED_MAX_K = 12          # largest order tried when labelling a bubble graph
 _NO_PATH = 1 << 30         # depth of an unreachable vertex: no duplication path
 
 
-def _check_order(k: int) -> None:
+def check_order(k: int) -> None:
+    """Raise ``ValueError`` unless ``k`` is an order a graph can have."""
     if k < 2:
         raise ValueError(f"de Bruijn graph order must be >= 2, got {k}")
     if k > MAX_K:
@@ -92,7 +96,7 @@ class DeBruijnGraph:
 
     def __init__(self, k: int, edge_kmers: Iterable[str],
                  isolated_vertices: Iterable[str] = ()):
-        _check_order(k)
+        check_order(k)
         edges = list(edge_kmers)
         for e in edges:
             if len(e) != k:
@@ -178,7 +182,7 @@ class DeBruijnGraph:
         return 0 if i is None else int(self.in_degrees[i])
 
     def _named(self, mask: np.ndarray) -> list[str]:
-        return [self.vertices[i] for i in np.flatnonzero(mask).tolist()]
+        return decode_kmers(self.packed_vertices[mask], self.k - 1)
 
     def sources(self) -> list[str]:
         """Vertices with no incoming edge (isolated vertices excluded)."""
@@ -190,19 +194,22 @@ class DeBruijnGraph:
     def isolated_vertices(self) -> list[str]:
         return self._named((self.in_degrees == 0) & (self.out_degrees == 0))
 
-    def weakly_connected_components(self) -> list[tuple[str, ...]]:
-        """Components over vertices that carry at least one edge, each
-        sorted, ordered by their smallest vertex."""
-        carrying = np.flatnonzero(self.out_degrees + self.in_degrees)
-        if not carrying.size:
+    def components(self) -> list["DeBruijnGraph"]:
+        """One subgraph per weakly connected component carrying an edge, by
+        smallest vertex: the packed edges split by their tails' labels."""
+        if not self.num_edges:
             return []
-        labels = connected_components(self.adjacency, connection="weak")[1][carrying]
-        order = np.argsort(labels, kind="stable")  # keeps each component ascending
-        members = carrying[order].tolist()
-        cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(members)]
-        names = self.vertices
-        # disjoint sorted tuples order by their first, smallest, vertex
-        return sorted(tuple([names[i] for i in members[a:b]]) for a, b in zip(cuts, cuts[1:]))
+        labels = connected_components(self.adjacency, connection="weak")[1]
+        smallest = np.unique(labels, return_index=True)[1]  # labels run 0, 1, ...
+        key = smallest[labels[self.edge_endpoints()[0]]]
+        order = np.argsort(key, kind="stable")  # keeps each component's edges ascending
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        return [DeBruijnGraph._from_packed(self.k, edges, edges[:0])  # no isolated vertex
+                for edges in np.split(self.packed_edges[order], cuts)]
+
+    def weakly_connected_components(self) -> list[tuple[str, ...]]:
+        """The vertices of each of :meth:`components`, sorted."""
+        return [part.vertices for part in self.components()]
 
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Tail and head vertex index of every edge, in edge order."""
@@ -246,7 +253,7 @@ def build(reads: ReadSet, k: int) -> DeBruijnGraph:
     A read set in which every read is too short is an
     :class:`AssemblyError`.
     """
-    _check_order(k)
+    check_order(k)
     reads.require_nonempty("de Bruijn graph construction")
     lengths = read_lengths(reads)
     if lengths.max() < k - 1:
@@ -263,7 +270,7 @@ def build(reads: ReadSet, k: int) -> DeBruijnGraph:
     # reads shorter than k add no k-mer to the spectrum
     graph = DeBruijnGraph._from_packed(k, spectrum_of_set(reads, k).keys,
                                        encode_kmers(list(isolated), k - 1))
-    lone = len(graph.isolated_vertices()) if isolated else 0
+    lone = np.count_nonzero((graph.in_degrees == 0) & (graph.out_degrees == 0))
     if lone:
         logger.info("graph has %d isolated vertex/vertices from (k-1)-length reads", lone)
     return graph
@@ -278,13 +285,23 @@ class Walk:
     edges: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        for e in self.edges:
-            if not self.graph.has_edge(e):
-                raise ValueError(f"edge {e!r} is not in the graph")
-        for a, b in zip(self.edges, self.edges[1:]):
-            if a[1:] != b[:-1]:
-                raise ValueError(f"edges {a!r} and {b!r} do not chain")
+        edges = tuple(self.edges)
+        object.__setattr__(self, "edges", edges)
+        k = self.graph.k
+        # an edge of another length, or holding a symbol outside ACGT, is not in the graph
+        lengths = read_lengths(edges)
+        present = lengths == k
+        bad = invalid_positions("".join(edges))
+        present[np.searchsorted(np.cumsum(lengths), bad, side="right")] = False
+        codes = np.zeros(len(edges), dtype=np.uint64)
+        codes[present] = encode_kmers(list(compress(edges, present)), k)
+        present[present] = in_sorted(self.graph.packed_edges, codes[present])
+        if not present.all():
+            raise ValueError(f"edge {edges[np.argmin(present)]!r} is not in the graph")
+        chained = (codes[:-1] & ((1 << (2 * (k - 1))) - 1)) == (codes[1:] >> 2)
+        if not chained.all():
+            i = int(np.argmin(chained))
+            raise ValueError(f"edges {edges[i]!r} and {edges[i + 1]!r} do not chain")
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -297,28 +314,32 @@ def spell(walk: Walk) -> str:
     return walk.edges[0] + "".join(e[-1] for e in walk.edges[1:])
 
 
-def walk_of(text: str, graph: DeBruijnGraph) -> Optional[Walk]:
-    """The unique walk spelling ``text``, or None if some k-mer of ``text``
-    is not an edge (see :func:`first_missing_kmer` for the witness)."""
+def _first_missing(text: str, graph: DeBruijnGraph) -> int:
+    """Start of the leftmost k-window of ``text`` that is not an edge, or
+    -1. A window holding a symbol outside ACGT never is one, so only the
+    windows before the first such symbol are looked up."""
     k = graph.k
     if len(text) < k:
         raise ValueError(f"text of length {len(text)} is shorter than k={k}")
-    edges = [text[i:i + k] for i in range(len(text) - k + 1)]
-    if any(not graph.has_edge(e) for e in edges):
+    stop = first_invalid(text)
+    windows = window_packs(joined_codes([text[:stop] if stop >= 0 else text]), k)
+    # past the last window looked up, the next holds the symbol outside ACGT
+    missing = np.flatnonzero(np.append(~in_sorted(graph.packed_edges, windows), stop >= 0))
+    return int(missing[0]) if missing.size else -1
+
+
+def walk_of(text: str, graph: DeBruijnGraph) -> Optional[Walk]:
+    """The unique walk spelling ``text``, or None if some k-mer of ``text``
+    is not an edge (see :func:`first_missing_kmer` for the witness)."""
+    if _first_missing(text, graph) >= 0:
         return None
-    return Walk(graph, tuple(edges))
+    return Walk(graph, tuple([text[i:i + graph.k] for i in range(len(text) - graph.k + 1)]))
 
 
 def first_missing_kmer(text: str, graph: DeBruijnGraph) -> Optional[tuple[str, int]]:
     """Leftmost k-mer of ``text`` absent from the graph, with its position."""
-    k = graph.k
-    if len(text) < k:
-        raise ValueError(f"text of length {len(text)} is shorter than k={k}")
-    for i in range(len(text) - k + 1):
-        piece = text[i:i + k]
-        if not graph.has_edge(piece):
-            return piece, i
-    return None
+    at = _first_missing(text, graph)
+    return None if at < 0 else (text[at:at + graph.k], at)
 
 
 def is_edge_covering(walk: Walk) -> bool:
@@ -354,16 +375,17 @@ def _euler_path(graph: DeBruijnGraph, start: int, dups: Iterable[tuple[int, int]
         else:
             post.append(stack.pop())
     if len(post) != copies + 1:
+        name = decode_kmer(int(graph.packed_vertices[start]), graph.k - 1)
         raise NoCoveringWalkError(
-            f"the Euler walk from {graph.vertices[start]!r} used {len(post) - 1} "
-            f"of {copies} edge copies"
+            f"the Euler walk from {name!r} used {len(post) - 1} of {copies} edge copies"
         )
     return post[::-1]
 
 
 def _vertex_path_to_walk(graph: DeBruijnGraph, path: list[int]) -> Walk:
-    names = graph.vertices
-    return Walk(graph, tuple(names[u] + names[w][-1] for u, w in zip(path, path[1:])))
+    vertices = graph.packed_vertices[path]
+    edges = (vertices[:-1] << 2) | (vertices[1:] & 3)
+    return Walk(graph, tuple(decode_kmers(edges, graph.k)))
 
 
 def _assign(cost: np.ndarray) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
@@ -422,28 +444,21 @@ def _dummy_row_costs(cost: np.ndarray, match: np.ndarray, total: int) -> np.ndar
     return total - cost[-1, target] - held + cost[-1] + to[owner]
 
 
-def _start_costs(paths: np.ndarray, surpluses: np.ndarray
-                 ) -> Optional[tuple[int, np.ndarray]]:
-    """The least open-walk duplication cost and, for each surplus unit, the
-    least cost of a walk that leaves it first, all from one assignment; None
-    when no walk exists."""
-    cost = _open_walk_matrix(paths, surpluses)
+def _forced_costs(cost: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
+    """The least total of a perfect matching on the square ``cost`` and, for
+    each column but the last, the least total of one that pairs the last
+    (dummy) row with it, all from one assignment; None when no matching
+    avoids every ``_NO_PATH`` pair.
+
+    On an open-walk matrix the columns are the surplus units, so these are
+    the costs of every forced start. On its transpose they are the deficit
+    units, whose pairing with the dummy end column forces the walk's end.
+    Forced costs are optimal values, so any optimal matching prices them."""
     solved = _assign(cost)
     if solved is None:
         return None
     best, _, match = solved
     return best, _dummy_row_costs(cost, match, best)[:-1]
-
-
-def _end_costs(paths: np.ndarray, surpluses: np.ndarray,
-               start: int) -> tuple[int, np.ndarray]:
-    """The least duplication cost of a walk from ``start`` and, for each
-    deficit unit, the least cost of one from ``start`` that ends there, all
-    from one assignment. Forcing an end pairs the dummy column with its row,
-    which is the dummy row's forcing on the transposed matrix."""
-    cost = _open_walk_matrix(paths, surpluses, start)
-    best, _, match = _assign(cost)
-    return best, _dummy_row_costs(cost.T, np.argsort(match), best)[:-1]
 
 
 def _tree_depths(trees: np.ndarray, roots: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -508,7 +523,7 @@ def _duplication_plan(graph: DeBruijnGraph):
     trees = np.stack([breadth_first_order(graph.adjacency, d, return_predecessors=True)[1]
                       for d in tails.tolist()])
     paths = _tree_depths(trees, tails, heads)[rows[:, None], cols]
-    priced = _start_costs(paths, surpluses)
+    priced = _forced_costs(_open_walk_matrix(paths, surpluses))
     if priced is None:
         raise NoCoveringWalkError(
             "the graph is connected but its imbalance pattern admits no "
@@ -524,9 +539,9 @@ def covering_walk_feasibility(graph: DeBruijnGraph) -> tuple[bool, str]:
     """Whether a single edge-covering walk exists, with a reason when not."""
     if graph.num_edges == 0:
         return False, "graph has no edges"
-    components = graph.weakly_connected_components()
-    if len(components) > 1:
-        return False, f"{len(components)} weakly-connected components"
+    components = len(graph.components())
+    if components > 1:
+        return False, f"{components} weakly-connected components"
     try:
         deficits = _duplication_plan(graph)[0]
     except NoCoveringWalkError as err:
@@ -548,9 +563,9 @@ def shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
     """
     if graph.num_edges == 0:
         raise ValueError("graph has no edges; nothing to cover")
-    components = graph.weakly_connected_components()
+    components = graph.components()
     if len(components) > 1:
-        raise DisconnectedGraphError([graph.subgraph(c) for c in components])
+        raise DisconnectedGraphError(components)
 
     deficits, surpluses, parents, paths, start = _duplication_plan(graph)
     if not deficits.size:
@@ -558,7 +573,7 @@ def shortest_edge_covering_walk(graph: DeBruijnGraph) -> Walk:
         start = int(np.flatnonzero(graph.out_degrees)[0])
         return _vertex_path_to_walk(graph, _euler_path(graph, start, [], {}))
 
-    best, costs = _end_costs(paths, surpluses, start)
+    best, costs = _forced_costs(_open_walk_matrix(paths, surpluses, start).T)
     # an end's solve pairs the units left once one unit of start and one
     # of end are taken: the matrix without that column and that row
     col = int(np.searchsorted(surpluses, start))
@@ -733,8 +748,8 @@ def make_bubble_graph_with_names(
     kmers = [labels[u] + labels[w][-1] for u, w in edges]
     graph = DeBruijnGraph(len(labels[vertices[0]]) + 1, kmers)
     assert graph.num_edges == len(edges), "bubble construction collided k-mers"
-    assert len(graph.vertices) == len(vertices), "bubble construction merged vertices"
-    assert len(graph.weakly_connected_components()) == 1
+    assert len(graph.packed_vertices) == len(vertices), "bubble construction merged vertices"
+    assert len(graph.components()) == 1
     return graph, labels
 
 

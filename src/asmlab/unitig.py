@@ -13,7 +13,7 @@ matched the whole candidate is precisely a witness walk avoiding it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -32,20 +32,15 @@ class UnitigPartition:
     """The unique partition of a graph's vertices into maximal unitigs,
     ordered by spelled string; ``spellings[i]`` is what ``unitigs[i]``
     spells. ``unitigs`` names the vertices of each unitig, built on first
-    use from ``paths``: the vertex indices of every unitig laid end to end,
-    unitig ``i`` at ``paths[cuts[i]:cuts[i + 1]]``."""
+    use: they are the (k-1)-windows of its spelling."""
 
     graph: DeBruijnGraph
     spellings: tuple[str, ...]
-    paths: np.ndarray = field(compare=False, repr=False)
-    cuts: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
     def unitigs(self) -> tuple[tuple[str, ...], ...]:
-        names = self.graph.vertices
-        path = self.paths.tolist()
-        cuts = self.cuts.tolist()
-        return tuple(tuple([names[v] for v in path[a:b]]) for a, b in zip(cuts, cuts[1:]))
+        w = self.graph.k - 1
+        return tuple(tuple([s[i:i + w] for i in range(len(s) - w + 1)]) for s in self.spellings)
 
 
 def _preorder(link: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -111,14 +106,7 @@ def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
     firsts = decode_kmers(graph.packed_vertices[paths[cuts[:-1]]], graph.k - 1)
     bounds = cuts.tolist()
     spelled = [first + last[a + 1:b] for first, a, b in zip(firsts, bounds, bounds[1:])]
-    order = sorted(range(len(spelled)), key=spelled.__getitem__)
-    # lay the unitigs out in spelled order: position p of unitig i comes
-    # from position p - sorted_cuts[i] + cuts[order[i]] of the search
-    lengths = np.diff(cuts)[order]
-    sorted_cuts = np.concatenate(([0], np.cumsum(lengths)))
-    shift = np.repeat(cuts[:-1][order] - sorted_cuts[:-1], lengths)
-    return UnitigPartition(graph, tuple(spelled[i] for i in order),
-                           paths[shift + np.arange(n)], sorted_cuts)
+    return UnitigPartition(graph, tuple(sorted(spelled)))
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,19 @@ class TestAssemble:
                      "--method", "unitig", "--out", str(tmp_path / "x.fasta")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["assemble", "--method", "cpp-walk"], ["dbg", "build"]],
+                             ids=["assemble", "dbg-build"])
+    @pytest.mark.parametrize("k,message", [
+        ("1", "order must be >= 2, got 1"),
+        ("32", "order must be at most 31, got 32"),
+    ], ids=["k-one", "k-above-31"])
+    def test_k_is_checked_before_the_reads_are_read(self, tmp_path, capsys, command, k,
+                                                    message):
+        missing = tmp_path / "missing.fasta"
+        assert main([*command, "--reads", str(missing), "-k", k,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_cpp_walk_per_component(self, tmp_path):
         reads = tmp_path / "reads.fasta"
         write_fasta([FastaRecord("a", DnaString("ACGA")),
@@ -212,6 +225,14 @@ class TestDbg:
         assert main(["dbg", "walk", "--graph", str(edge_list),
                      "--text", "AATTCCAGCTGATAGT"]) == 1
         assert "ATA" in capsys.readouterr().out
+
+    def test_walk_reports_a_window_holding_n_as_missing(self, tmp_path, capsys):
+        reads, edges = tmp_path / "reads.fasta", tmp_path / "graph.edges"
+        write_fasta([FastaRecord("a", DnaString("ACGT"))], reads)
+        assert main(["dbg", "build", "--reads", str(reads), "-k", "3",
+                     "--out", str(edges)]) == 0
+        assert main(["dbg", "walk", "--graph", str(edges), "--text", "ACGNA"]) == 1
+        assert "k-mer CGN at position 1 is not an edge" in capsys.readouterr().out
 
     def test_walk_shortest_solves_covering_walk(self, edge_list, tmp_path, capsys):
         out = tmp_path / "walk.fasta"

@@ -127,6 +127,65 @@ class TestSpellAndWalkOf:
         with pytest.raises(ValueError, match="chain"):
             dbg.Walk(fig_graph, ("AAT", "TTC"))
 
+    @pytest.mark.parametrize("edge", ["AAA", "AT", "AATT", "ANT", "ATN", ""])
+    def test_edge_outside_the_graph_rejected(self, fig_graph, edge):
+        with pytest.raises(ValueError, match=f"^edge '{edge}' is not in the graph$"):
+            dbg.Walk(fig_graph, ("AAT", edge, "ATT"))
+
+    def test_missing_edge_reported_before_a_broken_chain(self, fig_graph):
+        # every edge is looked up before any pair is chained
+        with pytest.raises(ValueError, match="^edge 'AAA' is not in the graph$"):
+            dbg.Walk(fig_graph, ("AAT", "TTC", "AAA", "GGG"))
+        with pytest.raises(ValueError, match="^edges 'ATT' and 'CCA' do not chain$"):
+            dbg.Walk(fig_graph, ("AAT", "ATT", "CCA", "TTC"))
+
+    def test_empty_walk_accepted(self, fig_graph):
+        assert len(dbg.Walk(fig_graph, ())) == 0
+
+    @pytest.mark.parametrize("text,witness", [
+        ("AATNCC", ("ATN", 1)),
+        ("NATTCC", ("NAT", 0)),
+        ("AATTCN", ("TCN", 3)),
+        ("AATAAN", ("ATA", 1)),  # a missing k-mer before the N comes first
+    ])
+    def test_text_holding_n_has_no_walk(self, fig_graph, text, witness):
+        assert dbg.walk_of(text, fig_graph) is None
+        assert dbg.first_missing_kmer(text, fig_graph) == witness
+
+    def test_packed_checks_match_has_edge_lookups(self):
+        """``Walk`` and the window test against one ``has_edge`` lookup per
+        edge and per window, the checks they replaced."""
+        rng = random.Random(7)
+        for _ in range(400):
+            k = rng.randint(2, 6)
+            genome = "".join(rng.choice("ACGT") for _ in range(rng.randint(k, 40)))
+            g = dbg.build(ReadSet.of(genome), k)
+            noise = [rng.choice(g.edge_kmers) for _ in range(4)] + [
+                "".join(rng.choice("ACGT") for _ in range(k)), "A" * (k - 1),
+                "A" * (k + 1), "N" + genome[1:k], genome[:k - 1] + "é"]
+            edges = tuple(rng.choice(noise) for _ in range(rng.randint(0, 5)))
+            missing = [e for e in edges if not g.has_edge(e)]
+            broken = [(a, b) for a, b in zip(edges, edges[1:]) if a[1:] != b[:-1]]
+            if missing:
+                expected = f"edge {missing[0]!r} is not in the graph"
+            elif broken:
+                expected = "edges {!r} and {!r} do not chain".format(*broken[0])
+            else:
+                expected = None
+            try:
+                dbg.Walk(g, edges)
+                message = None
+            except ValueError as err:
+                message = str(err)
+            assert message == expected
+            text = list(genome)
+            text[rng.randrange(len(text))] = rng.choice("ACGTN")
+            text = "".join(text)
+            windows = [(text[i:i + k], i) for i in range(len(text) - k + 1)]
+            first = next((w for w in windows if not g.has_edge(w[0])), None)
+            assert dbg.first_missing_kmer(text, g) == first
+            assert (dbg.walk_of(text, g) is None) == (first is not None)
+
     @PROPERTY
     @given(genomes)
     def test_walk_of_inverts_spell(self, text):
@@ -344,7 +403,7 @@ class TestForcedCostsMatchSweep:
 
     def assert_priced(self, paths, deficits, surpluses, every_start=True):
         starts = sweep_start_costs(paths, surpluses)
-        priced = dbg._start_costs(paths, surpluses)
+        priced = dbg._forced_costs(dbg._open_walk_matrix(paths, surpluses))
         if priced is None:
             assert set(starts.values()) == {None}
             return None
@@ -359,7 +418,8 @@ class TestForcedCostsMatchSweep:
             if cost is None:  # no walk leaves an infeasible start
                 assert set(ends.values()) == {None}
                 continue
-            total, end_costs = dbg._end_costs(paths, surpluses, start)
+            total, end_costs = dbg._forced_costs(
+                dbg._open_walk_matrix(paths, surpluses, start).T)
             assert total == cost
             assert _per_vertex(deficits, end_costs) == ends
         return optimal

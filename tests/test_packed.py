@@ -10,6 +10,7 @@ import pytest
 from asmlab import graph as dbg
 from asmlab import sequence
 from asmlab.errors import AssemblyError
+from asmlab.evaluate import assemble_contigs
 from asmlab.sequence import DnaString, ReadSet, spectrum_of_set
 from asmlab.simulate import SimulationProfile, idealized_reads, random_genome, uniform_reads
 from asmlab.unitig import maximal_unitigs
@@ -104,12 +105,29 @@ def test_packed_layer_matches_string_layer_on_seeded_read_sets():
         assert dbg.DeBruijnGraph(k, ref.edge_kmers, ref.isolated_vertices()) == graph
         components = graph.weakly_connected_components()
         assert components == ref.weakly_connected_components()
+        assert graph.components() == [graph.subgraph(c) for c in components]
         for comp in components:
             sub, ref_sub = graph.subgraph(comp), ref.subgraph(comp)
             assert (sub.edge_kmers, sub.vertices) == (ref_sub.edge_kmers, ref_sub.vertices)
         cycles_only += bool(ref.vertices) and not (ref.sources() or ref.sinks()
                                                    or ref.isolated_vertices())
     assert cycles_only >= 100 and rejected >= 1
+
+
+@pytest.mark.parametrize("method,contigs", [
+    ("unitig", ["AA", "ACGTT", "TGGCA"]),
+    ("cpp-walk", ["ACGTT", "TGGCA"]),
+])
+def test_assembly_never_decodes_vertex_names(monkeypatch, method, contigs):
+    def decoded(graph):
+        raise AssertionError("vertex names decoded")
+
+    monkeypatch.setattr(dbg.DeBruijnGraph, "vertices", property(decoded))
+    # two components and a (k-1)-length read, an isolated vertex
+    reads = ReadSet.of("ACGTT", "TGGCA", "AA")
+    assembled, graph = assemble_contigs(reads, 3, method)
+    assert [str(c.sequence) for c in assembled] == contigs
+    assert len(graph.components()) == 2
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64])
