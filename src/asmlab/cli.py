@@ -43,7 +43,7 @@ from asmlab.formats import (
     read_reads,
     write_fasta,
 )
-from asmlab.sequence import DnaString, check_k, read_lengths
+from asmlab.sequence import DnaString, check_k
 from asmlab.superstring import diagnose_overcollapse, exact_scs, greedy_scs
 from asmlab.unitig import Contig, ContigSet, unitig_contigs
 
@@ -222,7 +222,7 @@ def _cmd_assemble(args) -> int:
     if args.correct is not None:
         if args.correct < 1:
             raise ValueError("--correct MINMULT must be >= 1")
-        lengths = read_lengths(reads)
+        lengths = reads.lengths
         short = np.flatnonzero(lengths < args.k)
         if len(short):
             number = int(short[0])

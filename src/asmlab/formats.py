@@ -20,9 +20,8 @@ from asmlab.sequence import (
     MAX_K,
     DnaString,
     ReadSet,
-    dna_slices,
     first_invalid,
-    invalid_positions,
+    symbol_codes,
 )
 from asmlab.simulate import allowed_starts, check_gaps
 
@@ -107,13 +106,13 @@ def _symbol_error(pieces: list[str], lines: Iterable[int], where: str) -> FastaP
         f"invalid symbol {piece[pos]!r} in {where} (alphabet is {ALPHABET})", line=line_no)
 
 
-def _parse_fasta(text: str) -> tuple[list[str], np.ndarray, list[DnaString]]:
+def _parse_fasta(text: str) -> tuple[list[str], np.ndarray, ReadSet]:
     """The stripped lines of a FASTA text, the line index of each record's
     header, and the records' sequences.
 
     The lines are split and stripped once, and the sequence lines are
-    joined and searched for bad symbols once (uppercased and searched again
-    only if some are found), so the work per record is one slice. The
+    joined and encoded once (uppercased and encoded again only if a symbol
+    is outside the alphabet), so no string is made per record. The
     checks of each record run in this order: an empty header, a symbol
     outside the alphabet, an empty sequence. The first record in file order
     that fails one is reported, after data before the first header.
@@ -128,20 +127,21 @@ def _parse_fasta(text: str) -> tuple[list[str], np.ndarray, list[DnaString]]:
         raise FastaParseError("sequence data before any '>' header",
                               line=int(np.flatnonzero(preamble)[0]) + 1)
     if not len(heads):
-        return lines, heads, []
+        return lines, heads, ReadSet(())
     is_body = ~is_head  # the lines before the first header are empty
     body = list(itertools.compress(lines, is_body.tolist()))
     sequence = "".join(body)
     sizes = lengths[is_body]
-    invalid = invalid_positions(sequence)
-    if len(invalid):  # only a symbol outside A/C/G/T changes when uppercased
+    codes = symbol_codes(sequence)
+    if codes.max(initial=0) == 255:  # only a symbol outside A/C/G/T changes when uppercased
         sequence = sequence.upper()
         if len(sequence) != sizes.sum():
             # a symbol grew when uppercased ('\u00df' -> 'SS'; none shrinks),
             # so the extents come from the uppercased lines
             sizes = np.fromiter(map(len, map(str.upper, body)), dtype=np.intp,
                                 count=len(body))
-        invalid = invalid_positions(sequence)
+        codes = symbol_codes(sequence)
+    invalid = np.flatnonzero(codes == 255)
     # record r holds body lines [r_lines[r], r_lines[r + 1]), and its
     # symbols are sequence[bounds[r]:bounds[r + 1]]
     r_lines = np.append(heads, len(lines)) - np.arange(len(heads) + 1)
@@ -153,7 +153,7 @@ def _parse_fasta(text: str) -> tuple[list[str], np.ndarray, list[DnaString]]:
     if failing.any():
         r = int(np.argmax(failing))
         raise _record_error(lines, heads, r, bool(bad[r]))
-    return lines, heads, dna_slices(sequence, starts.tolist(), ends.tolist())
+    return lines, heads, ReadSet.from_codes(codes, ends - starts)
 
 
 def _record_error(lines: list[str], heads: np.ndarray, r: int, bad: bool) -> FastaParseError:
@@ -183,11 +183,12 @@ def _parse_fastq(text: str) -> list[FastaRecord]:
             raise FastaParseError("expected '@' FASTQ header", line=i + 1)
         if i + 3 >= len(lines):
             raise FastaParseError("truncated FASTQ record", line=i + 1)
-        head = lines[i][1:].strip()
-        parts = head.split(None, 1)
+        parts = lines[i][1:].strip().split(None, 1)
         seq = lines[i + 1].strip().upper()
         if not lines[i + 2].startswith("+"):
             raise FastaParseError("expected '+' FASTQ separator", line=i + 3)
+        if not parts:
+            raise FastaParseError("empty FASTQ header", line=i + 1)
         if not seq:
             raise FastaParseError(f"record {parts[0]!r} has an empty sequence", line=i + 2)
         try:
@@ -237,14 +238,12 @@ def read_reads(source: Source) -> ReadSet:
     """Load a FASTA/FASTQ file as a ReadSet (order preserved); a file that
     yields no reads is a :class:`FastaParseError`."""
     text = _read_text(source)
-    if _is_fastq(text):
-        reads = [r.sequence for r in _parse_fastq(text)]
-    else:
-        reads = _parse_fasta(text)[2]
-    if not reads:
+    reads = ReadSet([r.sequence for r in _parse_fastq(text)]) if _is_fastq(text) else \
+        _parse_fasta(text)[2]
+    if not len(reads):
         name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
         raise FastaParseError(f"no reads in {name}", line=1)
-    return ReadSet(tuple(reads))
+    return reads
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,12 @@ from asmlab.sequence import (
     encode_kmers,
     first_invalid,
     in_sorted,
-    invalid_positions,
     joined_codes,
     kmer_symbols,
     read_lengths,
     sorted_distinct,
     spectrum_of_set,
+    symbol_codes,
     window_packs,
 )
 
@@ -196,10 +196,13 @@ class DeBruijnGraph:
 
     def components(self) -> list["DeBruijnGraph"]:
         """One subgraph per weakly connected component carrying an edge, by
-        smallest vertex: the packed edges split by their tails' labels."""
+        smallest vertex: the packed edges split by their tails' labels. A
+        graph that is one component, with no isolated vertex, is its own."""
         if not self.num_edges:
             return []
-        labels = connected_components(self.adjacency, connection="weak")[1]
+        count, labels = connected_components(self.adjacency, connection="weak")
+        if count == 1:
+            return [self]
         smallest = np.unique(labels, return_index=True)[1]  # labels run 0, 1, ...
         key = smallest[labels[self.edge_endpoints()[0]]]
         order = np.argsort(key, kind="stable")  # keeps each component's edges ascending
@@ -255,21 +258,21 @@ def build(reads: ReadSet, k: int) -> DeBruijnGraph:
     """
     check_order(k)
     reads.require_nonempty("de Bruijn graph construction")
-    lengths = read_lengths(reads)
+    lengths = reads.lengths
     if lengths.max() < k - 1:
         raise AssemblyError(
             f"nothing to assemble: every read is shorter than k-1={k - 1} "
             f"(the longest has {lengths.max()} nt)"
         )
-    isolated = {reads[i] for i in np.flatnonzero(lengths == k - 1).tolist()}
-    too_short = [str(reads[i]) for i in np.flatnonzero(lengths < k - 1).tolist()]
+    too_short = np.flatnonzero(lengths < k - 1).tolist()
     if too_short:
-        shown = ", ".join(too_short[:5]) + ("..." if len(too_short) > 5 else "")
+        shown = ", ".join(reads[i] for i in too_short[:5]) + ("..." if len(too_short) > 5 else "")
         logger.warning("skipping %d read(s) shorter than k-1=%d: %s",
                        len(too_short), k - 1, shown)
-    # reads shorter than k add no k-mer to the spectrum
-    graph = DeBruijnGraph._from_packed(k, spectrum_of_set(reads, k).keys,
-                                       encode_kmers(list(isolated), k - 1))
+    # a read of k-1 symbols is a vertex; reads shorter than k add no k-mer
+    starts = reads.offsets[:-1][lengths == k - 1]
+    isolated = window_packs(reads.codes[starts[:, None] + np.arange(k - 1)], k - 1)
+    graph = DeBruijnGraph._from_packed(k, spectrum_of_set(reads, k).keys, isolated.ravel())
     lone = np.count_nonzero((graph.in_degrees == 0) & (graph.out_degrees == 0))
     if lone:
         logger.info("graph has %d isolated vertex/vertices from (k-1)-length reads", lone)
@@ -291,7 +294,7 @@ class Walk:
         # an edge of another length, or holding a symbol outside ACGT, is not in the graph
         lengths = read_lengths(edges)
         present = lengths == k
-        bad = invalid_positions("".join(edges))
+        bad = np.flatnonzero(symbol_codes("".join(edges)) == 255)
         present[np.searchsorted(np.cumsum(lengths), bad, side="right")] = False
         codes = np.zeros(len(edges), dtype=np.uint64)
         codes[present] = encode_kmers(list(compress(edges, present)), k)

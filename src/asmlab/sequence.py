@@ -7,7 +7,6 @@ a k-mer and its reverse complement are distinct objects throughout.
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,16 +38,10 @@ def first_invalid(text: str) -> int:
     return _raw_codes(text).find(255)
 
 
-def invalid_positions(text: str) -> np.ndarray:
-    """Positions of every symbol of ``text`` outside A/C/G/T, ascending, in
-    one pass over the text, taken in batches so that the codes never take
-    more than a batch's worth of memory."""
-    found = [np.zeros(0, dtype=np.intp)]
-    for at in range(0, len(text), _COUNT_BATCH):
-        codes = _raw_codes(text[at:at + _COUNT_BATCH])
-        if codes.find(255) >= 0:
-            found.append(at + np.flatnonzero(np.frombuffer(codes, dtype=np.uint8) == 255))
-    return np.concatenate(found)
+def symbol_codes(text: str) -> np.ndarray:
+    """The code of every symbol of ``text`` as a ``uint8`` array, 255 for a
+    symbol outside A/C/G/T."""
+    return np.frombuffer(_raw_codes(text), dtype=np.uint8)
 
 
 def _invalid_symbol(text: str, pos: int) -> ValueError:
@@ -95,56 +88,66 @@ class DnaString(str):
         return f"DnaString({str.__repr__(self)})"
 
 
-def dna_slices(text: str, starts: Sequence[int], ends: Sequence[int]) -> list[DnaString]:
-    """``text[s:e]`` for each pair of ``starts`` and ``ends``, as DnaStrings
-    made without a second scan: the caller has checked with
-    :func:`invalid_positions` that no such slice holds a symbol outside
-    the alphabet."""
-    make = str.__new__
-    # DnaStrings are tracked by the cycle collector, whose full collections
-    # would rescan every one made so far, many times over a million reads;
-    # none can be part of a cycle, so collection waits until all are made
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return [make(DnaString, text[s:e]) for s, e in zip(starts, ends)]
-    finally:
-        if collecting:
-            gc.enable()
-
-
-@dataclass(frozen=True)
 class ReadSet:
-    """An ordered collection of reads."""
+    """An ordered collection of reads, held once: ``codes`` lays the 2-bit
+    codes (``uint8``) of every read end to end, and read i is
+    ``codes[offsets[i]:offsets[i + 1]]`` (n + 1 ``int64`` offsets from 0).
+    Both arrays are read-only. Reads are handed out as :class:`DnaString`."""
 
-    reads: tuple[DnaString, ...]
-
-    def __post_init__(self):
-        # reads that are DnaStrings already are kept as they are: wrapping
-        # each again would cost a call per read
-        if type(self.reads) is not tuple or not set(map(type, self.reads)) <= {DnaString}:
-            object.__setattr__(self, "reads", tuple(DnaString(r) for r in self.reads))
+    def __init__(self, reads: Iterable[str]):
+        reads = list(reads)
+        self._hold(joined_codes(reads), read_lengths(reads))
 
     @classmethod
     def of(cls, *reads: str) -> "ReadSet":
-        return cls(tuple(DnaString(r) for r in reads))
+        return cls(reads)
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, lengths: np.ndarray) -> "ReadSet":
+        """Reads of ``lengths`` symbols laid end to end in ``codes``, all 0-3."""
+        reads = cls.__new__(cls)
+        reads._hold(codes, lengths)
+        return reads
+
+    def _hold(self, codes: np.ndarray, lengths: np.ndarray) -> None:
+        self.codes = np.asarray(codes, dtype=np.uint8).view()
+        self.offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        self.codes.flags.writeable = self.offsets.flags.writeable = False
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The length of every read, as one ``int64`` array."""
+        return np.diff(self.offsets)
 
     def __len__(self) -> int:
-        return len(self.reads)
+        return len(self.offsets) - 1
 
     def __iter__(self) -> Iterator[DnaString]:
-        return iter(self.reads)
+        text = from_codes(self.codes)
+        bounds = self.offsets.tolist()
+        # the codes were checked when the set was made
+        return (str.__new__(DnaString, text[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def __getitem__(self, i: int) -> DnaString:
-        return self.reads[i]
+        i = range(len(self))[i]  # IndexError out of range; negative counts from the end
+        return str.__new__(DnaString, from_codes(self.codes[self.offsets[i]:self.offsets[i + 1]]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReadSet):
+            return NotImplemented
+        return (np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.codes, other.codes))
+
+    def __repr__(self) -> str:
+        return f"ReadSet({tuple(self)!r})"
 
     def require_nonempty(self, operation: str) -> None:
-        if not self.reads:
+        if not len(self):
             raise ValueError(f"{operation} requires a nonempty read set")
 
 
 def read_lengths(reads: Sequence[str]) -> np.ndarray:
-    """The length of every read, as one ``int64`` array."""
+    """The length of every string, as one ``int64`` array."""
     return np.fromiter(map(len, reads), dtype=np.int64, count=len(reads))
 
 
@@ -320,17 +323,15 @@ def sorted_distinct(packed: np.ndarray) -> np.ndarray:
     return values[_run_starts(values)]
 
 
-def _count_batch(reads: Sequence[str], lengths: np.ndarray,
+def _count_batch(codes: np.ndarray, lengths: np.ndarray,
                  k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct packed k-mers of ``reads`` (sorted) and their counts;
-    ``lengths`` holds the reads' lengths.
+    """Distinct packed k-mers (sorted) and their counts of the reads laid
+    end to end in ``codes``, whose lengths are ``lengths``.
 
-    Every window of the reads laid end to end is packed at once. A window
-    that crosses from one read into the next is overwritten with a value
-    above every k-mer, so after an in-place sort the real k-mers form a
-    prefix.
+    Every window is packed at once. A window that crosses from one read
+    into the next is overwritten with a value above every k-mer, so after
+    an in-place sort the real k-mers form a prefix.
     """
-    codes = joined_codes(reads)
     windows = len(codes) - k + 1
     if windows <= 0:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
@@ -340,10 +341,10 @@ def _count_batch(reads: Sequence[str], lengths: np.ndarray,
     ends = np.cumsum(lengths)
     starts = ends - lengths
     crossing = np.maximum(ends - (k - 1), starts)
-    runs = np.empty(2 * len(reads), dtype=np.int64)
+    runs = np.empty(2 * len(lengths), dtype=np.int64)
     runs[0::2] = crossing - starts
     runs[1::2] = ends - crossing
-    inside = np.repeat(np.tile([True, False], len(reads)), runs)[:windows]
+    inside = np.repeat(np.tile([True, False], len(lengths)), runs)[:windows]
     packed[~inside] = np.iinfo(np.uint64).max
     packed.sort()
     values = packed[:np.count_nonzero(inside)]
@@ -385,7 +386,7 @@ def _merge(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.nd
     return keys[first], np.add.reduceat(counts, first)
 
 
-def _count(reads: Iterable[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+def _count(reads: ReadSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct packed k-mers (sorted ``uint64``) and their occurrence counts
     (``int64``).
 
@@ -398,12 +399,12 @@ def _count(reads: Iterable[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     memory holds about twice the distinct k-mers plus one batch.
     """
     check_k(k)
-    reads = reads.reads if isinstance(reads, ReadSet) else tuple(reads)
-    lengths = read_lengths(reads)
+    lengths, offsets = reads.lengths, reads.offsets
     runs = []  # the spectrum so far, then the runs waiting to be merged into it
     waiting = 0
     for start, stop in symbol_batches(lengths):
-        runs.append(_count_batch(reads[start:stop], lengths[start:stop], k))
+        codes = reads.codes[offsets[start]:offsets[stop]]
+        runs.append(_count_batch(codes, lengths[start:stop], k))
         if len(runs) > 1:
             waiting += len(runs[-1][0])
             if waiting >= len(runs[0][0]):
@@ -501,13 +502,13 @@ def spectrum(s: str, k: int) -> KmerSpectrum:
     Empty when ``len(s) < k``. Multiplicity of each member is its number of
     (possibly overlapping) occurrence positions in ``s``.
     """
-    return KmerSpectrum(k, *_count((s,), k))
+    return KmerSpectrum(k, *_count(ReadSet((s,)), k))
 
 
 def spectrum_of_set(reads: ReadSet | Iterable[str], k: int) -> KmerSpectrum:
     """Union of the per-read spectra; multiplicities sum across reads.
     Reads of any length are welcome; those shorter than k add nothing."""
-    return KmerSpectrum(k, *_count(reads, k))
+    return KmerSpectrum(k, *_count(reads if isinstance(reads, ReadSet) else ReadSet(reads), k))
 
 
 def is_common_superstring(g: str, reads: ReadSet | Iterable[str]) -> bool:

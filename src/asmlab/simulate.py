@@ -22,7 +22,6 @@ from asmlab.sequence import (
     KmerSpectrum,
     ReadSet,
     from_codes,
-    read_lengths,
     spectrum_of_set,
     to_codes,
     window_packs,
@@ -124,11 +123,9 @@ def idealized_reads(genome: str, read_length: int) -> ReadSet:
         raise ValueError(
             f"genome length {len(genome)} is shorter than read length {read_length}"
         )
-    reads = tuple(
-        DnaString(genome[i:i + read_length])
-        for i in range(len(genome) - read_length + 1)
-    )
-    return ReadSet(reads)
+    codes = np.frombuffer(to_codes(genome), dtype=np.uint8)
+    windows = np.lib.stride_tricks.sliding_window_view(codes, read_length)
+    return ReadSet.from_codes(windows.ravel(), np.full(len(windows), read_length))
 
 
 def allowed_starts(genome_length: int, read_length: int,
@@ -161,15 +158,12 @@ def uniform_reads(genome: str, profile: SimulationProfile) -> ReadSet:
         raise ValueError("no read window avoids the configured gap intervals")
     rng = np.random.default_rng(profile.seed)
     starts = starts_pool[rng.integers(0, starts_pool.size, size=profile.num_reads)]
-    codes = np.frombuffer(to_codes(genome), dtype=np.uint8)
-    windows = codes[starts[:, None] + np.arange(ell)[None, :]] if profile.num_reads else \
-        np.empty((0, ell), dtype=np.uint8)
+    windows = np.frombuffer(to_codes(genome), dtype=np.uint8)[starts[:, None] + np.arange(ell)]
     if profile.error_rate > 0.0 and profile.num_reads:
         hit = rng.random(windows.shape) < profile.error_rate
         shift = rng.integers(1, 4, size=windows.shape, dtype=np.uint8)
         windows = np.where(hit, (windows + shift) % 4, windows)
-    reads = tuple(DnaString(from_codes(row)) for row in windows)
-    return ReadSet(reads)
+    return ReadSet.from_codes(windows.ravel(), np.full(len(windows), ell))
 
 
 def unspanned_probability(
@@ -248,27 +242,29 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
     if min_multiplicity < 1:
         raise ValueError(f"min_multiplicity must be >= 1, got {min_multiplicity}")
-    lengths = read_lengths(reads)
+    lengths = reads.lengths
     short = np.flatnonzero(lengths < k)
     if len(short):
         raise ValueError(f"read {short[0]} is shorter than k={k}")
     spectrum = spectrum_of_set(reads, k)
+    codes = reads.codes.copy()  # the corrected reads, written back batch by batch
     keep = np.ones(len(reads), dtype=bool)
-    fixed: dict[int, DnaString] = {}
+    fixed = 0
     for batch in _length_batches(lengths):
         ends = lengths[batch]
-        codes = np.zeros((len(batch), ends[-1]), dtype=np.uint8)
-        codes[np.arange(ends[-1]) < ends[:, None]] = np.frombuffer(
-            to_codes("".join(reads[i] for i in batch)), dtype=np.uint8)
-        kept, changed = _correct_batch(codes, ends, k, min_multiplicity, spectrum)
+        inside = np.arange(ends[-1]) < ends[:, None]
+        at = (reads.offsets[batch][:, None] + np.arange(ends[-1]))[inside]  # store positions
+        matrix = np.zeros(inside.shape, dtype=np.uint8)
+        matrix[inside] = reads.codes[at]
+        kept, changed = _correct_batch(matrix, ends, k, min_multiplicity, spectrum)
         keep[batch] = kept
-        for row in np.flatnonzero(kept & changed):
-            fixed[int(batch[row])] = DnaString(from_codes(codes[row, :ends[row]]))
-    out = tuple(fixed.get(i, r) for i, r in enumerate(reads) if keep[i])
+        fixed += np.count_nonzero(kept & changed)
+        codes[at] = matrix[inside]
+    out = ReadSet.from_codes(codes[np.repeat(keep, lengths)], lengths[keep])
     logger.info("read correction (k=%d, min multiplicity %d): %d read(s) in, "
-                "%d changed, %d dropped", k, min_multiplicity, len(reads), len(fixed),
+                "%d changed, %d dropped", k, min_multiplicity, len(reads), fixed,
                 len(reads) - len(out))
-    return ReadSet(out)
+    return out
 
 
 def _length_batches(lengths: np.ndarray):

@@ -319,6 +319,14 @@ class TestBadInput:
         assert main(["dbg", "walk", "--graph", str(graph), "--shortest"]) == 1
         assert line in capsys.readouterr().err
 
+    def test_empty_fastq_header_is_data_error(self, tmp_path, capsys):
+        reads = tmp_path / "reads.fq"
+        reads.write_text("@\nACGT\n+\nIIII\n")
+        assert main(["assemble", "--reads", str(reads), "-k", "3", "--method", "unitig",
+                     "--out", str(tmp_path / "c.fasta")]) == 1
+        err = capsys.readouterr().err
+        assert "line 1: empty FASTQ header" in err and "Traceback" not in err
+
     def test_reads_shorter_than_k_minus_one_are_data_error(self, tmp_path, capsys):
         reads = tmp_path / "reads.fasta"
         reads.write_text(">r1\nAC\n>r2\nACG\n")

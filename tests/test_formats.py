@@ -68,6 +68,15 @@ class TestReadFasta:
         with pytest.raises(FastaParseError, match="line 4: record 'r1' has 2 quality"):
             read_fasta(io.StringIO("@r1\nACGT\n+\nII\n"))
 
+    @pytest.mark.parametrize("text", [
+        "@\nACGT\n+\nIIII\n",
+        "@r1\nAC\n+\nII\n@  \t\nGT\n+\nII\n",
+    ])
+    def test_fastq_empty_header_names_line(self, text):
+        line = text.count("\n", 0, text.rindex("@")) + 1
+        with pytest.raises(FastaParseError, match=f"^line {line}: empty FASTQ header$"):
+            read_fasta(io.StringIO(text))
+
     def test_read_reads_without_records_names_file(self, tmp_path):
         path = tmp_path / "empty.fasta"
         path.write_text("")

@@ -93,6 +93,12 @@ class TestBuild:
         g = dbg.build(ReadSet.of("ACGT", "TT"), 3)
         assert g.isolated_vertices() == ["TT"]
 
+    def test_a_connected_graph_is_its_own_component(self, fig_graph):
+        assert fig_graph.components()[0] is fig_graph
+        with_isolated = dbg.DeBruijnGraph(3, fig_graph.edge_kmers, ["CG"])
+        (part,) = with_isolated.components()
+        assert part is not with_isolated and part == fig_graph
+
 
 class TestSpellAndWalkOf:
     def test_single_edge(self):

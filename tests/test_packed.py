@@ -1,6 +1,7 @@
 """Differential tests: the packed k-mer layer (counting, graph, unitigs)
 against the frozen string-keyed implementations in ``helpers``."""
 
+import gzip
 import random
 import tracemalloc
 
@@ -11,9 +12,16 @@ from asmlab import graph as dbg
 from asmlab import sequence
 from asmlab.errors import AssemblyError
 from asmlab.evaluate import assemble_contigs
+from asmlab.formats import FastaRecord, read_reads, write_fasta
 from asmlab.sequence import DnaString, ReadSet, spectrum_of_set
-from asmlab.simulate import SimulationProfile, idealized_reads, random_genome, uniform_reads
-from asmlab.unitig import maximal_unitigs
+from asmlab.simulate import (
+    SimulationProfile,
+    correct_reads,
+    idealized_reads,
+    random_genome,
+    uniform_reads,
+)
+from asmlab.unitig import maximal_unitigs, unitig_contigs
 from helpers import (
     ReferenceDeBruijnGraph,
     reference_build,
@@ -128,6 +136,32 @@ def test_assembly_never_decodes_vertex_names(monkeypatch, method, contigs):
     assembled, graph = assemble_contigs(reads, 3, method)
     assert [str(c.sequence) for c in assembled] == contigs
     assert len(graph.components()) == 2
+
+
+def test_read_path_makes_no_string_per_read(monkeypatch, tmp_path):
+    genome = random_genome(3000, seed=4)
+    profile = SimulationProfile(len(genome), 400, 60, error_rate=0.01, seed=5)
+    fasta, packed = tmp_path / "reads.fasta", tmp_path / "reads.fasta.gz"
+    write_fasta([FastaRecord(f"r{i}", r) for i, r in enumerate(uniform_reads(genome, profile))],
+                fasta)
+    packed.write_bytes(gzip.compress(fasta.read_bytes()))
+
+    def assemble(path):
+        reads = read_reads(path)
+        corrected = correct_reads(reads, 15, 2)
+        graph = dbg.build(corrected, 15)
+        return reads, corrected, graph, unitig_contigs(graph).sequences()
+
+    expected = assemble(fasta)
+    assert len(expected[1]) < len(expected[0])  # some reads were dropped
+
+    def per_read(*args):
+        raise AssertionError("a string was made per read")
+
+    monkeypatch.setattr(ReadSet, "__iter__", per_read)
+    monkeypatch.setattr(ReadSet, "__getitem__", per_read)
+    for path in (fasta, packed):
+        assert assemble(path) == expected
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from asmlab.formats import read_reads
 from asmlab.sequence import (
     DnaString,
     KmerSpectrum,
@@ -53,13 +54,51 @@ class TestDnaString:
     def test_readset_keeps_dnastrings_and_validates_plain_strings(self):
         reads = (DnaString("ACGT"), DnaString("GGA"))
         kept = ReadSet(reads)
-        assert kept.reads is reads
-        assert all(a is b for a, b in zip(kept.reads, reads))
+        assert tuple(kept) == reads
         mixed = ReadSet((reads[0], "TTG"))
-        assert type(mixed.reads[1]) is DnaString and mixed.reads[0] is reads[0]
-        assert ReadSet([reads[0]]).reads == (reads[0],)
+        assert type(mixed[1]) is DnaString and mixed[0] == reads[0]
+        assert tuple(ReadSet([reads[0]])) == (reads[0],)
         with pytest.raises(ValueError, match="invalid symbol 'N' at position 2"):
             ReadSet((reads[0], "ACN"))
+
+
+class TestReadSet:
+    def test_built_from_str_and_dnastring_mixes(self):
+        mixed = ReadSet(["ACGT", DnaString("GGA"), "", "T"])
+        assert mixed == ReadSet.of("ACGT", "GGA", "", "T") == ReadSet(iter(mixed))
+        assert mixed != ReadSet.of("ACGT", "GGA", "T")
+
+    @pytest.mark.parametrize("make", [ReadSet, lambda reads: ReadSet.of(*reads)])
+    def test_invalid_symbol_named_at_its_position_in_its_read(self, make):
+        with pytest.raises(ValueError, match="invalid symbol 'N' at position 2;"):
+            make(["ACGTACGT", "ACGT", "GANTT", "NNNN"])
+        with pytest.raises(ValueError, match="invalid symbol 'a' at position 0;"):
+            make(["", "acgt"])
+
+    def test_length_and_indexing(self):
+        reads = ReadSet.of("ACGT", "", "GGATC")
+        assert len(reads) == 3
+        assert reads[0] == "ACGT" and reads[1] == "" and reads[-1] == "GGATC"
+        assert reads[-3] == reads[0]
+        assert all(type(reads[i]) is DnaString for i in range(-3, 3))
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                reads[i]
+
+    def test_iteration_gives_dnastrings_equal_to_the_inputs(self):
+        inputs = ("ACGT", DnaString("TT"), "", "GATTACA")
+        out = list(ReadSet(inputs))
+        assert out == list(inputs) and all(type(r) is DnaString for r in out)
+        assert list(ReadSet(inputs)) == out  # iterating twice gives the same reads
+
+    def test_equality_with_parsed_reads_and_the_empty_set(self, tmp_path):
+        path = tmp_path / "reads.fasta"
+        path.write_text(">a\nACGT\nTT\n>b x\nggc\n>c\nA\n")
+        assert read_reads(path) == ReadSet.of("ACGTTT", "GGC", "A")
+        assert read_reads(path) != ReadSet.of("ACGTTT", "GGC")
+        empty = ReadSet(())
+        assert len(empty) == 0 and list(empty) == [] and empty == ReadSet([])
+        assert empty != ReadSet.of("")
 
 
 class TestKmer:
