@@ -9,9 +9,9 @@ steps of :mod:`asmlab.evaluate` as the subcommands.
 
 Exit codes: 0 success, 1 domain error (bad graph shape, solver caps,
 unparseable data files, bad values in a config file, a genome shorter than
-its reads or gaps, reads too short to correct, contigs shorter than k-1),
-2 usage error (bad flags, parameter values or a config missing a key its
-stage needs).
+its reads or gaps, reads too short for the graph or to correct, contigs
+shorter than k-1), 2 usage error (bad flags, parameter values or a config
+missing a key its stage needs).
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ from asmlab import simulate
 from asmlab.errors import AssemblyError
 from asmlab.evaluate import (
     assemble_contigs,
+    check_genome,
     evaluate,
     read_genome,
     run_stage,
+    sample_reads,
     write_contigs,
     write_reads,
 )
@@ -43,9 +45,9 @@ from asmlab.formats import (
     read_reads,
     write_fasta,
 )
-from asmlab.sequence import DnaString, check_k
+from asmlab.sequence import DnaString, ReadSet, check_k
 from asmlab.superstring import diagnose_overcollapse, exact_scs, greedy_scs
-from asmlab.unitig import Contig, ContigSet, unitig_contigs
+from asmlab.unitig import ContigSet, unitig_contigs
 
 ARTIFACT_DIR_ENV = "ASMLAB_ARTIFACTS"
 
@@ -175,20 +177,13 @@ def _cmd_simulate(args) -> int:
     if args.read_length is None or args.read_length < 1:
         raise ValueError("--len must be a positive integer")
     genome = _load_genome_arg(args)
-    if args.idealized:
-        reads = simulate.idealized_reads(genome, args.read_length)
-    else:
-        if args.num is None:
-            raise ValueError("--num is required unless --idealized is given")
-        profile = simulate.SimulationProfile(
-            genome_length=len(genome),
-            num_reads=args.num,
-            read_length=args.read_length,
-            error_rate=args.error_rate,
-            gap_intervals=parse_gaps(" ".join(args.gap)) if args.gap else (),
-            seed=args.seed,
-        )
-        reads = simulate.uniform_reads(genome, profile)
+    if not args.idealized and args.num is None:
+        raise ValueError("--num is required unless --idealized is given")
+    gaps = parse_gaps(" ".join(args.gap)) if args.gap and not args.idealized else ()
+    if args.genome:  # a genome file too short for the reads is a data error
+        check_genome(args.genome, genome, args.read_length, gaps)
+    num_reads = None if args.idealized else args.num
+    reads = sample_reads(genome, args.read_length, num_reads, args.error_rate, gaps, args.seed)
     write_reads(reads, args.reads)
     if args.genome_out:
         write_fasta([FastaRecord("truth", genome)], args.genome_out)
@@ -233,7 +228,7 @@ def _cmd_assemble(args) -> int:
     contigs, graph = assemble_contigs(reads, args.k, args.method)
     write_contigs(contigs, args.out)
     if args.dot:
-        highlight = contigs.sequences() if args.method == "unitig" else None
+        highlight = contigs.sequences if args.method == "unitig" else None
         with open(args.dot, "w", encoding="ascii", newline="\n") as handle:
             dbg.export_dot(graph, handle, highlight)
     print(f"wrote {len(contigs)} contig(s) to {args.out}")
@@ -252,7 +247,7 @@ def _cmd_dbg(args) -> int:
         return 0
     graph = read_edge_list(args.graph)
     if args.dbg_command == "dot":
-        highlight = unitig_contigs(graph).sequences() if args.unitigs else None
+        highlight = unitig_contigs(graph).sequences if args.unitigs else None
         with open(args.out, "w", encoding="ascii", newline="\n") as handle:
             dbg.export_dot(graph, handle, highlight)
         print(f"wrote DOT to {args.out}")
@@ -284,8 +279,8 @@ def _cmd_eval(args) -> int:
         if len(record.sequence) < args.k - 1:
             raise AssemblyError(f"{args.contigs}: record {number} ({record.id}) has "
                                 f"{len(record.sequence)} nt, shorter than k-1={args.k - 1}")
-    contigs = ContigSet(args.k, tuple(Contig(r.id, r.sequence, source="file")
-                                      for r in records))
+    contigs = ContigSet(args.k, ReadSet(r.sequence for r in records),
+                        tuple(r.id for r in records), "file")
     report = evaluate(contigs, read_genome(args.truth), args.k)
     text = report.to_text()
     Path(args.report).write_text(text, encoding="ascii")

@@ -21,20 +21,21 @@ import numpy as np
 from asmlab import graph as dbg
 from asmlab import simulate
 from asmlab.errors import AssemblyError, FastaParseError
-from asmlab.formats import FastaRecord, StageConfig, read_fasta, read_reads, write_fasta
+from asmlab.formats import (GRAPH_METHODS, FastaRecord, StageConfig, read_fasta, read_reads,
+                            write_fasta)
 from asmlab.sequence import (
     DnaString,
     ReadSet,
     check_k,
     in_sorted,
+    index_ranges,
     joined_codes,
-    read_lengths,
     sorted_distinct,
     symbol_batches,
     window_packs,
 )
 from asmlab.superstring import exact_scs, greedy_scs
-from asmlab.unitig import Contig, ContigSet, unitig_contigs
+from asmlab.unitig import ContigSet, unitig_contigs
 
 logger = logging.getLogger(__name__)
 
@@ -69,36 +70,61 @@ def _json_scalar(value) -> str:
     return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
 
 
-@dataclass(frozen=True)
-class ContigMetrics:
-    name: str
-    length: int
-    exact_substring: Optional[bool]
-    kmer_precision: Optional[float]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
+    """The metrics of a contig set. Per-contig results are columns, in
+    contig order: ``names``, ``lengths`` (``int64``) and, with a truth,
+    ``exact`` (``bool``: the contig occurs in the truth) and
+    ``kmer_precision`` (``float64``); without one, these two and the truth
+    metrics are ``None``. The length summary is read off the columns."""
+
     k: int
-    truth_available: bool
-    per_contig: tuple[ContigMetrics, ...]
-    contig_count: int
-    total_length: int
-    max_length: int
-    mean_length: float
-    n50: int
-    genome_fraction_covered: Optional[float]
-    misassembly_count: Optional[int]
+    names: tuple[str, ...]
+    lengths: np.ndarray
+    exact: Optional[np.ndarray] = None
+    kmer_precision: Optional[np.ndarray] = None
+    genome_fraction_covered: Optional[float] = None
+    misassembly_count: Optional[int] = None
+
+    @property
+    def truth_available(self) -> bool:
+        return self.misassembly_count is not None
+
+    @property
+    def contig_count(self) -> int:
+        return len(self.names)
+
+    @property
+    def total_length(self) -> int:
+        return int(self.lengths.sum())
+
+    @property
+    def max_length(self) -> int:
+        return int(self.lengths.max(initial=0))
+
+    @property
+    def mean_length(self) -> float:
+        return self.total_length / self.contig_count if self.contig_count else 0.0
+
+    @property
+    def n50(self) -> int:
+        return compute_n50(self.lengths)
+
+    def _cells(self, missing: str, fmt) -> tuple:
+        """Every contig's exact and ``fmt``-ed k-mer precision cells, or ``missing``."""
+        if self.exact is None:
+            return [missing] * self.contig_count, [missing] * self.contig_count
+        return (map(_JSON_WORDS.__getitem__, self.exact.tolist()),
+                map(fmt, self.kmer_precision.tolist()))
 
     def to_json(self) -> str:
         """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes
         it, byte for byte, with one template filled per contig row."""
-        per = self.per_contig
-        rows = zip(map(_JSON_WORDS.__getitem__, [m.exact_substring for m in per]),
-                   [_json_scalar(m.kmer_precision) for m in per],
-                   map(int.__repr__, [m.length for m in per]),
-                   map(encode_basestring_ascii, [m.name for m in per]))
-        contigs = "[\n" + ",\n".join(map(_JSON_ROW.__mod__, rows)) + "\n  ]" if per else "[]"
+        rows = zip(*self._cells("null", float.__repr__),
+                   map(int.__repr__, self.lengths.tolist()),
+                   map(encode_basestring_ascii, self.names))
+        contigs = ("[\n" + ",\n".join(map(_JSON_ROW.__mod__, rows)) + "\n  ]"
+                   if self.contig_count else "[]")
         return _JSON_REPORT % (
             self.contig_count, contigs, _json_scalar(self.genome_fraction_covered), self.k,
             self.max_length, _json_scalar(self.mean_length),
@@ -106,50 +132,35 @@ class EvalReport:
             _JSON_WORDS[self.truth_available])
 
     def to_text(self) -> str:
+        truth = ((f"{self.genome_fraction_covered:.6f}", self.misassembly_count)
+                 if self.truth_available else ("n/a (no ground truth)",) * 2)
         lines = [
             f"k = {self.k}",
-            f"truth_available = {str(self.truth_available).lower()}",
+            f"truth_available = {_JSON_WORDS[self.truth_available]}",
             f"contig_count = {self.contig_count}",
             f"total_length = {self.total_length}",
             f"max_length = {self.max_length}",
             f"mean_length = {self.mean_length:.4f}",
             f"n50 = {self.n50}",
+            f"genome_fraction_covered = {truth[0]}",
+            f"misassembly_count = {truth[1]}",
+            "",
+            "contig\tlength\texact_substring\tkmer_precision",
         ]
-        if self.truth_available:
-            lines.append(f"genome_fraction_covered = {self.genome_fraction_covered:.6f}")
-            lines.append(f"misassembly_count = {self.misassembly_count}")
-        else:
-            lines.append("genome_fraction_covered = n/a (no ground truth)")
-            lines.append("misassembly_count = n/a (no ground truth)")
-        lines.append("")
-        lines.append("contig\tlength\texact_substring\tkmer_precision")
-        for m in self.per_contig:
-            exact = "n/a" if m.exact_substring is None else str(m.exact_substring).lower()
-            prec = "n/a" if m.kmer_precision is None else f"{m.kmer_precision:.6f}"
-            lines.append(f"{m.name}\t{m.length}\t{exact}\t{prec}")
+        exact, precision = self._cells("n/a", "{:.6f}".format)
+        lines += [f"{name}\t{length}\t{e}\t{p}" for name, length, e, p
+                  in zip(self.names, self.lengths.tolist(), exact, precision)]
         return "\n".join(lines) + "\n"
 
 
 def compute_n50(lengths) -> int:
     """Largest L such that contigs of length >= L hold at least half the
     total contig length."""
-    ordered = sorted(lengths, reverse=True)
-    total = sum(ordered)
-    if total == 0:
+    ordered = np.sort(np.asarray(lengths, dtype=np.int64))[::-1]
+    running = np.cumsum(ordered)
+    if not len(running) or running[-1] == 0:
         return 0
-    running = 0
-    for length in ordered:
-        running += length
-        if 2 * running >= total:
-            return length
-    return ordered[-1]
-
-
-def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``firsts[i], firsts[i] + 1, ...`` (``counts[i]`` values) for every i,
-    laid end to end."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(firsts - offsets, counts) + np.arange(counts.sum())
+    return int(ordered[np.searchsorted(2 * running, running[-1])])
 
 
 class _SeedIndex(NamedTuple):
@@ -186,13 +197,13 @@ def _exact_hits(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     low = np.searchsorted(index.keys, first, side="left")
     counts = np.searchsorted(index.keys, first, side="right") - low
     contig = np.repeat(live, counts)
-    pos = index.starts[_ranges(low, counts)]
+    pos = index.starts[index_ranges(low, counts)]
     fits = pos + lengths[contig] - seed < len(index.packs)  # ends inside the truth
     contig, pos = contig[fits], pos[fits]
     length = lengths[contig]
     tiles = (length - 1) // seed  # after the first
     pair = np.repeat(np.arange(len(contig)), tiles)
-    offset = np.minimum(_ranges(np.ones_like(tiles), tiles) * seed, length[pair] - seed)
+    offset = np.minimum(index_ranges(np.ones_like(tiles), tiles) * seed, length[pair] - seed)
     wrong = windows[starts[contig[pair]] + offset] != index.packs[pos[pair] + offset]
     ok = np.ones(len(contig), dtype=bool)
     ok[pair[wrong]] = False
@@ -206,7 +217,7 @@ def _kmer_hits(codes: np.ndarray, starts: np.ndarray, windows: np.ndarray, k: in
     (the truth's distinct packed k-mers, ascending)."""
     if not len(windows):
         return np.zeros(0, dtype=np.int64)
-    found = in_sorted(truth_kmers, window_packs(codes, k)[_ranges(starts, windows)])
+    found = in_sorted(truth_kmers, window_packs(codes, k)[index_ranges(starts, windows)])
     return np.add.reduceat(found, np.cumsum(windows) - windows, dtype=np.int64)
 
 
@@ -228,15 +239,15 @@ def evaluate(contigs: ContigSet, truth: str, k: int) -> EvalReport:
     # shorter than the seed, and it occurs everywhere and covers nothing
     index = _seed_index(truth_codes, max(k - 1, 1))
     truth_kmers = sorted_distinct(window_packs(truth_codes, k))
-    sequences = [c.sequence for c in contigs]
-    lengths = read_lengths(sequences)
+    store = contigs.sequences
+    lengths, offsets = store.lengths, store.offsets
     exact = lengths == 0
-    hits = np.zeros(len(sequences), dtype=np.int64)  # k-windows found in the truth
+    hits = np.zeros(len(lengths), dtype=np.int64)  # k-windows found in the truth
     hit_starts, hit_ends = [], []
     for at, stop in symbol_batches(lengths):
         length = lengths[at:stop]
-        codes = joined_codes(sequences[at:stop])
-        starts = np.cumsum(length) - length
+        codes = store.codes[offsets[at]:offsets[stop]]
+        starts = offsets[at:stop] - offsets[at]
         contig, pos = _exact_hits(codes, starts, length, index)
         exact[at + contig] = True
         hit_starts.append(pos)
@@ -250,38 +261,14 @@ def evaluate(contigs: ContigSet, truth: str, k: int) -> EvalReport:
         depth += np.bincount(np.concatenate(hit_starts), minlength=span + 1)
         depth -= np.bincount(np.concatenate(hit_ends), minlength=span + 1)
     covered = int(np.count_nonzero(np.cumsum(depth[:span]) > 0))
-    per = [
-        ContigMetrics(contig.name, length, found,
-                      hit / (length - k + 1) if length >= k and not found else 1.0)
-        for contig, length, found, hit in zip(contigs, lengths.tolist(), exact.tolist(),
-                                              hits.tolist())
-    ]
-    return _report(k, per, covered / span, len(per) - int(exact.sum()))
+    precision = np.where(exact | (lengths < k), 1.0, hits / np.maximum(lengths - k + 1, 1))
+    return EvalReport(k, contigs.names, lengths, exact, precision, covered / span,
+                      int(np.count_nonzero(~exact)))
 
 
 def evaluate_without_truth(contigs: ContigSet, k: int) -> EvalReport:
     """Length-only metrics for runs with no ground truth."""
-    return _report(k, [ContigMetrics(c.name, len(c.sequence), None, None) for c in contigs],
-                   None, None)
-
-
-def _report(k: int, per: list[ContigMetrics], genome_fraction: Optional[float],
-            misassemblies: Optional[int]) -> EvalReport:
-    """The report over the per-contig rows, with the length summary; the
-    truth metrics are ``None`` when there is no truth."""
-    lengths = [m.length for m in per]
-    return EvalReport(
-        k=k,
-        truth_available=misassemblies is not None,
-        per_contig=tuple(per),
-        contig_count=len(per),
-        total_length=sum(lengths),
-        max_length=max(lengths, default=0),
-        mean_length=(sum(lengths) / len(lengths)) if lengths else 0.0,
-        n50=compute_n50(lengths),
-        genome_fraction_covered=genome_fraction,
-        misassembly_count=misassemblies,
-    )
+    return EvalReport(k, contigs.names, contigs.sequences.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +291,25 @@ def assemble_contigs(reads: ReadSet, k: int, method: str) -> tuple[ContigSet, Op
         return unitig_contigs(graph), graph
     if method == "cpp-walk":
         graph = dbg.build(reads, k)
-        walks = (dbg.shortest_edge_covering_walk(part) for part in graph.components())
-        return ContigSet(k, tuple(Contig(f"w{i}", DnaString(dbg.spell(walk)), "cpp-walk")
-                                  for i, walk in enumerate(walks))), graph
+        walks = ReadSet(dbg.spell(dbg.shortest_edge_covering_walk(part))
+                        for part in graph.components())
+        return ContigSet(k, walks, tuple(map("w%d".__mod__, range(len(walks)))),
+                         "cpp-walk"), graph
     if method in ("scs-greedy", "scs-exact"):
         solver = greedy_scs if method == "scs-greedy" else exact_scs
-        result = solver(reads)
-        contig = Contig(name="s0", sequence=result.superstring, source=method)
-        return ContigSet(k, (contig,)), None
+        return ContigSet(k, ReadSet.of(solver(reads).superstring), ("s0",), method), None
     raise ValueError(f"unknown assembly method {method!r}")
+
+
+def sample_reads(genome: str, read_length: int, num_reads: Optional[int], error_rate: float,
+                 gaps, seed: int) -> ReadSet:
+    """Idealized reads of the genome, one per position, when ``num_reads``
+    is None; else that many uniform reads with substitution errors, none
+    touching a gap."""
+    if num_reads is None:
+        return simulate.idealized_reads(genome, read_length)
+    return simulate.uniform_reads(genome, simulate.SimulationProfile(
+        len(genome), num_reads, read_length, error_rate, gaps, seed))
 
 
 def read_genome(path) -> DnaString:
@@ -330,8 +327,8 @@ def write_reads(reads: ReadSet, path) -> None:
 
 def write_contigs(contigs: ContigSet, path) -> None:
     """Write contigs as FASTA records: the name as id, the source as description."""
-    write_fasta([FastaRecord(c.name, c.sequence, description=c.source) for c in contigs],
-                path)
+    write_fasta([FastaRecord(name, sequence, description=contigs.source)
+                 for name, sequence in zip(contigs.names, contigs)], path)
 
 
 # the config keys each stage cannot run without; a tuple is a choice of keys
@@ -344,7 +341,8 @@ _STAGE_KEYS = {
 
 def _check_stage(stage: int, config: StageConfig) -> None:
     """Reject a stage its config cannot run: a missing key is a usage
-    error, stage-2 correction of reads shorter than k a domain error."""
+    error; simulated reads too short for the graph (shorter than k-1) or
+    for stage-2 correction (shorter than k) are a domain error."""
     if stage not in _STAGE_KEYS:
         raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
     for need in _STAGE_KEYS[stage]:
@@ -354,31 +352,24 @@ def _check_stage(stage: int, config: StageConfig) -> None:
     if stage == 2 and config.correct and config.read_length < config.k:
         raise AssemblyError(f"stage 2 correction needs read_length >= k, got read_length="
                             f"{config.read_length} and k={config.k}")
+    if stage != 3 and config.method in GRAPH_METHODS and config.read_length < config.k - 1:
+        raise AssemblyError(f"method {config.method} needs read_length >= k-1, got "
+                            f"read_length={config.read_length} and k={config.k}")
 
 
-def _load_genome(stage: int, config: StageConfig) -> DnaString:
-    """The stage's genome, checked to hold the configured reads and (in
-    stage 2) gaps before any read is simulated."""
-    if config.genome_fasta:
-        genome = read_genome(config.genome_fasta)
-        source = config.genome_fasta
-    else:
-        genome = simulate.random_genome(config.genome_length, config.planted_repeat,
-                                        seed=config.seed)
-        source = "genome_length"
-    if len(genome) < config.read_length:
+def check_genome(source, genome: str, read_length: int, gaps=()) -> None:
+    """Raise :class:`AssemblyError`, naming ``source``, unless the genome
+    holds a read of ``read_length`` and every gap, with room for a read."""
+    if len(genome) < read_length:
         raise AssemblyError(f"{source}: the genome has {len(genome)} nt, fewer than "
-                            f"read_length {config.read_length}")
-    if stage == 2:
-        for start, end in config.gaps:
-            if end > len(genome):
-                raise AssemblyError(f"{source}: gap {start}:{end} runs past the genome's "
-                                    f"{len(genome)} nt")
-        if config.gaps and not simulate.allowed_starts(len(genome), config.read_length,
-                                                       config.gaps).size:
-            raise AssemblyError(f"{source}: no read of read_length {config.read_length} "
-                                f"fits between the gaps in the genome's {len(genome)} nt")
-    return genome
+                            f"read_length {read_length}")
+    for start, end in gaps:
+        if end > len(genome):
+            raise AssemblyError(f"{source}: gap {start}:{end} runs past the genome's "
+                                f"{len(genome)} nt")
+    if gaps and not simulate.allowed_starts(len(genome), read_length, gaps).size:
+        raise AssemblyError(f"{source}: no read of read_length {read_length} "
+                            f"fits between the gaps in the genome's {len(genome)} nt")
 
 
 def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
@@ -393,29 +384,21 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
     ``./asmlab-stage<N>``) is made once the reads and truth are in hand.
     """
     _check_stage(stage, config)
-    truth: Optional[DnaString] = None
     if stage == 3:
         reads = read_reads(config.reads_fasta)
         if config.correct:
             logger.warning("stage 3 does not correct its reads; ignoring correct = true")
-        if config.truth_fasta:
-            truth = read_genome(config.truth_fasta)
+        truth = read_genome(config.truth_fasta) if config.truth_fasta else None
     else:
-        truth = _load_genome(stage, config)
-        if stage == 1:
-            reads = simulate.idealized_reads(truth, config.read_length)
-        else:
-            profile = simulate.SimulationProfile(
-                genome_length=len(truth),
-                num_reads=config.num_reads,
-                read_length=config.read_length,
-                error_rate=config.error_rate,
-                gap_intervals=config.gaps,
-                seed=config.seed,
-            )
-            reads = simulate.uniform_reads(truth, profile)
-            if config.correct:
-                reads = simulate.correct_reads(reads, config.k, config.min_multiplicity)
+        truth = (read_genome(config.genome_fasta) if config.genome_fasta else
+                 simulate.random_genome(config.genome_length, config.planted_repeat,
+                                        seed=config.seed))
+        gaps = config.gaps if stage == 2 else ()
+        check_genome(config.genome_fasta or "genome_length", truth, config.read_length, gaps)
+        reads = sample_reads(truth, config.read_length, config.num_reads if stage == 2 else None,
+                             config.error_rate, gaps, config.seed)
+        if stage == 2 and config.correct:
+            reads = simulate.correct_reads(reads, config.k, config.min_multiplicity)
 
     directory = Path(out_dir or config.out_dir or f"asmlab-stage{stage}")
     directory.mkdir(parents=True, exist_ok=True)

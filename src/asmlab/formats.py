@@ -337,7 +337,7 @@ class StageConfig:
 
 
 _METHODS = ("unitig", "cpp-walk", "scs-greedy", "scs-exact")
-_GRAPH_METHODS = ("unitig", "cpp-walk")
+GRAPH_METHODS = ("unitig", "cpp-walk")
 # the integer keys and their (smallest, largest or None) values
 _INT_RANGES = {
     "genome_length": (1, None),
@@ -395,7 +395,7 @@ def read_config(source: Source) -> StageConfig:
                               f"{line_of[key]}")
         _apply_key(config, key, value, where)
         line_of[key] = line_no
-    if config.k is not None and config.k < 2 and config.method in _GRAPH_METHODS:
+    if config.k is not None and config.k < 2 and config.method in GRAPH_METHODS:
         raise ConfigError(f"{in_file}line {line_of['k']}: key 'k': method "
                           f"{config.method!r} needs k >= 2, got {config.k}")
     if config.plant_repeat_copies is not None and config.plant_repeat_length is None:

@@ -56,7 +56,7 @@ from asmlab.sequence import (
     first_invalid,
     in_sorted,
     joined_codes,
-    kmer_symbols,
+    kmer_codes,
     read_lengths,
     sorted_distinct,
     spectrum_of_set,
@@ -839,6 +839,7 @@ _PALETTE = (
 
 
 _DOT_BATCH = 1 << 14  # DOT lines laid out per write: bounds the buffer on any graph
+_SYMBOLS = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)  # byte of each code
 _PLAIN_TAIL = b"];\n"
 _FILL_TAILS = (_PLAIN_TAIL,
                *(b' style=filled fillcolor="%s"];\n' % c.encode("ascii") for c in _PALETTE))
@@ -861,13 +862,13 @@ def _write_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tuple,
     head = len(template)
     tail_widths = np.array([len(tail) for tail in tails])
     for at in range(0, len(packed), _DOT_BATCH):
-        symbols = kmer_symbols(packed[at:at + _DOT_BATCH], width)
+        codes = kmer_codes(packed[at:at + _DOT_BATCH], width)
         kind = kinds[at:at + _DOT_BATCH]
         ends = head + tail_widths[kind]
         lines = np.empty((len(kind), ends.max()), dtype=np.uint8)
         lines[:, :head] = np.frombuffer(template, dtype=np.uint8)
         for column, start, stop in fields:
-            lines[:, column:column + stop - start] = symbols[:, start:stop]
+            lines[:, column:column + stop - start] = _SYMBOLS[codes[:, start:stop]]
         for t in np.unique(kind).tolist():
             tail = np.frombuffer(tails[t], dtype=np.uint8)
             lines[kind == t, head:head + len(tail)] = tail
@@ -880,10 +881,11 @@ def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
     """Write deterministic DOT text for the graph to an open text handle.
 
     ``highlight`` may be a :class:`Walk` (its edges are drawn bold red) or
-    an iterable of spelled sequences, each of whose (k-1)-windows that is a
-    vertex is filled with the sequence's own color; a vertex named by
-    several sequences takes the last one's. Unitig contigs thus color
-    exactly as the vertex groups of the partition they were spelled from.
+    spelled sequences, a :class:`ReadSet` store or any iterable of strings
+    (made into one), each of whose (k-1)-windows that is a vertex is filled
+    with the sequence's own color; a vertex named by several sequences
+    takes the last one's. Unitig contigs thus color exactly as the vertex
+    groups of the partition they were spelled from.
     Lines are spelled from the packed vertices and edges, ``_DOT_BATCH`` at
     a time; no vertex name is decoded.
     """
@@ -896,9 +898,9 @@ def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
             walk = walk[in_sorted(graph.packed_edges, walk)]
             bold[np.searchsorted(graph.packed_edges, walk)] = 1
     elif highlight is not None:
-        sequences = [str(s) for s in highlight]
-        ends = np.cumsum([len(s) for s in sequences], dtype=np.intp)
-        windows = window_packs(joined_codes(sequences), k - 1)
+        store = highlight if isinstance(highlight, ReadSet) else ReadSet(highlight)
+        ends = store.offsets[1:]
+        windows = window_packs(store.codes, k - 1)
         at = np.arange(len(windows))
         group = np.searchsorted(ends, at, side="right")
         named = (at + k - 1 <= ends[group]) & in_sorted(graph.packed_vertices, windows)

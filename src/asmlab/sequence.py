@@ -209,20 +209,19 @@ def encode_kmers(kmers: Sequence[str], k: int) -> np.ndarray:
     return packed
 
 
-def kmer_symbols(packed: np.ndarray, k: int) -> np.ndarray:
-    """The symbols of every k-mer of ``packed`` as ASCII bytes: a ``uint8``
-    matrix with one row of k symbols per k-mer."""
+def kmer_codes(packed: np.ndarray, k: int) -> np.ndarray:
+    """The 2-bit codes of every k-mer of ``packed``: a ``uint8`` matrix with
+    one row of k codes per k-mer."""
     codes = np.empty((len(packed), k), dtype=np.uint8)
     for j in range(k):
         codes[:, j] = (packed >> (2 * (k - 1 - j))) & 3
-    symbols = np.frombuffer(codes.tobytes().translate(_DECODE), dtype=np.uint8)
-    return symbols.reshape(codes.shape)
+    return codes
 
 
 def decode_kmers(packed: np.ndarray, k: int) -> list[str]:
     """Inverse of :func:`encode_kmers`: every k-mer of ``packed`` decoded in
     one vectorized pass."""
-    text = kmer_symbols(packed, k).tobytes().decode("ascii")
+    text = from_codes(kmer_codes(packed, k))
     return [text[i:i + k] for i in range(0, len(text), k)]
 
 
@@ -350,6 +349,13 @@ def _count_batch(codes: np.ndarray, lengths: np.ndarray,
     values = packed[:np.count_nonzero(inside)]
     first = _run_starts(values)
     return values[first], np.diff(first, append=len(values))
+
+
+def index_ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``firsts[i], firsts[i] + 1, ...`` (``counts[i]`` values) for every i,
+    laid end to end."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(firsts - offsets, counts) + np.arange(counts.sum())
 
 
 def symbol_batches(lengths: np.ndarray) -> Iterator[tuple[int, int]]:

@@ -15,27 +15,32 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, depth_first_order
 
+from asmlab.errors import AssemblyError
 from asmlab.graph import DeBruijnGraph, Walk, covering_walk_feasibility, walk_of
-from asmlab.sequence import DnaString, decode_kmers, from_codes
+from asmlab.sequence import DnaString, ReadSet, index_ranges, kmer_codes
 
 _STATE_BUDGET = 4_000_000  # product states before the oracle answers `unknown`
 
 
 @dataclass(frozen=True)
 class UnitigPartition:
-    """The unique partition of a graph's vertices into maximal unitigs,
-    ordered by spelled string; ``spellings[i]`` is what ``unitigs[i]``
-    spells. ``unitigs`` names the vertices of each unitig, built on first
-    use: they are the (k-1)-windows of its spelling."""
+    """The unique partition of a graph's vertices into maximal unitigs, in
+    spelled order: ``sequences[i]``, in one code store, is what unitig i
+    spells. Built on first use: the ``spellings`` as strings, and
+    ``unitigs``, each unitig's vertices (the (k-1)-windows of its spelling)."""
 
     graph: DeBruijnGraph
-    spellings: tuple[str, ...]
+    sequences: ReadSet
+
+    @cached_property
+    def spellings(self) -> tuple[str, ...]:
+        return tuple(self.sequences)
 
     @cached_property
     def unitigs(self) -> tuple[tuple[str, ...], ...]:
@@ -78,8 +83,9 @@ def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
     unitigs are the chains of links. A vertex that no link enters starts a
     unitig, so one depth-first search from the starts visits every unitig
     in turn; the vertices it leaves unvisited lie on pure cycles, and a
-    second search visits each cycle from its smallest vertex. A unitig is
-    spelled from its first vertex and the last-symbol codes of the rest.
+    second search visits each cycle from its smallest vertex. The unitigs,
+    spelled straight into codes, are ordered by first vertex: these are
+    distinct (k-1)-mers in string order, so their spellings sort alike.
     """
     n = len(graph.packed_vertices)
     tails, heads = graph.edge_endpoints()
@@ -100,52 +106,59 @@ def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
         cycle_starts = np.unique(smallest[labels])
         starts[cycle_starts] = True
         paths = np.concatenate((paths, _preorder(link, cycle_starts)))
-    cuts = np.append(np.flatnonzero(starts[paths]), n)
+    cuts = np.flatnonzero(starts[paths])
+    order = np.argsort(paths[cuts])
+    sizes = np.diff(cuts, append=n)[order]
+    paths = paths[index_ranges(cuts[order], sizes)]
 
-    last = from_codes((graph.packed_vertices[paths] & 3).astype(np.uint8))
-    firsts = decode_kmers(graph.packed_vertices[paths[cuts[:-1]]], graph.k - 1)
-    bounds = cuts.tolist()
-    spelled = [first + last[a + 1:b] for first, a, b in zip(firsts, bounds, bounds[1:])]
-    return UnitigPartition(graph, tuple(sorted(spelled)))
-
-
-@dataclass(frozen=True)
-class Contig:
-    name: str
-    sequence: DnaString
-    source: str
+    # a unitig spells its first vertex's first k-2 codes, then each vertex's last code
+    w = graph.k - 2
+    packed, firsts = graph.packed_vertices[paths], np.cumsum(sizes) - sizes
+    runs = np.stack((np.full(len(sizes), w), sizes), axis=1).ravel()
+    head = np.repeat(np.tile([True, False], len(sizes)), runs)
+    codes = np.empty(len(head), dtype=np.uint8)
+    codes[head] = kmer_codes(packed[firsts] >> np.uint64(2), w).ravel()
+    codes[~head] = packed & 3
+    return UnitigPartition(graph, ReadSet.from_codes(codes, sizes + w))
 
 
 @dataclass(frozen=True)
 class ContigSet:
+    """Contigs held once: ``sequences`` is their code store, contig i is
+    named ``names[i]``, and ``source`` names what made them all. Every
+    contig is at least k-1 long. Length, iteration and indexing hand out
+    the sequences as :class:`DnaString`, as :class:`ReadSet` does."""
+
     k: int
-    contigs: tuple[Contig, ...]
+    sequences: ReadSet
+    names: tuple[str, ...]
+    source: str
 
     def __post_init__(self):
-        for c in self.contigs:
-            if len(c.sequence) < self.k - 1:
-                raise ValueError(
-                    f"contig {c.name} is shorter than k-1={self.k - 1}"
-                )
+        if len(self.names) != len(self.sequences):
+            raise ValueError(f"{len(self.names)} names for {len(self.sequences)} contigs")
+        lengths = self.sequences.lengths
+        short = np.flatnonzero(lengths < self.k - 1)
+        if len(short):
+            first = int(short[0])
+            raise AssemblyError(f"contig {self.names[first]} has {lengths[first]} nt, "
+                                f"shorter than k-1={self.k - 1}")
 
     def __len__(self) -> int:
-        return len(self.contigs)
+        return len(self.sequences)
 
-    def __iter__(self):
-        return iter(self.contigs)
+    def __iter__(self) -> Iterator[DnaString]:
+        return iter(self.sequences)
 
-    def sequences(self) -> list[DnaString]:
-        return [c.sequence for c in self.contigs]
+    def __getitem__(self, i: int) -> DnaString:
+        return self.sequences[i]
 
 
 def unitig_contigs(graph: DeBruijnGraph) -> ContigSet:
-    """One contig per maximal unitig, in deterministic (spelled) order."""
-    partition = maximal_unitigs(graph)
-    contigs = tuple(
-        Contig(name=f"u{i}", sequence=DnaString(spelling), source="unitig")
-        for i, spelling in enumerate(partition.spellings)
-    )
-    return ContigSet(graph.k, contigs)
+    """One contig ``u0, u1, ...`` per maximal unitig, on the partition's store."""
+    sequences = maximal_unitigs(graph).sequences
+    return ContigSet(graph.k, sequences, tuple(map("u%d".__mod__, range(len(sequences)))),
+                     "unitig")
 
 
 @dataclass(frozen=True)
@@ -332,27 +345,26 @@ def safety_suite(graph: DeBruijnGraph, contigs: ContigSet) -> SafetyReport:
     if not pre.satisfied:
         return SafetyReport(False, f"preconditions unmet: {pre.detail}", ())
     rows = []
-    for contig in contigs:
+    for name, text in zip(contigs.names, contigs):
         # a spelled string's (k-1)-mers are vertices and its k-mers edges
-        text = str(contig.sequence)
         candidate: Union[Walk, str, None]
         if len(text) == graph.k - 1:
             candidate = text if text in graph.vertex_index else None
         else:
             candidate = walk_of(text, graph)
         if candidate is None:
-            rows.append(SafetyRow(contig.name, "unsafe", None, False))
+            rows.append(SafetyRow(name, "unsafe", None, False))
             continue
         isolated = (isinstance(candidate, str)
                     and graph.out_degree(candidate) == graph.in_degree(candidate) == 0)
         verdict = is_safe_bounded(graph, candidate)
         flagged = (
             verdict.status == "unsafe"
-            and contig.source == "unitig"
+            and contigs.source == "unitig"
             and not isolated
         )
         rows.append(SafetyRow(
-            contig.name,
+            name,
             verdict.status,
             len(verdict.witness.edges) if verdict.witness else None,
             flagged,

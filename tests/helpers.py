@@ -11,13 +11,25 @@ import heapq
 import itertools
 import json
 from collections import Counter, deque
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from asmlab.errors import DisconnectedGraphError, FastaParseError, NoCoveringWalkError
-from asmlab.evaluate import ContigMetrics, EvalReport, _report
+from asmlab.evaluate import (
+    _JSON_REPORT,
+    _JSON_ROW,
+    _JSON_WORDS,
+    EvalReport,
+    _exact_hits,
+    _json_scalar,
+    _kmer_hits,
+    _seed_index,
+    compute_n50,
+)
 from asmlab.formats import FastaRecord
 from asmlab.graph import DeBruijnGraph, Walk
 from asmlab.sequence import (
@@ -25,11 +37,17 @@ from asmlab.sequence import (
     MAX_K,
     DnaString,
     ReadSet,
+    check_k,
     decode_kmer,
     first_invalid,
     from_codes,
+    joined_codes,
+    read_lengths,
+    sorted_distinct,
     spectrum,
+    symbol_batches,
     to_codes,
+    window_packs,
 )
 from asmlab.unitig import ContigSet
 
@@ -1063,12 +1081,171 @@ def reference_window_packs(codes: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Frozen row-based evaluation
+# ---------------------------------------------------------------------------
+# ``asmlab.evaluate`` as it stood before the report kept its per-contig
+# results as columns: one ``ContigMetrics`` row per contig, the length
+# summary stored beside them, and the text and JSON reports written row by
+# row. Kept verbatim, except that ``EvalReport`` and ``_report`` are named
+# ``RowReport`` and ``row_report``, and that ``row_evaluate`` and
+# ``row_evaluate_without_truth`` read the names and sequences of the contig
+# store.
+
+
+@dataclass(frozen=True)
+class ContigMetrics:
+    name: str
+    length: int
+    exact_substring: Optional[bool]
+    kmer_precision: Optional[float]
+
+
+@dataclass(frozen=True)
+class RowReport:
+    k: int
+    truth_available: bool
+    per_contig: tuple[ContigMetrics, ...]
+    contig_count: int
+    total_length: int
+    max_length: int
+    mean_length: float
+    n50: int
+    genome_fraction_covered: Optional[float]
+    misassembly_count: Optional[int]
+
+    def to_json(self) -> str:
+        """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes
+        it, byte for byte, with one template filled per contig row."""
+        per = self.per_contig
+        rows = zip(map(_JSON_WORDS.__getitem__, [m.exact_substring for m in per]),
+                   [_json_scalar(m.kmer_precision) for m in per],
+                   map(int.__repr__, [m.length for m in per]),
+                   map(encode_basestring_ascii, [m.name for m in per]))
+        contigs = "[\n" + ",\n".join(map(_JSON_ROW.__mod__, rows)) + "\n  ]" if per else "[]"
+        return _JSON_REPORT % (
+            self.contig_count, contigs, _json_scalar(self.genome_fraction_covered), self.k,
+            self.max_length, _json_scalar(self.mean_length),
+            _json_scalar(self.misassembly_count), self.n50, self.total_length,
+            _JSON_WORDS[self.truth_available])
+
+    def to_text(self) -> str:
+        lines = [
+            f"k = {self.k}",
+            f"truth_available = {str(self.truth_available).lower()}",
+            f"contig_count = {self.contig_count}",
+            f"total_length = {self.total_length}",
+            f"max_length = {self.max_length}",
+            f"mean_length = {self.mean_length:.4f}",
+            f"n50 = {self.n50}",
+        ]
+        if self.truth_available:
+            lines.append(f"genome_fraction_covered = {self.genome_fraction_covered:.6f}")
+            lines.append(f"misassembly_count = {self.misassembly_count}")
+        else:
+            lines.append("genome_fraction_covered = n/a (no ground truth)")
+            lines.append("misassembly_count = n/a (no ground truth)")
+        lines.append("")
+        lines.append("contig\tlength\texact_substring\tkmer_precision")
+        for m in self.per_contig:
+            exact = "n/a" if m.exact_substring is None else str(m.exact_substring).lower()
+            prec = "n/a" if m.kmer_precision is None else f"{m.kmer_precision:.6f}"
+            lines.append(f"{m.name}\t{m.length}\t{exact}\t{prec}")
+        return "\n".join(lines) + "\n"
+
+
+def row_evaluate(contigs: ContigSet, truth: str, k: int) -> RowReport:
+    """Score a contig set against a known reference.
+
+    A contig is exact where it occurs in the truth, and its (possibly
+    overlapping) occurrences all count toward genome coverage; they are
+    found through one index of the truth's (k-1)-windows, each candidate
+    checked symbol for symbol. k-mer precision is the fraction of a
+    contig's k-mer occurrences present in the truth spectrum (1 for an
+    exact contig, vacuously 1 for contigs shorter than k).
+    """
+    if not truth:
+        raise ValueError("truth genome must be nonempty")
+    check_k(k)
+    truth_codes = joined_codes((truth,))
+    # every contig is at least k-1 long; for k = 1 only the empty contig is
+    # shorter than the seed, and it occurs everywhere and covers nothing
+    index = _seed_index(truth_codes, max(k - 1, 1))
+    truth_kmers = sorted_distinct(window_packs(truth_codes, k))
+    sequences = list(contigs)
+    lengths = read_lengths(sequences)
+    exact = lengths == 0
+    hits = np.zeros(len(sequences), dtype=np.int64)  # k-windows found in the truth
+    hit_starts, hit_ends = [], []
+    for at, stop in symbol_batches(lengths):
+        length = lengths[at:stop]
+        codes = joined_codes(sequences[at:stop])
+        starts = np.cumsum(length) - length
+        contig, pos = _exact_hits(codes, starts, length, index)
+        exact[at + contig] = True
+        hit_starts.append(pos)
+        hit_ends.append(pos + length[contig])
+        scored = np.flatnonzero(~exact[at:stop] & (length >= k))
+        hits[at + scored] = _kmer_hits(codes, starts[scored], length[scored] - k + 1, k,
+                                       truth_kmers)
+    span = len(truth_codes)
+    depth = np.zeros(span + 1, dtype=np.int64)  # coverage depth, differenced
+    if hit_starts:
+        depth += np.bincount(np.concatenate(hit_starts), minlength=span + 1)
+        depth -= np.bincount(np.concatenate(hit_ends), minlength=span + 1)
+    covered = int(np.count_nonzero(np.cumsum(depth[:span]) > 0))
+    per = [
+        ContigMetrics(name, length, found,
+                      hit / (length - k + 1) if length >= k and not found else 1.0)
+        for name, length, found, hit in zip(contigs.names, lengths.tolist(), exact.tolist(),
+                                            hits.tolist())
+    ]
+    return row_report(k, per, covered / span, len(per) - int(exact.sum()))
+
+
+def row_evaluate_without_truth(contigs: ContigSet, k: int) -> RowReport:
+    """Length-only metrics for runs with no ground truth."""
+    return row_report(k, [ContigMetrics(name, len(sequence), None, None)
+                          for name, sequence in zip(contigs.names, contigs)], None, None)
+
+
+def row_report(k: int, per: list[ContigMetrics], genome_fraction: Optional[float],
+               misassemblies: Optional[int]) -> RowReport:
+    """The report over the per-contig rows, with the length summary; the
+    truth metrics are ``None`` when there is no truth."""
+    lengths = [m.length for m in per]
+    return RowReport(
+        k=k,
+        truth_available=misassemblies is not None,
+        per_contig=tuple(per),
+        contig_count=len(per),
+        total_length=sum(lengths),
+        max_length=max(lengths, default=0),
+        mean_length=(sum(lengths) / len(lengths)) if lengths else 0.0,
+        n50=compute_n50(lengths),
+        genome_fraction_covered=genome_fraction,
+        misassembly_count=misassemblies,
+    )
+
+
+def report_rows(report: EvalReport) -> RowReport:
+    """A column report laid out as one row per contig."""
+    cells = ([None] * report.contig_count, [None] * report.contig_count)
+    if report.exact is not None:
+        cells = (report.exact.tolist(), report.kmer_precision.tolist())
+    per = [ContigMetrics(name, length, exact, precision) for name, length, exact, precision
+           in zip(report.names, report.lengths.tolist(), *cells)]
+    return RowReport(report.k, report.truth_available, tuple(per), report.contig_count,
+                     report.total_length, report.max_length, report.mean_length, report.n50,
+                     report.genome_fraction_covered, report.misassembly_count)
+
+
+# ---------------------------------------------------------------------------
 # Reference truth evaluation
 # ---------------------------------------------------------------------------
 # ``asmlab.evaluate.evaluate`` as it stood before the seed index over the
 # truth: a substring scan of the whole truth per contig, and k-mer precision
 # one packed int at a time against a frozenset. Kept verbatim for the
-# differential test.
+# differential test, except that it returns the frozen row report.
 
 
 def _occurrences(needle: str, haystack: str) -> list[int]:
@@ -1097,7 +1274,7 @@ def _covered_fraction(intervals: list[tuple[int, int]], span: int) -> float:
     return merged_total / span
 
 
-def reference_evaluate(contigs: ContigSet, truth: str, k: int) -> EvalReport:
+def reference_evaluate(contigs: ContigSet, truth: str, k: int) -> RowReport:
     """Score a contig set against a known reference.
 
     Exact matching is by substring search; repeated occurrences all count
@@ -1112,8 +1289,8 @@ def reference_evaluate(contigs: ContigSet, truth: str, k: int) -> EvalReport:
     per = []
     intervals: list[tuple[int, int]] = []
     misassemblies = 0
-    for contig in contigs:
-        seq = str(contig.sequence)
+    for name, seq in zip(contigs.names, contigs):
+        seq = str(seq)
         hits = _occurrences(seq, truth)
         exact = bool(hits)
         if exact:
@@ -1124,8 +1301,8 @@ def reference_evaluate(contigs: ContigSet, truth: str, k: int) -> EvalReport:
         precision = (
             sum(1 for p in packs if p in truth_kmers) / len(packs) if packs else 1.0
         )
-        per.append(ContigMetrics(contig.name, len(seq), exact, precision))
-    return _report(k, per, _covered_fraction(intervals, len(truth)), misassemblies)
+        per.append(ContigMetrics(name, len(seq), exact, precision))
+    return row_report(k, per, _covered_fraction(intervals, len(truth)), misassemblies)
 
 
 # ---------------------------------------------------------------------------
@@ -1135,7 +1312,7 @@ def reference_evaluate(contigs: ContigSet, truth: str, k: int) -> EvalReport:
 # packed arrays: every vertex and edge name decoded, one attribute list and
 # one write per line. ``EvalReport.to_json`` as it stood before the row
 # template: ``json.dumps`` over a dict of the report. Kept verbatim for the
-# differential tests.
+# differential tests; the JSON writer reads a row report (see ``report_rows``).
 
 _REFERENCE_PALETTE = (
     "lightblue", "lightsalmon", "palegreen", "plum", "khaki",
@@ -1174,7 +1351,7 @@ def reference_export_dot(graph: DeBruijnGraph, handle, highlight=None) -> None:
     handle.write("}\n")
 
 
-def reference_report_json(report: EvalReport) -> str:
+def reference_report_json(report: RowReport) -> str:
     """The report as one ``json.dumps(indent=2, sort_keys=True)`` call."""
     data = {
         "k": report.k,

@@ -11,10 +11,10 @@ from asmlab import unitig
 from asmlab.cli import main
 from asmlab.evaluate import evaluate
 from asmlab.formats import FastaRecord, read_fasta, write_fasta
-from asmlab.sequence import DnaString
-from asmlab.unitig import Contig, ContigSet
+from asmlab.sequence import DnaString, ReadSet
+from asmlab.unitig import ContigSet
 from conftest import G_TRUE
-from helpers import reference_export_dot, reference_report_json
+from helpers import reference_export_dot, reference_report_json, report_rows
 
 
 @pytest.fixture
@@ -64,6 +64,24 @@ class TestSimulate:
 
         genome = read_fasta(genome_out)[0].sequence
         assert longest_repeat(genome).length >= 60
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--len", "50"], "the genome has 19 nt, fewer than read_length 50"),
+        (["--len", "5", "--gap", "10:40"], "gap 10:40 runs past the genome's 19 nt"),
+    ], ids=["read-length", "gap-end"])
+    def test_genome_file_too_short_is_data_error(self, tmp_path, capsys, gtrue_fasta, extra,
+                                                 message):
+        reads = tmp_path / "x.fasta"
+        assert main(["simulate", "--genome", str(gtrue_fasta), "--num", "3",
+                     "--reads", str(reads), *extra]) == 1
+        assert f"error: {gtrue_fasta}: {message}" in capsys.readouterr().err
+        assert not reads.exists()
+
+    @pytest.mark.parametrize("extra", [["--len", "50"], ["--len", "5", "--gap", "10:40"]],
+                             ids=["read-length", "gap-end"])
+    def test_random_genome_too_short_is_usage_error(self, tmp_path, extra):
+        assert main(["simulate", "--random-length", "19", "--num", "3",
+                     "--reads", str(tmp_path / "x.fasta"), *extra]) == 2
 
     def test_plant_repeat_conflicts_with_genome_file(self, tmp_path, gtrue_fasta):
         code = main(["simulate", "--genome", str(gtrue_fasta), "--plant-repeat",
@@ -478,6 +496,27 @@ class TestBadInput:
         assert f"error: {gtrue_fasta}: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("stage,method", [(1, "cpp-walk"), (1, "unitig"), (2, "unitig")])
+    def test_reads_too_short_for_the_graph_are_data_error(self, tmp_path, capsys, stage,
+                                                          method):
+        cfg = tmp_path / "stage.cfg"
+        cfg.write_text(f"genome_length = 25\nread_length = 10\nnum_reads = 20\nk = 31\n"
+                       f"method = {method}\nseed = 1\n")
+        out_dir = tmp_path / "s"
+        assert main(["stage", "--stage", str(stage), "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == 1
+        assert (f"error: method {method} needs read_length >= k-1, got read_length=10 "
+                "and k=31") in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_superstring_shorter_than_k_minus_one_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "stage.cfg"
+        cfg.write_text("genome_length = 25\nread_length = 10\nk = 31\n"
+                       "method = scs-greedy\nseed = 1\n")
+        assert main(["stage", "--stage", "1", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "s")]) == 1
+        assert "error: contig s0 has 25 nt, shorter than k-1=30" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stage,text,key", [
         (2, "genome_length = 400\nread_length = 30\nk = 11\n", "num_reads"),
         (3, "k = 11\n", "reads_fasta"),
@@ -513,10 +552,10 @@ class TestEval:
                      "-k", "3", "--report", str(report)]) == 0
         written = (tmp_path / "report.txt.json").read_text()
         records = read_fasta(contigs)
-        expected = evaluate(ContigSet(3, tuple(Contig(r.id, r.sequence, source="file")
-                                               for r in records)),
+        expected = evaluate(ContigSet(3, ReadSet(r.sequence for r in records),
+                                      tuple(r.id for r in records), "file"),
                             read_fasta(gtrue_fasta)[0].sequence, 3)
-        assert written == reference_report_json(expected)
+        assert written == reference_report_json(report_rows(expected))
         rows = json.loads(written)["contigs"]
         assert [row["name"] for row in rows] == ['c"1', "c\\2", "plain"]
 

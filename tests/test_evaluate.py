@@ -1,29 +1,36 @@
+import io
 import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asmlab import graph as dbg
 from asmlab.evaluate import (
-    ContigMetrics,
-    _report,
+    EvalReport,
     compute_n50,
     evaluate,
     evaluate_without_truth,
     run_stage,
 )
 from asmlab.formats import FastaRecord, StageConfig, write_fasta
-from asmlab.sequence import DnaString
-from asmlab.simulate import random_genome
-from asmlab.unitig import Contig, ContigSet, unitig_contigs
+from asmlab.sequence import ReadSet
+from asmlab.simulate import SimulationProfile, random_genome, uniform_reads
+from asmlab.unitig import ContigSet, UnitigPartition, maximal_unitigs, unitig_contigs
 from helpers import (
+    ContigMetrics,
     coverage_marking_oracle,
     n50_oracle,
     reference_evaluate,
+    reference_export_dot,
     reference_report_json,
+    report_rows,
+    row_evaluate,
+    row_evaluate_without_truth,
+    row_report,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None,
@@ -31,9 +38,7 @@ PROPERTY = settings(max_examples=150, deadline=None,
 
 
 def contig_set(k, *seqs):
-    return ContigSet(k, tuple(
-        Contig(f"c{i}", DnaString(s), source="test") for i, s in enumerate(seqs)
-    ))
+    return ContigSet(k, ReadSet(seqs), tuple(f"c{i}" for i in range(len(seqs))), "test")
 
 
 class TestN50:
@@ -52,7 +57,7 @@ class TestEvaluate:
     def test_running_example_unitigs(self, g_true, fig_graph):
         report = evaluate(unitig_contigs(fig_graph), g_true, 3)
         assert report.misassembly_count == 0
-        assert all(m.exact_substring for m in report.per_contig)
+        assert report.exact.all()
         assert report.genome_fraction_covered == 1.0
 
     def test_identity_contig(self, g_true):
@@ -64,8 +69,8 @@ class TestEvaluate:
     def test_foreign_contig(self, g_true):
         report = evaluate(contig_set(3, "TTTTT"), g_true, 3)
         assert report.misassembly_count == 1
-        assert report.per_contig[0].exact_substring is False
-        assert report.per_contig[0].kmer_precision == 0.0
+        assert report.exact.tolist() == [False]
+        assert report.kmer_precision.tolist() == [0.0]
 
     def test_empty_truth_rejected(self, g_true):
         with pytest.raises(ValueError):
@@ -112,9 +117,9 @@ class TestEvaluate:
 
 def assert_matches_reference(contigs, truth, k):
     fast = evaluate(contigs, truth, k)
-    slow = reference_evaluate(contigs, truth, k)
-    assert fast.to_json() == slow.to_json()
-    assert fast.to_text() == slow.to_text()
+    for slow in (reference_evaluate(contigs, truth, k), row_evaluate(contigs, truth, k)):
+        assert fast.to_json() == slow.to_json()
+        assert fast.to_text() == slow.to_text()
 
 
 def planted_truth(seed):
@@ -150,8 +155,8 @@ def mixed_contigs(truth, k, seed):
 
 
 class TestMatchesReference:
-    """``evaluate`` against the frozen substring-scan evaluation, string for
-    string in both report formats."""
+    """``evaluate`` against the frozen substring-scan evaluation and the
+    frozen row-based one, string for string in both report formats."""
 
     @pytest.mark.parametrize("k", [2, 3, 21, 31])
     @pytest.mark.parametrize("make_truth", [planted_truth, padded_truth])
@@ -191,6 +196,32 @@ class TestMatchesReference:
             if len(piece) >= k - 1:
                 seqs.append(piece)
         assert_matches_reference(contig_set(k, *seqs), truth, k)
+
+
+class TestContigStore:
+    def test_unitigs_are_spelled_scored_and_drawn_from_their_codes(self, monkeypatch):
+        genome = random_genome(3000, seed=6)
+        profile = SimulationProfile(len(genome), 300, 50, error_rate=0.01, seed=7)
+        graph = dbg.build(uniform_reads(genome, profile), 15)
+
+        def per_contig(*args):
+            raise AssertionError("a string was made per contig")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ContigSet, "__iter__", per_contig)
+            patched.setattr(ContigSet, "__getitem__", per_contig)
+            patched.setattr(UnitigPartition, "spellings", property(per_contig))
+            contigs = unitig_contigs(graph)
+            reports = [evaluate(contigs, genome, 15), evaluate_without_truth(contigs, 15)]
+            texts = [(r.to_json(), r.to_text()) for r in reports]
+            dot = io.StringIO()
+            dbg.export_dot(graph, dot, contigs.sequences)
+        assert len(contigs) > 100
+        expected = [row_evaluate(contigs, genome, 15), row_evaluate_without_truth(contigs, 15)]
+        assert texts == [(r.to_json(), r.to_text()) for r in expected]
+        reference = io.StringIO()
+        reference_export_dot(graph, reference, maximal_unitigs(graph).unitigs)
+        assert dot.getvalue() == reference.getvalue()
 
 
 class TestRunStage:
@@ -249,37 +280,46 @@ class TestRunStage:
 
 class TestReportJson:
     """``EvalReport.to_json`` against the frozen ``json.dumps`` writer, byte
-    for byte."""
+    for byte, and both reports against the frozen row-based ones."""
 
     def test_with_and_without_truth(self, g_true, fig_graph):
         contigs = unitig_contigs(fig_graph)
         for report in (evaluate(contigs, g_true, 3), evaluate_without_truth(contigs, 3),
                        evaluate(mixed_contigs(padded_truth(2), 21, 2), padded_truth(2), 21)):
-            assert report.to_json() == reference_report_json(report)
+            assert report.to_json() == reference_report_json(report_rows(report))
+        rows = row_evaluate_without_truth(contigs, 3)
+        assert evaluate_without_truth(contigs, 3).to_text() == rows.to_text()
 
     def test_zero_contigs(self):
         for report in (evaluate(contig_set(5), "ACGTACGT", 5),
                        evaluate_without_truth(contig_set(5), 5)):
-            assert report.to_json() == reference_report_json(report)
+            assert report.to_json() == reference_report_json(report_rows(report))
             assert json.loads(report.to_json())["contigs"] == []
 
     def test_names_that_need_escaping(self):
         names = ['c"1', "c\\2", "tab\there", "caf\u00e9", "\u2603"]
-        contigs = ContigSet(3, tuple(Contig(n, DnaString("ACGT"), source="file")
-                                     for n in names))
+        contigs = ContigSet(3, ReadSet(["ACGT"] * len(names)), tuple(names), "file")
         report = evaluate(contigs, "TTACGTT", 3)
-        assert report.to_json() == reference_report_json(report)
+        assert report.to_json() == reference_report_json(report_rows(report))
         assert [row["name"] for row in json.loads(report.to_json())["contigs"]] == names
 
     @PROPERTY
     @given(st.lists(st.tuples(st.text(max_size=8), st.integers(min_value=0, max_value=10**9),
-                              st.sampled_from([True, False, None]),
-                              st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0))),
+                              st.booleans(), st.floats(min_value=0.0, max_value=1.0)),
                     max_size=12),
            st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
            st.integers(min_value=1, max_value=31))
     def test_any_rows_and_fractions(self, rows, fraction, k):
-        per = [ContigMetrics(name, length, exact, precision)
-               for name, length, exact, precision in rows]
-        report = _report(k, per, fraction, None if fraction is None else len(per) // 2)
-        assert report.to_json() == reference_report_json(report)
+        # without a truth fraction the rows' truth cells are absent
+        names, lengths, exact, precision = map(list, zip(*rows)) if rows else ([],) * 4
+        if fraction is None:
+            exact = precision = [None] * len(rows)
+        per = [ContigMetrics(*row) for row in zip(names, lengths, exact, precision)]
+        misassemblies = None if fraction is None else len(per) // 2
+        expected = row_report(k, per, fraction, misassemblies)
+        columns = (None, None) if fraction is None else (np.array(exact, dtype=bool),
+                                                         np.array(precision, dtype=np.float64))
+        report = EvalReport(k, tuple(names), np.array(lengths, dtype=np.int64), *columns,
+                            fraction, misassemblies)
+        assert report.to_json() == reference_report_json(expected) == expected.to_json()
+        assert report.to_text() == expected.to_text()

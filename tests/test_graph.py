@@ -644,7 +644,7 @@ class TestExportDotMatchesReference:
 
     def assert_unitig_contigs_same(self, graph):
         # unitig contigs color as the named unitigs of their partition
-        assert (dot_text(graph, unitig_contigs(graph).sequences())
+        assert (dot_text(graph, unitig_contigs(graph).sequences)
                 == reference_dot_text(graph, maximal_unitigs(graph).unitigs))
 
     def test_running_example_in_every_mode(self, g_true, fig_graph):

@@ -6,10 +6,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asmlab import graph as dbg
+from asmlab.errors import AssemblyError
 from asmlab.sequence import DnaString, ReadSet
 from asmlab.simulate import idealized_reads, random_genome
 from asmlab.unitig import (
-    Contig,
     ContigSet,
     check_safety_preconditions,
     is_safe_bounded,
@@ -63,17 +63,30 @@ class TestMaximalUnitigs:
 class TestUnitigContigs:
     def test_running_example_spellings(self, fig_graph):
         contigs = unitig_contigs(fig_graph)
-        assert [str(c.sequence) for c in contigs] == ["AA", "ATTCCAG", "GCTGA", "GT"]
-        assert all(c.source == "unitig" for c in contigs)
+        assert list(contigs) == ["AA", "ATTCCAG", "GCTGA", "GT"]
+        assert contigs.source == "unitig"
 
     def test_single_edge_graph(self):
         g = dbg.build(ReadSet.of("ACGT"), 4)
-        assert [str(c.sequence) for c in unitig_contigs(g)] == ["ACGT"]
+        assert list(unitig_contigs(g)) == ["ACGT"]
 
     def test_simple_path_spells_whole_string(self):
         g = graph_of("ACGTCA")
         contigs = unitig_contigs(g)
-        assert [str(c.sequence) for c in contigs] == ["ACGTCA"]
+        assert list(contigs) == ["ACGTCA"]
+
+    def test_contig_set_is_one_store(self):
+        contigs = ContigSet(3, ReadSet.of("ACGT", "AC", "GGA"), ("a", "b", "c"), "file")
+        assert len(contigs) == 3 and contigs.names == ("a", "b", "c")
+        assert list(contigs) == ["ACGT", "AC", "GGA"] and contigs[-1] == "GGA"
+        assert all(type(s) is DnaString for s in (*contigs, contigs[1]))
+        assert contigs.sequences.lengths.tolist() == [4, 2, 3]
+        with pytest.raises(ValueError, match="2 names for 3 contigs"):
+            ContigSet(3, contigs.sequences, ("a", "b"), "file")
+
+    def test_contig_shorter_than_k_minus_one_is_data_error(self):
+        with pytest.raises(AssemblyError, match=r"contig b has 1 nt, shorter than k-1=2"):
+            ContigSet(3, ReadSet.of("ACGT", "A", "G"), ("a", "b", "c"), "file")
 
     def test_labeled_bubble_count(self):
         g = dbg.make_bubble_graph(3, labeled_paths=True)
@@ -188,8 +201,8 @@ class TestSafetySuite:
         # none; a longer one as the walk it spells, or unsafe when it has none
         g = dbg.DeBruijnGraph(3, ["ACG", "CGT"])
         texts = ["AC", "TT", "ACGT", "ACGA"]
-        contigs = ContigSet(3, tuple(Contig(f"c{i}", DnaString(t), source="file")
-                                     for i, t in enumerate(texts)))
+        contigs = ContigSet(3, ReadSet(texts), tuple(f"c{i}" for i in range(len(texts))),
+                            "file")
         report = safety_suite(g, contigs)
         assert report.applicable
         assert [r.verdict for r in report.rows] == ["safe", "unsafe", "safe", "unsafe"]
