@@ -32,14 +32,12 @@ SEED = 1
 
 def write_reads(path: Path) -> None:
     sys.path.insert(0, str(SRC))
-    from asmlab import simulate
-    from asmlab.formats import FastaRecord, write_fasta
+    from asmlab import evaluate, simulate
 
     text = simulate.random_genome(GENOME, seed=SEED)
     profile = simulate.SimulationProfile(genome_length=GENOME, num_reads=READS,
                                          read_length=READ_LENGTH, seed=SEED + 1)
-    sampled = simulate.uniform_reads(text, profile)
-    write_fasta((FastaRecord(f"r{i}", r) for i, r in enumerate(sampled)), path)
+    evaluate.write_reads(simulate.uniform_reads(text, profile), path)
 
 
 def main() -> int:

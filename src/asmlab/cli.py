@@ -34,18 +34,17 @@ from asmlab.evaluate import (
     read_genome,
     run_stage,
     sample_reads,
-    write_contigs,
     write_reads,
 )
 from asmlab.formats import (
     FastaRecord,
     parse_gaps,
     read_config,
-    read_fasta,
+    read_named,
     read_reads,
     write_fasta,
 )
-from asmlab.sequence import DnaString, ReadSet, check_k
+from asmlab.sequence import DnaString, check_k
 from asmlab.superstring import diagnose_overcollapse, exact_scs, greedy_scs
 from asmlab.unitig import ContigSet, unitig_contigs
 
@@ -226,7 +225,7 @@ def _cmd_assemble(args) -> int:
                                 "read correction needs every read to hold a k-mer")
         reads = simulate.correct_reads(reads, args.k, args.correct)
     contigs, graph = assemble_contigs(reads, args.k, args.method)
-    write_contigs(contigs, args.out)
+    write_fasta(contigs, args.out)
     if args.dot:
         highlight = contigs.sequences if args.method == "unitig" else None
         with open(args.dot, "w", encoding="ascii", newline="\n") as handle:
@@ -274,13 +273,14 @@ def _cmd_dbg(args) -> int:
 
 def _cmd_eval(args) -> int:
     check_k(args.k)
-    records = read_fasta(args.contigs)
-    for number, record in enumerate(records, start=1):
-        if len(record.sequence) < args.k - 1:
-            raise AssemblyError(f"{args.contigs}: record {number} ({record.id}) has "
-                                f"{len(record.sequence)} nt, shorter than k-1={args.k - 1}")
-    contigs = ContigSet(args.k, ReadSet(r.sequence for r in records),
-                        tuple(r.id for r in records), "file")
+    names, sequences = read_named(args.contigs)
+    lengths = sequences.lengths
+    short = np.flatnonzero(lengths < args.k - 1)
+    if len(short):
+        number = int(short[0])
+        raise AssemblyError(f"{args.contigs}: record {number + 1} ({names[number]}) has "
+                            f"{lengths[number]} nt, shorter than k-1={args.k - 1}")
+    contigs = ContigSet(args.k, sequences, names, "file")
     report = evaluate(contigs, read_genome(args.truth), args.k)
     text = report.to_text()
     Path(args.report).write_text(text, encoding="ascii")

@@ -21,7 +21,7 @@ import numpy as np
 from asmlab import graph as dbg
 from asmlab import simulate
 from asmlab.errors import AssemblyError, FastaParseError
-from asmlab.formats import (GRAPH_METHODS, FastaRecord, StageConfig, read_fasta, read_reads,
+from asmlab.formats import (GRAPH_METHODS, FastaRecord, StageConfig, read_named, read_reads,
                             write_fasta)
 from asmlab.sequence import (
     DnaString,
@@ -314,21 +314,16 @@ def sample_reads(genome: str, read_length: int, num_reads: Optional[int], error_
 
 def read_genome(path) -> DnaString:
     """The first record of a FASTA file: the genome or the truth."""
-    records = read_fasta(path)
-    if not records:
+    sequences = read_named(path)[1]
+    if not len(sequences):
         raise FastaParseError(f"no FASTA records in {path}", line=1)
-    return records[0].sequence
+    return sequences[0]
 
 
 def write_reads(reads: ReadSet, path) -> None:
-    """Write reads as FASTA records ``r0, r1, ...``."""
-    write_fasta([FastaRecord(f"r{i}", r) for i, r in enumerate(reads)], path)
-
-
-def write_contigs(contigs: ContigSet, path) -> None:
-    """Write contigs as FASTA records: the name as id, the source as description."""
-    write_fasta([FastaRecord(name, sequence, description=contigs.source)
-                 for name, sequence in zip(contigs.names, contigs)], path)
+    """Write reads as FASTA records ``r0, r1, ...``, straight from their store
+    (as a ContigSet of order 1, which puts no floor on a read's length)."""
+    write_fasta(ContigSet(1, reads, tuple(map("r%d".__mod__, range(len(reads)))), ""), path)
 
 
 # the config keys each stage cannot run without; a tuple is a choice of keys
@@ -410,7 +405,7 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
     write_reads(reads, artifacts["reads"])
     contigs, graph = assemble_contigs(reads, config.k, config.method)
     artifacts["contigs"] = directory / "contigs.fasta"
-    write_contigs(contigs, artifacts["contigs"])
+    write_fasta(contigs, artifacts["contigs"])
     if graph is not None:
         artifacts["dot"] = directory / "graph.dot"
         with open(artifacts["dot"], "w", encoding="ascii", newline="\n") as handle:

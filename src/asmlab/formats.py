@@ -18,12 +18,17 @@ from asmlab.graph import DeBruijnGraph
 from asmlab.sequence import (
     ALPHABET,
     MAX_K,
+    SYMBOL_BYTES,
     DnaString,
     ReadSet,
     first_invalid,
+    index_ranges,
+    read_lengths,
+    symbol_batches,
     symbol_codes,
 )
 from asmlab.simulate import allowed_starts, check_gaps
+from asmlab.unitig import ContigSet
 
 FASTA_WRAP = 60
 _GZIP_MAGIC = b"\x1f\x8b"
@@ -71,6 +76,13 @@ def _open_for_write(sink: Source):
     return sink, False
 
 
+def _parse(source: Source) -> tuple[Iterable[str], ReadSet]:
+    """The header lines (stripped, marker included) and the sequences of a
+    FASTA or FASTQ file: the one shape every reader is built on."""
+    text = _read_text(source)
+    return _parse_fastq(text) if text.lstrip().startswith("@") else _parse_fasta(text)
+
+
 def read_fasta(source: Source) -> list[FastaRecord]:
     """Parse FASTA (or FASTQ, whose quality lines are only checked to be as
     long as their sequence lines).
@@ -79,25 +91,25 @@ def read_fasta(source: Source) -> list[FastaRecord]:
     A/C/G/T (explicitly including N) is a parse error naming the line
     and the byte.
     """
-    text = _read_text(source)
-    if _is_fastq(text):
-        return _parse_fastq(text)
-    lines, heads, sequences = _parse_fasta(text)
+    headers, sequences = _parse(source)
     records = []
-    for head, seq in zip(heads.tolist(), sequences):
-        fields = lines[head][1:].split(None, 1)
+    for header, seq in zip(headers, sequences):
+        fields = header[1:].split(None, 1)
         records.append(FastaRecord(fields[0], seq, fields[1] if len(fields) > 1 else ""))
     return records
 
 
-def _is_fastq(text: str) -> bool:
-    return text.lstrip().startswith("@")
+def read_named(source: Source) -> tuple[tuple[str, ...], ReadSet]:
+    """The record ids and the sequences of a FASTA or FASTQ file, parsed as
+    :func:`read_fasta` parses it, with no record object per sequence."""
+    headers, sequences = _parse(source)
+    return tuple(header[1:].split(None, 1)[0] for header in headers), sequences
 
 
 def _symbol_error(pieces: list[str], lines: Iterable[int], where: str) -> FastaParseError:
     """The error naming the line of the first symbol outside the alphabet in
-    ``pieces``, the consecutive lines of one sequence. Called only after
-    :class:`DnaString` has rejected their concatenation."""
+    ``pieces``, the consecutive lines of one sequence. Called only once a
+    symbol of theirs is known to be outside the alphabet."""
     for piece, line_no in zip(pieces, lines):
         pos = first_invalid(piece)
         if pos >= 0:
@@ -106,9 +118,9 @@ def _symbol_error(pieces: list[str], lines: Iterable[int], where: str) -> FastaP
         f"invalid symbol {piece[pos]!r} in {where} (alphabet is {ALPHABET})", line=line_no)
 
 
-def _parse_fasta(text: str) -> tuple[list[str], np.ndarray, ReadSet]:
-    """The stripped lines of a FASTA text, the line index of each record's
-    header, and the records' sequences.
+def _parse_fasta(text: str) -> tuple[Iterable[str], ReadSet]:
+    """The header lines of a FASTA text, looked up only when iterated, and
+    the records' sequences.
 
     The lines are split and stripped once, and the sequence lines are
     joined and encoded once (uppercased and encoded again only if a symbol
@@ -127,7 +139,7 @@ def _parse_fasta(text: str) -> tuple[list[str], np.ndarray, ReadSet]:
         raise FastaParseError("sequence data before any '>' header",
                               line=int(np.flatnonzero(preamble)[0]) + 1)
     if not len(heads):
-        return lines, heads, ReadSet(())
+        return [], ReadSet(())
     is_body = ~is_head  # the lines before the first header are empty
     body = list(itertools.compress(lines, is_body.tolist()))
     sequence = "".join(body)
@@ -153,7 +165,7 @@ def _parse_fasta(text: str) -> tuple[list[str], np.ndarray, ReadSet]:
     if failing.any():
         r = int(np.argmax(failing))
         raise _record_error(lines, heads, r, bool(bad[r]))
-    return lines, heads, ReadSet.from_codes(codes, ends - starts)
+    return map(lines.__getitem__, heads), ReadSet.from_codes(codes, ends - starts)
 
 
 def _record_error(lines: list[str], heads: np.ndarray, r: int, bad: bool) -> FastaParseError:
@@ -171,9 +183,12 @@ def _record_error(lines: list[str], heads: np.ndarray, r: int, bad: bool) -> Fas
     return FastaParseError(f"record {fields[0]!r} has an empty sequence", line=head + 1)
 
 
-def _parse_fastq(text: str) -> list[FastaRecord]:
+def _parse_fastq(text: str) -> tuple[list[str], ReadSet]:
+    """The header lines of a FASTQ text and the records' sequences, joined
+    and encoded once."""
     lines = text.splitlines()
-    records: list[FastaRecord] = []
+    headers: list[str] = []
+    sequences: list[str] = []
     i = 0
     while i < len(lines):
         if not lines[i].strip():
@@ -191,38 +206,67 @@ def _parse_fastq(text: str) -> list[FastaRecord]:
             raise FastaParseError("empty FASTQ header", line=i + 1)
         if not seq:
             raise FastaParseError(f"record {parts[0]!r} has an empty sequence", line=i + 2)
-        try:
-            dna = DnaString(seq)
-        except ValueError:
-            raise _symbol_error([seq], [i + 2], f"record {parts[0]!r}") from None
+        if first_invalid(seq) >= 0:
+            raise _symbol_error([seq], [i + 2], f"record {parts[0]!r}")
         quality = lines[i + 3].strip()
         if len(quality) != len(seq):
             raise FastaParseError(
                 f"record {parts[0]!r} has {len(quality)} quality symbols "
                 f"for {len(seq)} bases", line=i + 4)
-        records.append(FastaRecord(parts[0], dna, parts[1] if len(parts) > 1 else ""))
+        headers.append(lines[i].strip())
+        sequences.append(seq)
         i += 4
-    return records
+    return headers, ReadSet.from_codes(symbol_codes("".join(sequences)),
+                                       read_lengths(sequences))
 
 
-def write_fasta(records: Iterable[FastaRecord], sink: Source) -> None:
-    """Emit records with 60-column wrapping and deterministic bytes."""
-    records = list(records)
+def _layout(headers: list[str], codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The FASTA bytes of records laid end to end in ``codes``: each is its
+    header line, then its symbols in lines of ``FASTA_WRAP``."""
+    head_sizes = read_lengths(headers) + 2  # '>' and the newline
+    line_counts = -(-lengths // FASTA_WRAP)
+    sizes = head_sizes + lengths + line_counts
+    starts = np.cumsum(sizes) - sizes
+    out = np.full(int(sizes.sum()), ord("\n"), dtype=np.uint8)
+    out[index_ranges(starts, head_sizes - 1)] = np.frombuffer(
+        (">" + ">".join(headers)).encode("ascii"), dtype=np.uint8)
+    # symbols fill every byte outside the header lines and line-ending newlines: a byte
+    # mask, since an int64 position per symbol would take eight times the buffer
+    is_symbol = np.ones(len(out), dtype=bool)
+    is_symbol[index_ranges(starts, head_sizes)] = False
+    record = np.repeat(np.arange(len(lengths)), line_counts)
+    line = index_ranges(np.zeros_like(line_counts), line_counts)
+    is_symbol[(starts + head_sizes)[record] + line
+              + np.minimum((line + 1) * FASTA_WRAP, lengths[record])] = False
+    out[is_symbol] = SYMBOL_BYTES[codes]
+    return out
+
+
+def write_fasta(records: Union[ContigSet, Iterable[FastaRecord]], sink: Source) -> None:
+    """Emit records with 60-column wrapping and deterministic bytes. A
+    :class:`ContigSet` gives its names as ids and its source as every
+    description. A duplicate id raises before the sink is opened. Each batch
+    of records is laid out in one byte buffer and written at once."""
+    if isinstance(records, ContigSet):
+        ids, store = records.names, records.sequences
+        headers = ([f"{name} {records.source}" for name in ids] if records.source
+                   else list(ids))
+    else:
+        records = list(records)
+        ids, store = [r.id for r in records], ReadSet(r.sequence for r in records)
+        headers = [f"{r.id} {r.description}" if r.description else r.id for r in records]
     seen: set[str] = set()
-    for r in records:
-        if r.id in seen:
-            raise ValueError(f"duplicate record id {r.id!r}")
-        seen.add(r.id)
+    for name in ids:
+        if name in seen:
+            raise ValueError(f"duplicate record id {name!r}")
+        seen.add(name)
+    lengths = store.lengths
     handle, owned = _open_for_write(sink)
     try:
-        for r in records:
-            header = f">{r.id}"
-            if r.description:
-                header += f" {r.description}"
-            handle.write(header + "\n")
-            seq = str(r.sequence)
-            for i in range(0, len(seq), FASTA_WRAP):
-                handle.write(seq[i:i + FASTA_WRAP] + "\n")
+        for start, stop in symbol_batches(lengths):
+            codes = store.codes[store.offsets[start]:store.offsets[stop]]
+            out = _layout(headers[start:stop], codes, lengths[start:stop])
+            handle.write(out.tobytes().decode("ascii"))
     finally:
         if owned:
             handle.close()
@@ -237,9 +281,7 @@ def fasta_bytes(records: Iterable[FastaRecord]) -> str:
 def read_reads(source: Source) -> ReadSet:
     """Load a FASTA/FASTQ file as a ReadSet (order preserved); a file that
     yields no reads is a :class:`FastaParseError`."""
-    text = _read_text(source)
-    reads = ReadSet([r.sequence for r in _parse_fastq(text)]) if _is_fastq(text) else \
-        _parse_fasta(text)[2]
+    reads = _parse(source)[1]
     if not len(reads):
         name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
         raise FastaParseError(f"no reads in {name}", line=1)
@@ -289,10 +331,8 @@ def read_edge_list(source: Source) -> DeBruijnGraph:
             label, labels, kind, width = line[2:], isolated, "vertex", k - 1
         else:
             label, labels, kind, width = line, kmers, "edge", k
-        try:
-            DnaString(label)
-        except ValueError:
-            raise _symbol_error([label], [line_no], f"graph label {label!r}") from None
+        if first_invalid(label) >= 0:
+            raise _symbol_error([label], [line_no], f"graph label {label!r}")
         if len(label) != width:
             raise FastaParseError(f"{kind} {label!r} has length {len(label)}, "
                                   f"expected {width} for k={k}", line=line_no)

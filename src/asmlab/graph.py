@@ -36,7 +36,6 @@ from functools import cached_property
 from typing import Iterable, Optional, TextIO
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
@@ -49,6 +48,7 @@ from asmlab.errors import (
 from asmlab.sequence import (
     ALPHABET,
     MAX_K,
+    SYMBOL_BYTES,
     ReadSet,
     decode_kmer,
     decode_kmers,
@@ -389,6 +389,12 @@ def _vertex_path_to_walk(graph: DeBruijnGraph, path: list[int]) -> Walk:
     vertices = graph.packed_vertices[path]
     edges = (vertices[:-1] << 2) | (vertices[1:] & 3)
     return Walk(graph, tuple(decode_kmers(edges, graph.k)))
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # imported on the first call: scipy.optimize is most of the cost of importing the CLI
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(cost)
 
 
 def _assign(cost: np.ndarray) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
@@ -839,7 +845,6 @@ _PALETTE = (
 
 
 _DOT_BATCH = 1 << 14  # DOT lines laid out per write: bounds the buffer on any graph
-_SYMBOLS = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)  # byte of each code
 _PLAIN_TAIL = b"];\n"
 _FILL_TAILS = (_PLAIN_TAIL,
                *(b' style=filled fillcolor="%s"];\n' % c.encode("ascii") for c in _PALETTE))
@@ -868,7 +873,7 @@ def _write_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tuple,
         lines = np.empty((len(kind), ends.max()), dtype=np.uint8)
         lines[:, :head] = np.frombuffer(template, dtype=np.uint8)
         for column, start, stop in fields:
-            lines[:, column:column + stop - start] = _SYMBOLS[codes[:, start:stop]]
+            lines[:, column:column + stop - start] = SYMBOL_BYTES[codes[:, start:stop]]
         for t in np.unique(kind).tolist():
             tail = np.frombuffer(tails[t], dtype=np.uint8)
             lines[kind == t, head:head + len(tail)] = tail

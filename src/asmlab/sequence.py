@@ -26,6 +26,7 @@ _ENCODE = bytearray([255]) * 256
 for _v, _c in enumerate(ALPHABET):
     _ENCODE[ord(_c)] = _v
 _DECODE = bytes.maketrans(bytes(range(len(ALPHABET))), ALPHABET.encode("ascii"))
+SYMBOL_BYTES = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)  # byte of each code
 
 
 def _raw_codes(text: str) -> bytes:

@@ -30,7 +30,7 @@ from asmlab.evaluate import (
     _seed_index,
     compute_n50,
 )
-from asmlab.formats import FastaRecord
+from asmlab.formats import FASTA_WRAP, FastaRecord, _open_for_write
 from asmlab.graph import DeBruijnGraph, Walk
 from asmlab.sequence import (
     ALPHABET,
@@ -1008,6 +1008,72 @@ def reference_parse_fasta(text: str, drop_ambiguous: bool) -> list[FastaRecord]:
             raise FastaParseError(f"record {fields[0]!r} has an empty sequence", line=head + 1)
         records.append(FastaRecord(fields[0], seq, fields[1] if len(fields) > 1 else ""))
     return records
+
+
+# ---------------------------------------------------------------------------
+# Frozen FASTQ parser and line-by-line FASTA writer
+# ---------------------------------------------------------------------------
+# The FASTQ parser as it was before it collected sequences into one store
+# (one DnaString and one FastaRecord per record), and write_fasta as it was
+# before it laid records out in one byte buffer (one write per line). Kept
+# verbatim, except for their names and the symbol error's.
+
+
+def reference_parse_fastq(text: str) -> list[FastaRecord]:
+    lines = text.splitlines()
+    records: list[FastaRecord] = []
+    i = 0
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        if not lines[i].startswith("@"):
+            raise FastaParseError("expected '@' FASTQ header", line=i + 1)
+        if i + 3 >= len(lines):
+            raise FastaParseError("truncated FASTQ record", line=i + 1)
+        parts = lines[i][1:].strip().split(None, 1)
+        seq = lines[i + 1].strip().upper()
+        if not lines[i + 2].startswith("+"):
+            raise FastaParseError("expected '+' FASTQ separator", line=i + 3)
+        if not parts:
+            raise FastaParseError("empty FASTQ header", line=i + 1)
+        if not seq:
+            raise FastaParseError(f"record {parts[0]!r} has an empty sequence", line=i + 2)
+        try:
+            dna = DnaString(seq)
+        except ValueError:
+            raise _reference_symbol_error([seq], [i + 2], f"record {parts[0]!r}") from None
+        quality = lines[i + 3].strip()
+        if len(quality) != len(seq):
+            raise FastaParseError(
+                f"record {parts[0]!r} has {len(quality)} quality symbols "
+                f"for {len(seq)} bases", line=i + 4)
+        records.append(FastaRecord(parts[0], dna, parts[1] if len(parts) > 1 else ""))
+        i += 4
+    return records
+
+
+def reference_write_fasta(records: Iterable[FastaRecord], sink) -> None:
+    """Emit records with 60-column wrapping and deterministic bytes."""
+    records = list(records)
+    seen: set[str] = set()
+    for r in records:
+        if r.id in seen:
+            raise ValueError(f"duplicate record id {r.id!r}")
+        seen.add(r.id)
+    handle, owned = _open_for_write(sink)
+    try:
+        for r in records:
+            header = f">{r.id}"
+            if r.description:
+                header += f" {r.description}"
+            handle.write(header + "\n")
+            seq = str(r.sequence)
+            for i in range(0, len(seq), FASTA_WRAP):
+                handle.write(seq[i:i + FASTA_WRAP] + "\n")
+    finally:
+        if owned:
+            handle.close()
 
 
 # ---------------------------------------------------------------------------

@@ -693,3 +693,52 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+def _program_run(directory: Path) -> dict:
+    """simulate, assemble (unitig and cpp-walk), eval and stage 2 into
+    ``directory``; the bytes of every file they write."""
+    directory.mkdir()
+    reads, genome = directory / "reads.fasta", directory / "genome.fasta"
+    small, walk_reads = directory / "small.fasta", directory / "walk-reads.fasta"
+    config = directory.with_suffix(".cfg")  # outside: it names the directory
+    config.write_text(f"genome_fasta = {genome}\nnum_reads = 300\nread_length = 60\n"
+                      "error_rate = 0.01\nk = 15\nmethod = unitig\ncorrect = true\n"
+                      "min_multiplicity = 2\nseed = 8\n")
+    for command in (
+        ["simulate", "--random-length", "3000", "--num", "400", "--len", "60",
+         "--error-rate", "0.01", "--seed", "5", "--reads", str(reads), "--genome-out", str(genome)],
+        ["simulate", "--random-length", "600", "--idealized", "--len", "40", "--seed", "9",
+         "--reads", str(walk_reads), "--genome-out", str(small)],
+        ["assemble", "--reads", str(reads), "-k", "15", "--method", "unitig",
+         "--out", str(directory / "contigs.fasta"), "--dot", str(directory / "graph.dot")],
+        ["assemble", "--reads", str(walk_reads), "-k", "15", "--method", "cpp-walk",
+         "--out", str(directory / "walk.fasta")],
+        ["eval", "--contigs", str(directory / "contigs.fasta"), "--truth", str(genome),
+         "-k", "15", "--report", str(directory / "report.txt")],
+        ["stage", "--stage", "2", "--config", str(config), "--out-dir", str(directory / "s2")],
+    ):
+        assert main(command) == 0, command
+    return {str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def test_file_boundary_makes_no_string_or_record_per_read_or_contig(tmp_path, monkeypatch):
+    expected = _program_run(tmp_path / "plain")
+    records = []
+    validate = FastaRecord.__post_init__
+
+    def counted(record):
+        records.append(record.id)
+        validate(record)
+
+    def per_read(*args):
+        raise AssertionError("a string was made per read or contig")
+
+    monkeypatch.setattr(FastaRecord, "__post_init__", counted)
+    monkeypatch.setattr(ReadSet, "__iter__", per_read)
+    outputs = _program_run(tmp_path / "guarded")
+    assert outputs == expected
+    assert expected["contigs.fasta"].count(b">") > 100
+    # one record for each single-record file: both simulated genomes and stage 2's
+    assert records == ["truth", "truth", "truth"]

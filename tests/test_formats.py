@@ -3,10 +3,11 @@ import itertools
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from asmlab import graph as dbg
+from asmlab import sequence
 from asmlab.errors import AssemblyError, ConfigError, FastaParseError
 from asmlab.formats import (
     FastaRecord,
@@ -16,12 +17,14 @@ from asmlab.formats import (
     read_config,
     read_edge_list,
     read_fasta,
+    read_named,
     read_reads,
     write_edge_list,
     write_fasta,
 )
 from asmlab.sequence import DnaString, ReadSet
-from helpers import reference_parse_fasta
+from asmlab.unitig import ContigSet
+from helpers import reference_parse_fasta, reference_parse_fastq, reference_write_fasta
 
 PROPERTY = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -109,10 +112,16 @@ class TestWriteFasta:
     def test_empty_collection(self):
         assert fasta_bytes([]) == ""
 
-    def test_duplicate_ids_rejected(self):
+    def test_duplicate_ids_rejected(self, tmp_path):
         records = [FastaRecord("x", DnaString("AC")), FastaRecord("x", DnaString("GT"))]
         with pytest.raises(ValueError, match="duplicate"):
             fasta_bytes(records)
+        path = tmp_path / "out.fasta"
+        contigs = ContigSet(1, ReadSet.of("AC", "GT", "AC"), ("x", "y", "x"), "")
+        for given in (records, contigs):
+            with pytest.raises(ValueError, match="^duplicate record id 'x'$"):
+                write_fasta(given, path)
+            assert not path.exists()  # raised before the file was made
 
     def test_whitespace_id_rejected(self):
         with pytest.raises(ValueError):
@@ -285,3 +294,94 @@ class TestParseFastaMatchesLineByLine:
         text = ">a\nAß\n>b\nACGT\n"
         expected = _outcome(lambda: reference_parse_fasta(text, False))
         assert _outcome(lambda: read_fasta(io.StringIO(text))) == expected
+
+
+# pieces of FASTQ text: good, bare and misplaced headers, mixed-case and
+# ambiguous sequences, good and bad '+' lines, quality lines of the right
+# length or one off, blank lines between records, and truncated endings
+_FQ_HEADERS = st.builds(lambda name, tail: f"@{name}{tail}",
+                        st.text(alphabet="abr019_.|-", min_size=1, max_size=5),
+                        st.sampled_from(["", " desc", "  two words ", "\tx y", " "]))
+_FQ_BAD_HEADERS = st.sampled_from(["@", "@ \t", " @r", "r1", ">r1", ""])
+_FQ_SEQUENCES = _mostly(st.text(alphabet="ACGTacgt", min_size=1, max_size=12),
+                        st.text(alphabet="ACGTNn \u00df\u017f\x00", max_size=6), 10)
+_FQ_SEPARATORS = _mostly(st.sampled_from(["+", "+r1", "+ "]), st.sampled_from(["-", "", " +"]), 15)
+_FQ_RECORDS = st.builds(
+    lambda head, seq, sep, off, pad: [head, seq, sep, pad + "I" * max(0, len(seq.strip()) + off)],
+    _mostly(_FQ_HEADERS, _FQ_BAD_HEADERS, 15), _FQ_SEQUENCES, _FQ_SEPARATORS,
+    _mostly(st.just(0), st.sampled_from([-1, 1]), 15), st.sampled_from(["", " "]))
+
+
+def _fastq_text(first, records, blanks, cut, endings) -> str:
+    records[0][0] = first  # the text must read as FASTQ
+    lines = [line for record, gap in zip(records, itertools.cycle(blanks))
+             for line in (*record, *gap)]
+    lines = lines[:len(lines) - cut]
+    return "".join(line + end for line, end in zip(lines, itertools.cycle(endings)))
+
+
+fastq_texts = st.builds(
+    _fastq_text, _mostly(_FQ_HEADERS, st.just("@"), 20), st.lists(_FQ_RECORDS, min_size=1, max_size=5),
+    st.lists(_mostly(st.just([]), st.lists(_BLANKS, min_size=1, max_size=2), 4), min_size=1,
+             max_size=3),
+    _mostly(st.just(0), st.integers(min_value=1, max_value=3), 8), _ENDINGS)
+
+
+def _error(parse):
+    with pytest.raises(FastaParseError) as err:
+        parse()
+    return (type(err.value), str(err.value), err.value.line)
+
+
+class TestFastqMatchesFrozenParser:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fastq_texts)
+    @example("@r1\nACGT\n+\nIIII\n\n \n@r2 d\nacgt\n+r2\nIIII\n")  # blank lines, lower case
+    @example("@r1\nACGT\n+\nIIII\n@r2\nAC\n+\n")  # a truncated record
+    @example("@r1\nACGT\n-\nIIII\n")  # a bad '+' line
+    @example("@r1\nACGT\n+\nIIIII\n")  # a quality length mismatch
+    def test_same_records_or_same_error(self, text):
+        expected = _outcome(lambda: reference_parse_fastq(text))
+        assert _outcome(lambda: read_fasta(io.StringIO(text))) == expected
+        if isinstance(expected, list):
+            ids, reads = read_named(io.StringIO(text))
+            assert list(ids) == [name for name, _, _ in expected]
+            assert list(reads) == [seq for _, seq, _ in expected]
+            assert read_reads(io.StringIO(text)) == reads
+        else:
+            assert _error(lambda: read_named(io.StringIO(text))) == expected
+            assert _error(lambda: read_reads(io.StringIO(text))) == expected
+
+
+# FASTA_WRAP - 1, FASTA_WRAP and FASTA_WRAP + 1 symbols, and the same past two lines
+_WRAP_LENGTHS = (0, 1, 59, 60, 61, 120, 121)
+_WRAP_RECORDS = st.lists(
+    st.tuples(st.sampled_from(_WRAP_LENGTHS).flatmap(
+        lambda n: st.text(alphabet="ACGT", min_size=n, max_size=n)),
+        st.sampled_from(["", "desc", "two  words", "x\ty"])),
+    max_size=8)
+
+
+def _wrap_text(records) -> str:
+    handle = io.StringIO()
+    reference_write_fasta(records, handle)
+    return handle.getvalue()
+
+
+class TestWriteFastaMatchesLineByLine:
+    @PROPERTY
+    @given(_WRAP_RECORDS, st.sampled_from([1, 7, 200, 1 << 21]))
+    @example([(DnaString("A" * n), d) for n in _WRAP_LENGTHS for d in ("", "desc")], 1 << 21)
+    def test_same_bytes(self, items, batch):
+        records = [FastaRecord(f"r{i}", DnaString(seq), d) for i, (seq, d) in enumerate(items)]
+        source = items[0][1] if items else ""
+        contigs = ContigSet(1, ReadSet(seq for seq, _ in items),
+                            tuple(r.id for r in records), source)
+        shared = [FastaRecord(r.id, r.sequence, source) for r in records]
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(sequence, "_COUNT_BATCH", batch)  # records laid out per batch
+            assert fasta_bytes(records) == _wrap_text(records)
+            handle = io.StringIO()
+            write_fasta(contigs, handle)
+            assert handle.getvalue() == _wrap_text(shared)
