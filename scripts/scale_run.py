@@ -1,14 +1,22 @@
-"""Time one ``asmlab assemble --method unitig`` run at scale, through the
-CLI, in a child process.
+"""Time ``asmlab assemble --method unitig`` runs at scale, through the CLI,
+each in a child process.
 
     python3 scripts/scale_run.py --work DIR
 
-READS error-free reads of READ_LENGTH nt, uniformly placed on
-``random_genome(GENOME, seed=SEED)``, are written to DIR/reads.fasta
-unless that file already exists, so several checkouts can be timed on the
-same input; the assembly runs at order K. Prints one JSON line: the wall
-time of the child and its peak resident set size (``getrusage`` of the
-waited-for children). Run it from the root of the checkout to be timed.
+Two inputs, each written to DIR unless its file already exists, so several
+checkouts can be timed on the same input:
+
+- ``reads.fasta``: 10^6 error-free 100 nt reads uniformly placed on
+  ``random_genome(2_500_000, seed=1)`` (read seed 2);
+- ``reads-noisy.fasta``: 10^5 100 nt reads with 1% substitution errors on
+  ``random_genome(1_000_000, seed=5)`` (read seed 6), about 175,000 unitigs.
+
+Each is assembled at order K into DIR/<input>-contigs.fasta. Prints one JSON
+line per input: the wall time of its child and that child's peak resident
+set size (``ru_maxrss`` of the waited-for child). Inputs are written by a
+child process of their own: Linux hands a process's peak RSS on to the
+children it starts, so this process stays small. Run it from the root of
+the checkout to be timed.
 """
 
 from __future__ import annotations
@@ -16,48 +24,68 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 SRC = Path("src").resolve()  # the checkout this is run from
-READS = 1_000_000
-GENOME = 2_500_000
-READ_LENGTH = 100
 K = 31
-SEED = 1
+READ_LENGTH = 100
+# name: (reads, genome length, genome seed, read seed, error rate)
+INPUTS = {
+    "reads": (1_000_000, 2_500_000, 1, 2, 0.0),
+    "reads-noisy": (100_000, 1_000_000, 5, 6, 0.01),
+}
 
 
-def write_reads(path: Path) -> None:
+def write_reads(name: str, path: Path) -> None:
     sys.path.insert(0, str(SRC))
     from asmlab import evaluate, simulate
 
-    text = simulate.random_genome(GENOME, seed=SEED)
-    profile = simulate.SimulationProfile(genome_length=GENOME, num_reads=READS,
-                                         read_length=READ_LENGTH, seed=SEED + 1)
+    reads, genome, genome_seed, read_seed, error_rate = INPUTS[name]
+    text = simulate.random_genome(genome, seed=genome_seed)
+    profile = simulate.SimulationProfile(genome_length=genome, num_reads=reads,
+                                         read_length=READ_LENGTH, error_rate=error_rate,
+                                         seed=read_seed)
     evaluate.write_reads(simulate.uniform_reads(text, profile), path)
+
+
+def run_child(command: list[str], env: dict) -> tuple[int, float, float]:
+    """Exit code, wall seconds and peak RSS (MB) of one child process."""
+    start = time.perf_counter()
+    child = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return child.returncode, wall, usage.ru_maxrss / 1024
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--work", required=True, type=Path)
+    parser.add_argument("--write", choices=INPUTS, help=argparse.SUPPRESS)  # in the child
     args = parser.parse_args()
+    if args.write:
+        write_reads(args.write, args.work / f"{args.write}.fasta")
+        return 0
     args.work.mkdir(parents=True, exist_ok=True)
-    reads = args.work / "reads.fasta"
-    if not reads.exists():
-        write_reads(reads)
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    command = [sys.executable, "-m", "asmlab.cli", "assemble", "--reads", str(reads),
-               "-k", str(K), "--method", "unitig", "--out", str(args.work / "contigs.fasta")]
-    start = time.perf_counter()
-    code = subprocess.run(command, env=env, stdout=subprocess.DEVNULL).returncode
-    wall = time.perf_counter() - start
-    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    print(json.dumps({"exit": code, "wall_s": round(wall, 2), "peak_rss_mb": round(peak_mb, 1),
-                      "reads": READS, "genome": GENOME, "k": K}))
-    return code
+    worst = 0
+    for name, (reads, genome, _, _, error_rate) in INPUTS.items():
+        path = args.work / f"{name}.fasta"
+        if not path.exists():
+            subprocess.run([sys.executable, __file__, "--work", str(args.work), "--write", name],
+                           check=True)
+        command = [sys.executable, "-m", "asmlab.cli", "assemble", "--reads", str(path),
+                   "-k", str(K), "--method", "unitig",
+                   "--out", str(args.work / f"{name}-contigs.fasta")]
+        code, wall, peak_mb = run_child(command, env)
+        print(json.dumps({"input": name, "exit": code, "wall_s": round(wall, 2),
+                          "peak_rss_mb": round(peak_mb, 1), "reads": reads, "genome": genome,
+                          "error_rate": error_rate, "k": K}), flush=True)
+        worst = worst or code
+    return worst
 
 
 if __name__ == "__main__":

@@ -36,8 +36,6 @@ from functools import cached_property
 from typing import Iterable, Optional, TextIO
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from asmlab.errors import (
     AssemblyError,
@@ -85,13 +83,15 @@ class DeBruijnGraph:
     ``packed_edges`` is the sorted ``uint64`` array of distinct k-mer codes.
     ``packed_vertices`` is the sorted array of their (k-1)-prefix and suffix
     codes plus any isolated vertices; vertex ``i`` is ``vertices[i]``, and
-    ``vertex_index`` maps a vertex back to ``i``. ``adjacency`` is the one
-    CSR matrix over vertex indices: row ``i`` holds the out-edges of ``i``,
-    so edge ``j`` (in ``packed_edges`` order) goes to ``adjacency.indices[j]``,
-    and ``out_degrees``/``in_degrees`` are numpy arrays. Packed order is
-    string order, so every row's indices and every string view
-    (``vertices``, ``edge_kmers``, ``successors``, ...) are sorted. String
-    views are decoded once, when first used.
+    ``vertex_index`` maps a vertex back to ``i``. Edges are sorted by tail,
+    so the out-edges of ``i`` are a run of edge indices, and
+    :meth:`edge_endpoints` gives every edge's tail and head index;
+    ``out_degrees``/``in_degrees`` are numpy arrays. Packed order is string
+    order, so every run's heads and every string view (``vertices``,
+    ``edge_kmers``, ``successors``, ...) are sorted. String views are
+    decoded once, when first used, and so is ``adjacency``, the scipy CSR
+    matrix over vertex indices (row ``i`` holds the heads of the out-edges
+    of ``i``) that the covering-walk solver and :meth:`components` search.
     """
 
     def __init__(self, k: int, edge_kmers: Iterable[str],
@@ -125,11 +125,10 @@ class DeBruijnGraph:
         self.packed_edges = edges
         self.packed_vertices = vertices
         self.out_degrees = np.bincount(np.searchsorted(vertices, tails), minlength=n)
-        head_index = np.searchsorted(vertices, heads)
-        self.in_degrees = np.bincount(head_index, minlength=n)
+        self._heads = np.searchsorted(vertices, heads)
+        self.in_degrees = np.bincount(self._heads, minlength=n)
         # edges are sorted by tail, and within one tail by head
-        offsets = np.concatenate(([0], np.cumsum(self.out_degrees)))
-        self.adjacency = csr_array((np.ones(len(edges)), head_index, offsets), shape=(n, n))
+        self._offsets = np.concatenate(([0], np.cumsum(self.out_degrees)))
 
     # -- string views ------------------------------------------------------
 
@@ -147,13 +146,20 @@ class DeBruijnGraph:
 
     @cached_property
     def _successor_names(self) -> list[tuple[str, ...]]:
-        return _neighbour_names(self.vertices, self.adjacency)
+        return _neighbour_names(self.vertices, self._offsets, self._heads)
 
     @cached_property
     def _predecessor_names(self) -> list[tuple[str, ...]]:
-        incoming = self.adjacency.T.tocsr()
-        incoming.sort_indices()
-        return _neighbour_names(self.vertices, incoming)
+        by_head = np.argsort(self._heads, kind="stable")  # within one head, by tail
+        offsets = np.concatenate(([0], np.cumsum(self.in_degrees)))
+        return _neighbour_names(self.vertices, offsets, self.edge_endpoints()[0][by_head])
+
+    @cached_property
+    def adjacency(self):
+        from scipy.sparse import csr_array
+
+        n = len(self.packed_vertices)
+        return csr_array((np.ones(self.num_edges), self._heads, self._offsets), shape=(n, n))
 
     # -- structure queries -------------------------------------------------
 
@@ -200,6 +206,8 @@ class DeBruijnGraph:
         graph that is one component, with no isolated vertex, is its own."""
         if not self.num_edges:
             return []
+        from scipy.sparse.csgraph import connected_components
+
         count, labels = connected_components(self.adjacency, connection="weak")
         if count == 1:
             return [self]
@@ -216,8 +224,7 @@ class DeBruijnGraph:
 
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Tail and head vertex index of every edge, in edge order."""
-        return (np.repeat(np.arange(len(self.packed_vertices)), self.out_degrees),
-                self.adjacency.indices)
+        return np.repeat(np.arange(len(self.packed_vertices)), self.out_degrees), self._heads
 
     def subgraph(self, vertex_subset: Iterable[str]) -> "DeBruijnGraph":
         keep = np.zeros(len(self.packed_vertices), dtype=bool)
@@ -242,8 +249,9 @@ class DeBruijnGraph:
                 f"edges={self.num_edges})")
 
 
-def _neighbour_names(names: tuple[str, ...], adjacency: csr_array) -> list[tuple[str, ...]]:
-    offsets, neighbours = adjacency.indptr.tolist(), adjacency.indices.tolist()
+def _neighbour_names(names: tuple[str, ...], offsets: np.ndarray,
+                     neighbours: np.ndarray) -> list[tuple[str, ...]]:
+    offsets, neighbours = offsets.tolist(), neighbours.tolist()
     return [tuple([names[j] for j in neighbours[a:b]])
             for a, b in zip(offsets, offsets[1:])]
 
@@ -361,7 +369,7 @@ def _euler_path(graph: DeBruijnGraph, start: int, dups: Iterable[tuple[int, int]
     ``start`` over every edge plus, per duplication pair (d, s), the path to
     s in d's BFS tree (``parents[d]``): Hierholzer's algorithm leaving by
     the smallest unused successor copy, with the post-order reversed."""
-    offsets, targets = graph.adjacency.indptr.tolist(), graph.adjacency.indices.tolist()
+    offsets, targets = graph._offsets.tolist(), graph._heads.tolist()
     heaps = [targets[a:b] for a, b in zip(offsets, offsets[1:])]  # sorted, so heaps
     copies = graph.num_edges
     for d, w in dups:
@@ -524,6 +532,8 @@ def _duplication_plan(graph: DeBruijnGraph):
     surpluses = np.repeat(index, np.maximum(balance, 0))
     if not deficits.size:
         return deficits, surpluses, {}, None, None
+    from scipy.sparse.csgraph import breadth_first_order
+
     tails, rows = np.unique(deficits, return_inverse=True)
     heads, firsts, cols = np.unique(surpluses, return_index=True, return_inverse=True)
     # breadth_first_order scans each row's successors in ascending order, so

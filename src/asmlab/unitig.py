@@ -18,14 +18,13 @@ from functools import cached_property
 from typing import Iterator, Optional, Union
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components, depth_first_order
 
 from asmlab.errors import AssemblyError
 from asmlab.graph import DeBruijnGraph, Walk, covering_walk_feasibility, walk_of
-from asmlab.sequence import DnaString, ReadSet, index_ranges, kmer_codes
+from asmlab.sequence import DnaString, ReadSet, kmer_codes
 
 _STATE_BUDGET = 4_000_000  # product states before the oracle answers `unknown`
+_RULER_STRIDE = 32         # every this-many-th vertex is a ruler in chain ranking
 
 
 @dataclass(frozen=True)
@@ -48,30 +47,76 @@ class UnitigPartition:
         return tuple(tuple([s[i:i + w] for i in range(len(s) - w + 1)]) for s in self.spellings)
 
 
-def _preorder(link: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """The vertices reached from ``roots`` along ``link`` (the link leaving
-    each vertex, -1 for none), root by root, each followed by its chain.
+def _chain_ranks(link: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every vertex, the first vertex of its chain and its distance
+    from it along ``link`` (the link leaving each vertex, -1 for none; no
+    vertex is entered by two links). A chain begins at each vertex of
+    ``starts``, the vertices no link enters; a pure cycle begins at its
+    smallest vertex.
 
-    One depth-first search runs from the top of a binary tree of virtual
-    vertices whose leaves are the roots. On every return to a vertex the
-    search rescans that vertex's row from its start, so no row may be long:
-    a single virtual vertex over all the roots would make the search
-    quadratic in their number. Here every row holds at most two entries."""
-    n, r = len(link), len(roots)
-    if r == 0:
-        return np.empty(0, dtype=np.intp)
-    # heap layout: tree node h < r - 1 is virtual vertex n + h, with
-    # children 2h + 1 and 2h + 2; tree node r - 1 + i is roots[i]
-    node = np.concatenate((n + np.arange(r - 1), roots))
-    tails = np.flatnonzero(link >= 0)
-    counts = np.zeros(n + r - 1, dtype=np.intp)
-    counts[tails] = 1
-    counts[n:] = 2
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    heads = np.concatenate((link[tails], node[1:]))
-    graph = csr_array((np.ones(len(heads)), heads, offsets), shape=(n + r - 1, n + r - 1))
-    order = depth_first_order(graph, node[0], directed=True, return_predecessors=False)
-    return order[order < n]
+    List ranking by rulers: every start and every ``_RULER_STRIDE``-th
+    vertex is a ruler. All rulers walk along ``link`` in lockstep to the
+    next ruler, so each vertex learns its ruler and its distance from it;
+    the rulers are then ranked by pointer jumping over their segment
+    sizes (Wyllie 1979), in log2(rulers in the longest chain) rounds. A
+    vertex's distance from its start is its ruler's plus its own. Rulers
+    that no start reaches, and vertices that no ruler reaches, lie on pure
+    cycles; each cycle is cut before its smallest vertex, found by
+    doubling the minimum along the links, and ranked as a chain."""
+    n = len(link)
+    # index -1, where a link is missing, reads a last entry: a ruler owned by none
+    ruler = np.append(starts, True)
+    ruler[:n:_RULER_STRIDE] = True
+    rulers = np.flatnonzero(ruler[:n])
+    r = len(rulers)
+    owner = np.full(n + 1, -1, dtype=np.intp)
+    owner[rulers] = np.arange(r)
+    dist = np.zeros(n, dtype=np.intp)
+    nxt = np.empty(r, dtype=np.intp)   # the ruler each segment runs into, or -1
+    size = np.empty(r, dtype=np.intp)  # the vertices of each ruler's segment
+    at, who, step = rulers, np.arange(r), 0
+    while at.size:
+        step += 1
+        at = link[at]
+        hit = ruler[at]
+        done = who[hit]
+        nxt[done], size[done] = owner[at[hit]], step
+        at, who = at[~hit], who[~hit]
+        owner[at], dist[at] = who, step
+    owner = owner[:n]
+
+    # rank the rulers: top is the farthest ruler known upstream, off the
+    # vertices from top's first vertex to this ruler's
+    pred = np.full(r, -1, dtype=np.intp)
+    joined = np.flatnonzero(nxt >= 0)
+    pred[nxt[joined]] = joined
+    top = np.where(pred >= 0, pred, np.arange(r))
+    off = np.where(pred >= 0, size[pred], 0)
+    active = np.flatnonzero(pred >= 0)
+    for _ in range(r.bit_length()):
+        if not active.size:
+            break
+        up = top[active]
+        off[active] += off[up]
+        top[active] = top[up]
+        active = active[pred[top[active]] >= 0]
+    # what is still active, and every vertex no ruler reached, is on a cycle
+    cyclic = np.zeros(r + 1, dtype=bool)
+    cyclic[active] = cyclic[-1] = True  # owner -1 reads the last entry
+    head = rulers[top][owner]
+    rank = off[owner] + dist
+    on = np.flatnonzero(cyclic[owner])
+    if on.size:
+        local = np.full(n, -1, dtype=np.intp)
+        local[on] = np.arange(len(on))
+        into = local[link[on]]
+        least, hop = np.arange(len(on)), into
+        for _ in range(len(on).bit_length()):
+            least, hop = np.minimum(least, least[hop]), hop[hop]
+        first = least == np.arange(len(on))
+        cycle_head, rank[on] = _chain_ranks(np.where(first[into], -1, into), first)
+        head[on] = on[cycle_head]
+    return head, rank
 
 
 def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
@@ -80,12 +125,11 @@ def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
 
     Works on vertex indices and the degree arrays: an edge whose tail has
     one out-edge and whose head has one in-edge links the two, and the
-    unitigs are the chains of links. A vertex that no link enters starts a
-    unitig, so one depth-first search from the starts visits every unitig
-    in turn; the vertices it leaves unvisited lie on pure cycles, and a
-    second search visits each cycle from its smallest vertex. The unitigs,
-    spelled straight into codes, are ordered by first vertex: these are
-    distinct (k-1)-mers in string order, so their spellings sort alike.
+    unitigs are the chains of links, ranked by :func:`_chain_ranks`. A
+    vertex that no link enters starts a unitig, and a pure cycle starts at
+    its smallest vertex. The unitigs, spelled straight into codes, are
+    ordered by first vertex: these are distinct (k-1)-mers in string
+    order, so their spellings sort alike.
     """
     n = len(graph.packed_vertices)
     tails, heads = graph.edge_endpoints()
@@ -94,31 +138,22 @@ def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
     link[tails[chained]] = heads[chained]
     starts = np.ones(n, dtype=bool)
     starts[heads[chained]] = False
-    paths = _preorder(link, np.flatnonzero(starts))
-    if len(paths) < n:
-        cyclic = np.ones(n, dtype=bool)
-        cyclic[paths] = False
-        cyclic = np.flatnonzero(cyclic)
-        links = csr_array((np.ones(len(cyclic)), (cyclic, link[cyclic])), shape=(n, n))
-        labels = connected_components(links, connection="weak")[1][cyclic]
-        smallest = np.full(n, n, dtype=np.intp)
-        np.minimum.at(smallest, labels, cyclic)
-        cycle_starts = np.unique(smallest[labels])
-        starts[cycle_starts] = True
-        paths = np.concatenate((paths, _preorder(link, cycle_starts)))
-    cuts = np.flatnonzero(starts[paths])
-    order = np.argsort(paths[cuts])
-    sizes = np.diff(cuts, append=n)[order]
-    paths = paths[index_ranges(cuts[order], sizes)]
+    head, rank = _chain_ranks(link, starts)
+    sizes = np.bincount(head, minlength=n)
+    firsts = np.flatnonzero(sizes)
+    sizes = sizes[firsts]
+    base = np.zeros(n, dtype=np.intp)
+    base[firsts] = np.cumsum(sizes) - sizes
 
     # a unitig spells its first vertex's first k-2 codes, then each vertex's last code
     w = graph.k - 2
-    packed, firsts = graph.packed_vertices[paths], np.cumsum(sizes) - sizes
     runs = np.stack((np.full(len(sizes), w), sizes), axis=1).ravel()
-    head = np.repeat(np.tile([True, False], len(sizes)), runs)
-    codes = np.empty(len(head), dtype=np.uint8)
-    codes[head] = kmer_codes(packed[firsts] >> np.uint64(2), w).ravel()
-    codes[~head] = packed & 3
+    first = np.repeat(np.tile([True, False], len(sizes)), runs)
+    codes = np.empty(len(first), dtype=np.uint8)
+    codes[first] = kmer_codes(graph.packed_vertices[firsts] >> np.uint64(2), w).ravel()
+    last = np.empty(n, dtype=np.uint8)
+    last[base[head] + rank] = graph.packed_vertices & 3
+    codes[~first] = last
     return UnitigPartition(graph, ReadSet.from_codes(codes, sizes + w))
 
 

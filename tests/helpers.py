@@ -17,6 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, depth_first_order
 
 from asmlab.errors import DisconnectedGraphError, FastaParseError, NoCoveringWalkError
 from asmlab.evaluate import (
@@ -41,6 +43,7 @@ from asmlab.sequence import (
     decode_kmer,
     first_invalid,
     from_codes,
+    index_ranges,
     joined_codes,
     read_lengths,
     sorted_distinct,
@@ -1125,6 +1128,84 @@ def chain_walk_maximal_unitigs(graph: DeBruijnGraph) -> tuple[tuple[tuple[str, .
     order = sorted(range(len(paths)), key=spelled.__getitem__)
     return (tuple(tuple(map(names.__getitem__, paths[i])) for i in order),
             tuple(spelled[i] for i in order))
+
+
+# ---------------------------------------------------------------------------
+# Frozen depth-first chain layout
+# ---------------------------------------------------------------------------
+# How maximal_unitigs laid out the chains of its link array before list
+# ranking replaced it: one depth-first search over a binary tree of virtual
+# vertices whose leaves are the starts, then the cycles labelled as weak
+# components and searched from their smallest vertices. ``_preorder`` is
+# kept verbatim; ``reference_chain_layout`` is the layout half of that
+# maximal_unitigs, returning the laid-out vertices and the chain sizes.
+
+
+def _preorder(link: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The vertices reached from ``roots`` along ``link`` (the link leaving
+    each vertex, -1 for none), root by root, each followed by its chain.
+
+    One depth-first search runs from the top of a binary tree of virtual
+    vertices whose leaves are the roots. On every return to a vertex the
+    search rescans that vertex's row from its start, so no row may be long:
+    a single virtual vertex over all the roots would make the search
+    quadratic in their number. Here every row holds at most two entries."""
+    n, r = len(link), len(roots)
+    if r == 0:
+        return np.empty(0, dtype=np.intp)
+    # heap layout: tree node h < r - 1 is virtual vertex n + h, with
+    # children 2h + 1 and 2h + 2; tree node r - 1 + i is roots[i]
+    node = np.concatenate((n + np.arange(r - 1), roots))
+    tails = np.flatnonzero(link >= 0)
+    counts = np.zeros(n + r - 1, dtype=np.intp)
+    counts[tails] = 1
+    counts[n:] = 2
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    heads = np.concatenate((link[tails], node[1:]))
+    graph = csr_array((np.ones(len(heads)), heads, offsets), shape=(n + r - 1, n + r - 1))
+    order = depth_first_order(graph, node[0], directed=True, return_predecessors=False)
+    return order[order < n]
+
+
+def reference_chain_layout(link: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of every chain of ``link`` in order, chains ordered by
+    first vertex, and the chain sizes. A chain begins at each vertex of
+    the boolean mask ``starts`` (the vertices no link enters; the mask is
+    not changed) and a pure cycle at its smallest vertex."""
+    n = len(link)
+    starts = starts.copy()
+    paths = _preorder(link, np.flatnonzero(starts))
+    if len(paths) < n:
+        cyclic = np.ones(n, dtype=bool)
+        cyclic[paths] = False
+        cyclic = np.flatnonzero(cyclic)
+        links = csr_array((np.ones(len(cyclic)), (cyclic, link[cyclic])), shape=(n, n))
+        labels = connected_components(links, connection="weak")[1][cyclic]
+        smallest = np.full(n, n, dtype=np.intp)
+        np.minimum.at(smallest, labels, cyclic)
+        cycle_starts = np.unique(smallest[labels])
+        starts[cycle_starts] = True
+        paths = np.concatenate((paths, _preorder(link, cycle_starts)))
+    cuts = np.flatnonzero(starts[paths])
+    order = np.argsort(paths[cuts])
+    sizes = np.diff(cuts, append=n)[order]
+    return paths[index_ranges(cuts[order], sizes)], sizes
+
+
+def reference_chain_spellings(graph: DeBruijnGraph) -> tuple[str, ...]:
+    """The maximal unitigs' spellings from the frozen layout, spelled from
+    the vertex names: the first vertex, then each later vertex's last symbol."""
+    n = len(graph.packed_vertices)
+    tails, heads = graph.edge_endpoints()
+    chained = (graph.out_degrees == 1)[tails] & (graph.in_degrees == 1)[heads]
+    link = np.full(n, -1, dtype=np.intp)
+    link[tails[chained]] = heads[chained]
+    starts = np.ones(n, dtype=bool)
+    starts[heads[chained]] = False
+    paths, sizes = reference_chain_layout(link, starts)
+    names = graph.vertices
+    chains = np.split(paths, np.cumsum(sizes)[:-1]) if len(sizes) else []
+    return tuple(names[c[0]] + "".join(names[v][-1] for v in c[1:]) for c in chains)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ import io
 import itertools
 import json
 import logging
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import asmlab
 from asmlab import unitig
 from asmlab.cli import main
 from asmlab.evaluate import evaluate
@@ -742,3 +745,49 @@ def test_file_boundary_makes_no_string_or_record_per_read_or_contig(tmp_path, mo
     assert expected["contigs.fasta"].count(b">") > 100
     # one record for each single-record file: both simulated genomes and stage 2's
     assert records == ["truth", "truth", "truth"]
+
+
+# Run in a fresh interpreter: which scipy modules the commands load.
+_SCIPY_PROBE = """
+import json, sys
+from asmlab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+open("stage2.cfg", "w").write("genome_length = 2000\\nnum_reads = 300\\nread_length = 60\\n"
+                              "error_rate = 0.01\\nk = 15\\nmethod = unitig\\n"
+                              "correct = true\\nmin_multiplicity = 2\\nseed = 4\\n")
+for name, command in (
+    ("simulate", ["simulate", "--random-length", "3000", "--num", "400", "--len", "60",
+                  "--error-rate", "0.01", "--seed", "5", "--reads", "reads.fasta",
+                  "--genome-out", "genome.fasta"]),
+    ("unitig", ["assemble", "--reads", "reads.fasta", "-k", "15", "--method", "unitig",
+                "--out", "contigs.fasta", "--dot", "graph.dot"]),
+    ("eval", ["eval", "--contigs", "contigs.fasta", "--truth", "genome.fasta", "-k", "15",
+              "--report", "report.txt"]),
+    ("stage", ["stage", "--stage", "2", "--config", "stage2.cfg", "--out-dir", "s2"]),
+    ("cpp-walk", ["assemble", "--reads", "walk.fasta", "-k", "3", "--method", "cpp-walk",
+                  "--out", "walk-contigs.fasta"]),
+):
+    if name == "cpp-walk":
+        open("walk.fasta", "w").write(">r0\\nAATTCCAGCTGATTCCAGT\\n")
+    assert main(command) == 0, command
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_is_loaded_only_to_solve_a_covering_walk(tmp_path):
+    src = str(Path(asmlab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path, capture_output=True,
+                          text=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])  # the commands print before it
+    for name in ("import", "simulate", "unitig", "eval", "stage"):
+        assert loaded[name] == [], name
+    assert "scipy.optimize" in loaded["cpp-walk"]
+    assert "scipy.sparse.csgraph" in loaded["cpp-walk"]
+    walk = (tmp_path / "walk-contigs.fasta").read_text().split("\n")
+    assert "".join(walk[1:]) == "AATTCCAGCTGATTCCAGT"

@@ -1,11 +1,13 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from asmlab import graph as dbg
+from asmlab import unitig
 from asmlab.errors import AssemblyError
 from asmlab.sequence import DnaString, ReadSet
 from asmlab.simulate import idealized_reads, random_genome
@@ -17,7 +19,7 @@ from asmlab.unitig import (
     safety_suite,
     unitig_contigs,
 )
-from helpers import chain_walk_maximal_unitigs
+from helpers import chain_walk_maximal_unitigs, reference_chain_layout, reference_chain_spellings
 
 
 def graph_of(text: str, k: int = 3) -> dbg.DeBruijnGraph:
@@ -58,6 +60,91 @@ class TestMaximalUnitigs:
         # source, entry junction, per bubble: top + bottom interior paths,
         # the two inter-bubble connectors, last exit, sink
         assert len(maximal_unitigs(g).unitigs) == 3 * 3 + 3
+
+
+def random_links(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A link array of n vertices cut into random chains and pure cycles
+    (self-loops among them), and its starts: the vertices no link enters."""
+    order = rng.permutation(n)
+    link = np.full(n, -1, dtype=np.intp)
+    at = 0
+    while at < n:
+        size = int(rng.choice([1, 1, 2, 3, int(rng.integers(1, n + 1))]))
+        piece = order[at:at + size]
+        link[piece[:-1]] = piece[1:]
+        if rng.random() < 0.3:
+            link[piece[-1]] = piece[0]
+        at += size
+    starts = np.ones(n, dtype=bool)
+    starts[link[link >= 0]] = False
+    return link, starts
+
+
+def chains_of(link: np.ndarray, starts: np.ndarray) -> list[list[int]]:
+    """The chains that ``_chain_ranks`` lays out, as vertex lists by first vertex."""
+    head, rank = unitig._chain_ranks(link, starts)
+    chains: dict[int, list[tuple[int, int]]] = {}
+    for v, (h, r) in enumerate(zip(head.tolist(), rank.tolist())):
+        chains.setdefault(h, []).append((r, v))
+    return [[v for _, v in sorted(chains[h])] for h in sorted(chains)]
+
+
+class TestChainRanksMatchDepthFirstLayout:
+    """List ranking against the frozen depth-first layout (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 32])
+    def test_random_links(self, monkeypatch, stride):
+        monkeypatch.setattr(unitig, "_RULER_STRIDE", stride)
+        rng = np.random.default_rng(stride)
+        for _ in range(400):
+            link, starts = random_links(rng, int(rng.integers(0, 120)))
+            paths, sizes = reference_chain_layout(link, starts)
+            expected = [c.tolist() for c in np.split(paths, np.cumsum(sizes)[:-1])] if len(sizes) else []
+            assert chains_of(link, starts) == expected
+
+    @pytest.mark.parametrize("link, chains", [
+        ([], []),
+        ([-1], [[0]]),
+        ([0], [[0]]),                                       # a self-loop
+        ([1, 2, 0], [[0, 1, 2]]),
+        ([2, 0, 1], [[0, 2, 1]]),
+        ([-1] * 5, [[0], [1], [2], [3], [4]]),              # every vertex a root
+        ([3, 4, -1, 0, 2], [[0, 3], [1, 4, 2]]),            # a 2-cycle beside a chain
+    ])
+    def test_small_cases(self, link, chains):
+        link = np.array(link, dtype=np.intp)
+        starts = np.ones(len(link), dtype=bool)
+        starts[link[link >= 0]] = False
+        assert chains_of(link, starts) == chains
+
+    @pytest.mark.parametrize("stride", [1, 3, 32])
+    def test_one_long_chain_and_one_long_cycle(self, monkeypatch, stride):
+        monkeypatch.setattr(unitig, "_RULER_STRIDE", stride)
+        order = np.random.default_rng(7).permutation(5000)
+        link = np.full(5000, -1, dtype=np.intp)
+        link[order[:2999]] = order[1:3000]                 # a chain of 3000
+        link[order[3000:]] = np.roll(order[3000:], -1)     # a cycle of 2000
+        starts = np.ones(5000, dtype=bool)
+        starts[link[link >= 0]] = False
+        cycle = np.roll(order[3000:], -int(np.argmin(order[3000:])))
+        assert sorted(chains_of(link, starts)) == sorted([order[:3000].tolist(), cycle.tolist()])
+
+    def test_spellings_match_on_random_graphs(self):
+        rng = random.Random(5)
+        alphabet = "ACGT"
+        for _ in range(150):
+            k = rng.randint(2, 5)
+            edges = {"".join(rng.choice(alphabet) for _ in range(k))
+                     for _ in range(rng.randint(0, 4 ** k // 2))}
+            g = dbg.DeBruijnGraph(k, sorted(edges))
+            assert tuple(maximal_unitigs(g).sequences) == reference_chain_spellings(g)
+
+    def test_spellings_match_on_circular_and_linear_genomes(self):
+        for length, k, seed in ((200, 6, 1), (400, 9, 2), (1000, 15, 3), (3000, 5, 4)):
+            genome = str(random_genome(length, seed=seed))
+            for text in (genome, genome + genome[:k - 1]):
+                g = graph_of(text, k)
+                assert tuple(maximal_unitigs(g).sequences) == reference_chain_spellings(g)
 
 
 class TestUnitigContigs:
