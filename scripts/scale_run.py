@@ -11,17 +11,20 @@ checkouts can be timed on the same input:
 - ``reads-noisy.fasta``: 10^5 100 nt reads with 1% substitution errors on
   ``random_genome(1_000_000, seed=5)`` (read seed 6), about 175,000 unitigs.
 
-Each is assembled at order K into DIR/<input>-contigs.fasta. Prints one JSON
-line per input: the wall time of its child and that child's peak resident
-set size (``ru_maxrss`` of the waited-for child). Inputs are written by a
-child process of their own: Linux hands a process's peak RSS on to the
-children it starts, so this process stays small. Run it from the root of
-the checkout to be timed.
+Three runs, each assembling at order K into DIR/<run>-contigs.fasta:
+``reads`` and ``reads-noisy`` as they are, and ``reads-noisy-corrected``,
+the noisy reads corrected first (``--correct 3``). Prints one JSON line per
+run: the wall time of its child, that child's peak resident set size
+(``ru_maxrss`` of the waited-for child) and the first 16 hex digits of the
+sha256 of its contigs file. Inputs are written by a child process of their
+own: Linux hands a process's peak RSS on to the children it starts, so this
+process stays small. Run it from the root of the checkout to be timed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -36,6 +39,12 @@ READ_LENGTH = 100
 INPUTS = {
     "reads": (1_000_000, 2_500_000, 1, 2, 0.0),
     "reads-noisy": (100_000, 1_000_000, 5, 6, 0.01),
+}
+# run name: (input, extra assemble arguments)
+RUNS = {
+    "reads": ("reads", []),
+    "reads-noisy": ("reads-noisy", []),
+    "reads-noisy-corrected": ("reads-noisy", ["--correct", "3"]),
 }
 
 
@@ -72,18 +81,21 @@ def main() -> int:
     args.work.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     worst = 0
-    for name, (reads, genome, _, _, error_rate) in INPUTS.items():
-        path = args.work / f"{name}.fasta"
+    for name, (source, extra) in RUNS.items():
+        reads, genome, _, _, error_rate = INPUTS[source]
+        path = args.work / f"{source}.fasta"
         if not path.exists():
-            subprocess.run([sys.executable, __file__, "--work", str(args.work), "--write", name],
+            subprocess.run([sys.executable, __file__, "--work", str(args.work), "--write", source],
                            check=True)
+        out = args.work / f"{name}-contigs.fasta"
+        out.unlink(missing_ok=True)
         command = [sys.executable, "-m", "asmlab.cli", "assemble", "--reads", str(path),
-                   "-k", str(K), "--method", "unitig",
-                   "--out", str(args.work / f"{name}-contigs.fasta")]
+                   "-k", str(K), "--method", "unitig", "--out", str(out), *extra]
         code, wall, peak_mb = run_child(command, env)
-        print(json.dumps({"input": name, "exit": code, "wall_s": round(wall, 2),
-                          "peak_rss_mb": round(peak_mb, 1), "reads": reads, "genome": genome,
-                          "error_rate": error_rate, "k": K}), flush=True)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()[:16] if out.exists() else None
+        print(json.dumps({"input": source, "run": name, "exit": code, "wall_s": round(wall, 2),
+                          "peak_rss_mb": round(peak_mb, 1), "sha256": digest, "reads": reads,
+                          "genome": genome, "error_rate": error_rate, "k": K}), flush=True)
         worst = worst or code
     return worst
 

@@ -30,6 +30,7 @@ from asmlab.errors import AssemblyError
 from asmlab.evaluate import (
     assemble_contigs,
     check_genome,
+    correct_to_assemble,
     evaluate,
     read_genome,
     run_stage,
@@ -223,7 +224,7 @@ def _cmd_assemble(args) -> int:
             raise AssemblyError(f"{args.reads}: record {number + 1} has "
                                 f"{lengths[number]} nt, shorter than k={args.k}; "
                                 "read correction needs every read to hold a k-mer")
-        reads = simulate.correct_reads(reads, args.k, args.correct)
+        reads = correct_to_assemble(reads, args.k, args.correct, args.reads)
     contigs, graph = assemble_contigs(reads, args.k, args.method)
     write_fasta(contigs, args.out)
     if args.dot:
@@ -295,7 +296,7 @@ def _cmd_stage(args) -> int:
     out_dir = args.out_dir  # run_stage falls back to the config's, then ./asmlab-stage<N>
     if not (out_dir or config.out_dir) and os.environ.get(ARTIFACT_DIR_ENV):
         out_dir = Path(os.environ[ARTIFACT_DIR_ENV]) / f"stage{args.stage}"
-    result = run_stage(args.stage, config, out_dir=out_dir)
+    result = run_stage(args.stage, config, out_dir=out_dir, source=args.config)
     print(f"artifacts in {result.artifact_dir}")
     print(result.report_text, end="")
     return 0

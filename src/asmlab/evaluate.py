@@ -312,6 +312,18 @@ def sample_reads(genome: str, read_length: int, num_reads: Optional[int], error_
         len(genome), num_reads, read_length, error_rate, gaps, seed))
 
 
+def correct_to_assemble(reads: ReadSet, k: int, min_multiplicity: int, source) -> ReadSet:
+    """The reads corrected by :func:`simulate.correct_reads`, for assembly:
+    an :class:`AssemblyError` naming ``source`` (the reads file or the
+    config) when correction drops every read, which would leave nothing to
+    assemble."""
+    corrected = simulate.correct_reads(reads, k, min_multiplicity)
+    if not len(corrected):
+        raise AssemblyError(f"{source}: read correction at min multiplicity {min_multiplicity} "
+                            f"dropped all {len(reads)} reads")
+    return corrected
+
+
 def read_genome(path) -> DnaString:
     """The first record of a FASTA file: the genome or the truth."""
     sequences = read_named(path)[1]
@@ -367,7 +379,8 @@ def check_genome(source, genome: str, read_length: int, gaps=()) -> None:
                             f"fits between the gaps in the genome's {len(genome)} nt")
 
 
-def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
+def run_stage(stage: int, config: StageConfig, out_dir=None,
+              source="stage config") -> StageResult:
     """Execute one evaluation stage end to end and persist its artifacts.
 
     Stage 1: idealized error-free reads from the (possibly synthesized)
@@ -377,6 +390,8 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
     them, and warns when the config asks it to. The config is checked
     first; the directory (``out_dir``, else the config's, else
     ``./asmlab-stage<N>``) is made once the reads and truth are in hand.
+    A data error found only by running (correction dropping every read)
+    names ``source``, the config's file.
     """
     _check_stage(stage, config)
     if stage == 3:
@@ -393,7 +408,7 @@ def run_stage(stage: int, config: StageConfig, out_dir=None) -> StageResult:
         reads = sample_reads(truth, config.read_length, config.num_reads if stage == 2 else None,
                              config.error_rate, gaps, config.seed)
         if stage == 2 and config.correct:
-            reads = simulate.correct_reads(reads, config.k, config.min_multiplicity)
+            reads = correct_to_assemble(reads, config.k, config.min_multiplicity, source)
 
     directory = Path(out_dir or config.out_dir or f"asmlab-stage{stage}")
     directory.mkdir(parents=True, exist_ok=True)

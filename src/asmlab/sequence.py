@@ -476,11 +476,19 @@ class KmerSpectrum:
         """The occurrence count of every packed k-mer of a ``uint64`` array
         (any shape), 0 for a non-member; one ``searchsorted`` pass.
         """
+        at = self.indices_of(packed)
+        if not len(self.keys):
+            return np.zeros(at.shape, dtype=np.int64)
+        return np.where(at >= 0, self.multiplicities[at], 0)
+
+    def indices_of(self, packed: np.ndarray) -> np.ndarray:
+        """The index in ``keys`` of every packed k-mer of a ``uint64`` array
+        (any shape), -1 for a non-member; one ``searchsorted`` pass."""
         flat = packed.ravel()
-        found = np.zeros(len(flat), dtype=np.int64)
+        found = np.full(len(flat), -1, dtype=np.intp)
         if len(self.keys):
             order, at, hit = _sorted_lookup(self.keys, flat)
-            found[order] = np.where(hit, self.multiplicities[at], 0)
+            found[order] = np.where(hit, at, -1)
         return found.reshape(packed.shape)
 
     def total_count(self) -> int:

@@ -237,6 +237,15 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
     read's result depends only on the fixed spectrum and on its own earlier
     positions, so the order across reads does not matter. A batch holds
     reads of similar length (shortest first), padded to its longest.
+
+    Most columns cannot change, and they are skipped without a lookup. A
+    winning base must beat the current minimum on the window that ends at
+    the column (or starts there, near a read's start), so it is bounded by
+    the largest count among that window's siblings, the keys that differ in
+    that one symbol. The bounds are computed once per spectrum key, clipped
+    to ``min_multiplicity`` (:func:`_sibling_bounds`). Each batch looks up
+    every window once; a column then costs one trial lookup of the other
+    three bases, for only the reads whose bound beats their minimum.
     """
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
@@ -247,6 +256,7 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
     if len(short):
         raise ValueError(f"read {short[0]} is shorter than k={k}")
     spectrum = spectrum_of_set(reads, k)
+    bounds = _sibling_bounds(spectrum, min_multiplicity)
     codes = reads.codes.copy()  # the corrected reads, written back batch by batch
     keep = np.ones(len(reads), dtype=bool)
     fixed = 0
@@ -256,7 +266,7 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
         at = (reads.offsets[batch][:, None] + np.arange(ends[-1]))[inside]  # store positions
         matrix = np.zeros(inside.shape, dtype=np.uint8)
         matrix[inside] = reads.codes[at]
-        kept, changed = _correct_batch(matrix, ends, k, min_multiplicity, spectrum)
+        kept, changed = _correct_batch(matrix, ends, k, min_multiplicity, spectrum, bounds)
         keep[batch] = kept
         fixed += np.count_nonzero(kept & changed)
         codes[at] = matrix[inside]
@@ -282,80 +292,124 @@ def _length_batches(lengths: np.ndarray):
         at = end
 
 
+def _sibling_bounds(spectrum: KmerSpectrum, threshold: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each spectrum key, the largest count among the keys that differ
+    from it in the last symbol alone and among those that differ in the
+    first symbol alone (0 where there is none), clipped to ``threshold``
+    and held in the smallest unsigned type that holds it.
+
+    The clip loses nothing: a column is tried only while the current
+    minimum count over its windows is below the threshold. Last-symbol
+    siblings are neighbouring keys, sharing ``key >> 2``. The keys fall in
+    four ascending runs by first symbol, so a stable sort of the other
+    symbols merges the runs and puts first-symbol siblings side by side.
+    """
+    keys = spectrum.keys
+    clipped = np.minimum(spectrum.multiplicities, threshold).astype(np.min_scalar_type(threshold))
+    last = _largest_other(keys >> np.uint64(2), clipped)
+    rest = keys & np.uint64((1 << 2 * (spectrum.k - 1)) - 1)
+    order = np.argsort(rest, kind="stable")
+    first = np.empty_like(clipped)
+    first[order] = _largest_other(rest[order], clipped[order])
+    return last, first
+
+
+def _largest_other(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each element, the largest of the ``values`` of the other
+    elements of its group (0 if none); the elements of a group, at most
+    four, are adjacent."""
+    out = np.zeros_like(values)
+    for d in (1, 2, 3):
+        same = groups[d:] == groups[:-d]
+        np.maximum(out[:-d], np.where(same, values[d:], 0), out=out[:-d])
+        np.maximum(out[d:], np.where(same, values[:-d], 0), out=out[d:])
+    return out
+
+
 def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
-                   spectrum: KmerSpectrum) -> tuple[np.ndarray, np.ndarray]:
+                   spectrum: KmerSpectrum,
+                   bounds: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Correct the reads of a code matrix in place (one read per row, row r
-    holding ``ends[r]`` bases and then padding); return which rows are kept
-    and which changed."""
+    holding ``ends[r]`` bases and then padding), given the spectrum's
+    :func:`_sibling_bounds`; return which rows are kept and which changed.
+
+    A base that wins column i beats the current minimum count on every
+    window over i, the window that ends at i (i >= k-1) or starts at i
+    among them, and that window's count with the base swapped in is at most
+    the window's sibling bound. So a row whose bound at a column does not
+    beat its current minimum skips the column without a lookup; the rows
+    that pass look up all three other bases at once.
+    """
     rows, n = codes.shape
     packs = window_packs(codes, k)
-    counts = spectrum.multiplicities_of(packs)
+    at = spectrum.indices_of(packs)  # a read's every window is a key; padding may not be
+    counts = spectrum.multiplicities[at]
     # a window running into the padding counts as occurring without limit:
     # it is never weak and never lowers a score
     last_start = ends - k
-    counts[np.arange(n - k + 1) > last_start[:, None]] = _PADDING_COUNT
-    weak = counts < threshold
+    padded = np.arange(n - k + 1) > last_start[:, None]
+    counts[padded] = _PADDING_COUNT
+    # each column's bound, from the window ending there or else the one
+    # starting there; the threshold (never skip) where the read has neither
+    last_bound, first_bound = bounds
+    bound = np.full((rows, n), threshold, dtype=last_bound.dtype)
+    bound[:, k - 1:] = last_bound[at]
+    head = min(k - 1, n - k + 1)
+    bound[:, :head] = np.where(padded[:, :head], threshold, first_bound[at[:, :head]])
+    del at
     changed = np.zeros(rows, dtype=bool)
+    # the other bases of each current base, ascending
+    others = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], dtype=np.uint64)
     # windows left of the scan never change again, so a row whose last weak
     # window is behind it is done
-    last_weak = _last_weak(weak)
+    last_weak = _last_weak(counts < threshold)
     work = np.flatnonzero(last_weak >= 0)
     for i in range(n):
         lo, hi = max(0, i - k + 1), min(i, n - k)
         work = work[last_weak[work] >= lo]
         if not len(work):
             break
-        sel = work[weak[work, lo:hi + 1].any(axis=1)]
+        # every window is a key, so a score is at least 1 and a bound of 1
+        # never beats it; a bound that beats the score puts a weak window
+        # over i, because the bound is at most the threshold
+        sel = work[bound[work, i] > 1]
+        best_score = counts[sel, lo:hi + 1].min(axis=1)
+        can = bound[sel, i] > best_score
+        sel, best_score = sel[can], best_score[can]
         if not len(sel):
             continue
         # a selected row has a weak window at or after lo, so window lo is
         # inside it; its windows past last_start are padding
-        padding = np.arange(lo, hi + 1) > last_start[sel, None]
-        shifts = (2 * (k - 1 - (i - np.arange(lo, hi + 1)))).astype(np.uint64)
+        span = np.arange(lo, hi + 1)
+        padding = span > last_start[sel, None]
+        shifts = (2 * (k - 1 - (i - span))).astype(np.uint64)
         cleared = packs[sel, lo:hi + 1] & ~(np.uint64(3) << shifts)
-        current = codes[sel, i]
-        best_base = current.copy()
-        best_counts = counts[sel, lo:hi + 1]
-        best_score = best_counts.min(axis=1)
+        bases = others[codes[sel, i]]  # one trial lookup: every other base of every row
+        found_at = spectrum.indices_of(cleared[:, None] | (bases[:, :, None] << shifts))
+        found = np.where(found_at >= 0, spectrum.multiplicities[found_at], 0)
+        found[np.broadcast_to(padding[:, None], found.shape)] = _PADDING_COUNT
         # ascending bases, each taken only when strictly better: the current
         # base wins ties, and so does the lowest of equally good others
-        for base in range(4):
-            trial = np.flatnonzero(current != base)
-            better, found = _all_above(spectrum, cleared[trial] | (np.uint64(base) << shifts),
-                                       best_score[trial], padding[trial])
-            take = trial[better]
-            best_base[take] = base
-            best_score[take] = found.min(axis=1)
-            best_counts[take] = found
-        moved = best_base != current
-        if not moved.any():
+        choice = np.full(len(sel), -1)
+        for j, score in enumerate(found.min(axis=2).T):
+            better = score > best_score
+            choice[better] = j
+            best_score = np.where(better, score, best_score)
+        moved = np.flatnonzero(choice >= 0)
+        if not len(moved):
             continue
-        hit = sel[moved]
-        codes[hit, i] = best_base[moved]
-        packs[hit, lo:hi + 1] = cleared[moved] | (best_base[moved, None].astype(np.uint64)
-                                                  << shifts)
-        counts[hit, lo:hi + 1] = best_counts[moved]
-        weak[hit, lo:hi + 1] = best_counts[moved] < threshold
+        hit, pick = sel[moved], choice[moved]
+        base = bases[moved, pick]
+        codes[hit, i] = base
+        packs[hit, lo:hi + 1] = cleared[moved] | (base[:, None] << shifts)
+        counts[hit, lo:hi + 1] = found[moved, pick]
         changed[hit] = True
-        last_weak[hit] = _last_weak(weak[hit])
-    return ~weak.any(axis=1), changed
-
-
-def _all_above(spectrum: KmerSpectrum, packs: np.ndarray, floor: np.ndarray,
-               padding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``packs`` whose every window occurs more than ``floor``
-    times (the row's entry), and those rows' window counts; a ``padding``
-    window counts as ``_PADDING_COUNT``.
-
-    The first window (never padding) is looked up alone, and only the rows
-    it passes look up the rest: a substitution that spells a k-mer absent
-    from the reads leaves after one lookup.
-    """
-    rows = np.flatnonzero(spectrum.multiplicities_of(packs[:, 0]) > floor)
-    found = spectrum.multiplicities_of(packs[rows])
-    found[padding[rows]] = _PADDING_COUNT
-    above = (found > floor[rows, None]).all(axis=1)
-    return rows[above], found[above]
+        last_weak[hit] = _last_weak(counts[hit] < threshold)
+        # a changed window hands its new key's bound to the column it ends
+        # at (columns past a read's end are never tried)
+        later = span + k - 1 > i
+        bound[hit[:, None], span[later] + k - 1] = last_bound[found_at[moved, pick][:, later]]
+    return (counts >= threshold).all(axis=1), changed
 
 
 def _last_weak(weak: np.ndarray) -> np.ndarray:

@@ -48,10 +48,12 @@ from asmlab.sequence import (
     read_lengths,
     sorted_distinct,
     spectrum,
+    spectrum_of_set,
     symbol_batches,
     to_codes,
     window_packs,
 )
+from asmlab.simulate import _length_batches
 from asmlab.unitig import ContigSet
 
 
@@ -965,6 +967,103 @@ def _reference_correct_one(read: str, k: int, threshold: int,
     if not changed:
         return read
     return from_codes(codes)
+
+
+# ---------------------------------------------------------------------------
+# Frozen across-reads corrector
+# ---------------------------------------------------------------------------
+# k-mer-frequency read correction as it was before columns were skipped by
+# the sibling bounds: every selected read tries every other base at every
+# column, looking up each trial's first window alone and the rest only for
+# the trials that window passes. Kept verbatim, except that the INFO log line
+# and the changed-read tally are left out.
+
+_BATCH_PADDING_COUNT = np.iinfo(np.int64).max
+
+
+def batch_correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
+    """One-pass k-mer-frequency read correction, a length batch at a time."""
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+    if min_multiplicity < 1:
+        raise ValueError(f"min_multiplicity must be >= 1, got {min_multiplicity}")
+    lengths = reads.lengths
+    short = np.flatnonzero(lengths < k)
+    if len(short):
+        raise ValueError(f"read {short[0]} is shorter than k={k}")
+    spectrum = spectrum_of_set(reads, k)
+    codes = reads.codes.copy()
+    keep = np.ones(len(reads), dtype=bool)
+    for batch in _length_batches(lengths):
+        ends = lengths[batch]
+        inside = np.arange(ends[-1]) < ends[:, None]
+        at = (reads.offsets[batch][:, None] + np.arange(ends[-1]))[inside]
+        matrix = np.zeros(inside.shape, dtype=np.uint8)
+        matrix[inside] = reads.codes[at]
+        keep[batch] = _batch_correct(matrix, ends, k, min_multiplicity, spectrum)
+        codes[at] = matrix[inside]
+    return ReadSet.from_codes(codes[np.repeat(keep, lengths)], lengths[keep])
+
+
+def _batch_correct(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
+                   spectrum) -> np.ndarray:
+    rows, n = codes.shape
+    packs = window_packs(codes, k)
+    counts = spectrum.multiplicities_of(packs)
+    last_start = ends - k
+    counts[np.arange(n - k + 1) > last_start[:, None]] = _BATCH_PADDING_COUNT
+    weak = counts < threshold
+    last_weak = _batch_last_weak(weak)
+    work = np.flatnonzero(last_weak >= 0)
+    for i in range(n):
+        lo, hi = max(0, i - k + 1), min(i, n - k)
+        work = work[last_weak[work] >= lo]
+        if not len(work):
+            break
+        sel = work[weak[work, lo:hi + 1].any(axis=1)]
+        if not len(sel):
+            continue
+        padding = np.arange(lo, hi + 1) > last_start[sel, None]
+        shifts = (2 * (k - 1 - (i - np.arange(lo, hi + 1)))).astype(np.uint64)
+        cleared = packs[sel, lo:hi + 1] & ~(np.uint64(3) << shifts)
+        current = codes[sel, i]
+        best_base = current.copy()
+        best_counts = counts[sel, lo:hi + 1]
+        best_score = best_counts.min(axis=1)
+        for base in range(4):
+            trial = np.flatnonzero(current != base)
+            better, found = _batch_all_above(spectrum,
+                                             cleared[trial] | (np.uint64(base) << shifts),
+                                             best_score[trial], padding[trial])
+            take = trial[better]
+            best_base[take] = base
+            best_score[take] = found.min(axis=1)
+            best_counts[take] = found
+        moved = best_base != current
+        if not moved.any():
+            continue
+        hit = sel[moved]
+        codes[hit, i] = best_base[moved]
+        packs[hit, lo:hi + 1] = cleared[moved] | (best_base[moved, None].astype(np.uint64)
+                                                  << shifts)
+        counts[hit, lo:hi + 1] = best_counts[moved]
+        weak[hit, lo:hi + 1] = best_counts[moved] < threshold
+        last_weak[hit] = _batch_last_weak(weak[hit])
+    return ~weak.any(axis=1)
+
+
+def _batch_all_above(spectrum, packs: np.ndarray, floor: np.ndarray,
+                     padding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.flatnonzero(spectrum.multiplicities_of(packs[:, 0]) > floor)
+    found = spectrum.multiplicities_of(packs[rows])
+    found[padding[rows]] = _BATCH_PADDING_COUNT
+    above = (found > floor[rows, None]).all(axis=1)
+    return rows[above], found[above]
+
+
+def _batch_last_weak(weak: np.ndarray) -> np.ndarray:
+    last = weak.shape[1] - 1 - np.argmax(weak[:, ::-1], axis=1)
+    return np.where(weak.any(axis=1), last, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,27 @@ class TestBadInput:
             assert f"{reads}: {record}, shorter than k=5" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_correction_dropping_every_read_is_data_error(self, tmp_path, capsys):
+        reads = tmp_path / "r.fasta"
+        reads.write_text(">r1\nACGTTGCAAGGCTTAC\n>r2\nACGTTGCAAGGCTTAC\n")
+        out = tmp_path / "c.fasta"
+        assert main(["assemble", "--reads", str(reads), "-k", "5", "--method", "unitig",
+                     "--out", str(out), "--correct", "3"]) == 1
+        assert (f"{reads}: read correction at min multiplicity 3 dropped all 2 reads"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_stage2_correction_dropping_every_read_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "stage.cfg"
+        cfg.write_text("genome_length = 400\nnum_reads = 2\nread_length = 30\nk = 15\n"
+                       "correct = true\nmin_multiplicity = 3\n")
+        out_dir = tmp_path / "s"
+        assert main(["stage", "--stage", "2", "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == 1
+        assert (f"{cfg}: read correction at min multiplicity 3 dropped all 2 reads"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_empty_reads_file_is_data_error(self, tmp_path, capsys):
         reads = tmp_path / "reads.fasta"
         reads.write_text("\n")

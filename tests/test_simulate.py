@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from asmlab.sequence import (
     DnaString,
+    KmerSpectrum,
     ReadSet,
     is_common_superstring,
     longest_repeat,
@@ -16,13 +17,14 @@ from asmlab.sequence import (
 )
 from asmlab.simulate import (
     SimulationProfile,
+    _sibling_bounds,
     correct_reads,
     idealized_reads,
     random_genome,
     uniform_reads,
     unspanned_probability,
 )
-from helpers import reference_correct_reads
+from helpers import batch_correct_reads, reference_correct_reads
 
 
 def anchored_genome(core_len: int, read_length: int, seed: int) -> DnaString:
@@ -258,3 +260,113 @@ class TestCorrectReadsMatchesReference:
         k, reads = case
         out = correct_reads(reads, k, threshold)
         assert [str(r) for r in out] == [str(r) for r in reference_correct_reads(reads, k, threshold)]
+
+    @pytest.mark.parametrize("k,threshold", [(4, 255), (4, 256), (1, 70_000)])
+    def test_thresholds_past_one_byte(self, k, threshold):
+        # poly-A flanks at high coverage give counts far above the threshold,
+        # so the clipped sibling bounds need more than a byte past 255
+        genome = DnaString("A" * 300 + str(random_genome(100, seed=4)) + "A" * 300)
+        prof = SimulationProfile(genome_length=len(genome), num_reads=3000, read_length=30,
+                                 error_rate=0.02, seed=4)
+        reads = uniform_reads(genome, prof)
+        counts = spectrum_of_set(reads, k).multiplicities
+        assert counts.min() < threshold < counts.max()
+        out = correct_reads(reads, k, threshold)
+        assert out != reads
+        assert out == reference_correct_reads(reads, k, threshold)
+
+    @pytest.mark.parametrize("k", [5, 11, 21])
+    def test_repeat_rich_reads(self, k):
+        # poly-A flanks and a planted repeat: (k-1)-mers with several extensions
+        core = random_genome(400, planted_repeat=(30, 4), seed=8)
+        genome = DnaString("A" * 40 + str(core) + "A" * 40)
+        prof = SimulationProfile(genome_length=len(genome), num_reads=500, read_length=45,
+                                 error_rate=0.02, seed=9)
+        reads = uniform_reads(genome, prof)
+        out = correct_reads(reads, k, 3)
+        assert out == reference_correct_reads(reads, k, 3)
+
+    @pytest.mark.parametrize("batch", [1, 97, 1000])
+    @pytest.mark.parametrize("k", [1, 31])
+    def test_small_batches_at_the_smallest_and_largest_k(self, monkeypatch, k, batch):
+        genome = anchored_genome(500, 50, 31)
+        prof = SimulationProfile(genome_length=len(genome), num_reads=300,
+                                 read_length=50, error_rate=0.02, seed=13)
+        reads = ReadSet(tuple(uniform_reads(genome, prof)) + (genome[:31], genome[5:40]))
+        # at k = 1 every base is a k-mer: make the two rarest symbols weak
+        threshold = 3 if k > 1 else int(np.sort(spectrum_of_set(reads, 1).multiplicities)[2])
+        expected = reference_correct_reads(reads, k, threshold)
+        assert expected != reads
+        monkeypatch.setattr("asmlab.simulate._CORRECT_BATCH", batch)
+        assert correct_reads(reads, k, threshold) == expected
+
+
+def test_many_batches_match_the_frozen_batch_corrector(monkeypatch):
+    """20,000 noisy reads against the corrector that tried every base at
+    every selected column; the read-by-read oracle is too slow at this size."""
+    genome = random_genome(200_000, seed=5)
+    prof = SimulationProfile(genome_length=len(genome), num_reads=20_000, read_length=100,
+                             error_rate=0.01, seed=6)
+    reads = uniform_reads(genome, prof)
+    expected = batch_correct_reads(reads, 31, 3)
+    monkeypatch.setattr("asmlab.simulate._CORRECT_BATCH", 1 << 19)  # four batches
+    out = correct_reads(reads, 31, 3)
+    assert 0 < len(out) < len(reads)
+    assert out == expected
+
+
+def _sibling_rich_spectrum(k: int, seed: int) -> KmerSpectrum:
+    """Keys drawn around a few random middles, so that most keys have
+    siblings of both kinds, with counts from 1 to past 70,000."""
+    rng = np.random.default_rng(seed)
+    if k == 1:
+        keys = np.flatnonzero(rng.random(4) < 0.7).astype(np.uint64)
+    else:
+        middles = rng.integers(0, 4 ** (k - 2), size=12, dtype=np.uint64)
+        ends = rng.integers(0, 16, size=(12, 10), dtype=np.uint64)  # (first, last) pairs
+        keys = ((ends >> np.uint64(2)) << np.uint64(2 * (k - 1))
+                | middles[:, None] << np.uint64(2) | (ends & np.uint64(3)))
+        keys = np.unique(keys)
+    counts = rng.choice([1, 2, 3, 254, 255, 256, 257, 69_999, 70_000, 70_001, 90_000],
+                        size=len(keys))
+    return KmerSpectrum(k, keys, counts.astype(np.int64))
+
+
+def _brute_sibling_bounds(sp: KmerSpectrum, threshold: int) -> tuple[list, list]:
+    """Each key's three variants in its last and in its first symbol,
+    counted by ``multiplicities_of``: the largest count, clipped."""
+    bounds = []
+    for symbol in (0, sp.k - 1):  # counted from the right
+        shift = np.uint64(2 * symbol)
+        own = (sp.keys >> shift) & np.uint64(3)
+        largest = np.zeros(len(sp), dtype=np.int64)
+        for base in range(4):
+            variant = sp.keys & ~(np.uint64(3) << shift) | (np.uint64(base) << shift)
+            largest = np.maximum(largest, np.where(own == base, 0, sp.multiplicities_of(variant)))
+        bounds.append(np.minimum(largest, threshold).tolist())
+    return bounds[0], bounds[1]
+
+
+class TestSiblingBounds:
+    @pytest.mark.parametrize("k", [1, 2, 5, 31])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_match_brute_force(self, k, seed):
+        sp = _sibling_rich_spectrum(k, seed)
+        for threshold in (1, 3, 255, 256, 70_000):
+            last, first = _sibling_bounds(sp, threshold)
+            assert last.dtype == first.dtype == np.min_scalar_type(threshold)
+            assert (last.tolist(), first.tolist()) == _brute_sibling_bounds(sp, threshold)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 31])
+    def test_match_brute_force_on_noisy_reads(self, k):
+        genome = anchored_genome(300, 40, 3)
+        prof = SimulationProfile(genome_length=len(genome), num_reads=400, read_length=40,
+                                 error_rate=0.03, seed=3)
+        sp = spectrum_of_set(uniform_reads(genome, prof), k)
+        last, first = _sibling_bounds(sp, 3)
+        assert last.any() and first.any()
+        assert (last.tolist(), first.tolist()) == _brute_sibling_bounds(sp, 3)
+
+    def test_empty_spectrum(self):
+        last, first = _sibling_bounds(spectrum_of_set(ReadSet(()), 5), 3)
+        assert len(last) == len(first) == 0
