@@ -3,20 +3,23 @@ each in a child process.
 
     python3 scripts/scale_run.py --work DIR
 
-Two inputs, each written to DIR unless its file already exists, so several
-checkouts can be timed on the same input:
+Three inputs, each written to DIR unless its file already exists, so
+several checkouts can be timed on the same input:
 
 - ``reads.fasta``: 10^6 error-free 100 nt reads uniformly placed on
   ``random_genome(2_500_000, seed=1)`` (read seed 2);
 - ``reads-noisy.fasta``: 10^5 100 nt reads with 1% substitution errors on
-  ``random_genome(1_000_000, seed=5)`` (read seed 6), about 175,000 unitigs.
+  ``random_genome(1_000_000, seed=5)`` (read seed 6), about 175,000 unitigs;
+- ``reads-noisy-1m.fasta``: 10^6 100 nt reads with 1% substitution errors
+  on the genome of ``reads.fasta`` (read seed 2), about 1.6 million unitigs.
 
-Three runs, each assembling at order K into DIR/<run>-contigs.fasta:
-``reads`` and ``reads-noisy`` as they are, and ``reads-noisy-corrected``,
-the noisy reads corrected first (``--correct 3``). Prints one JSON line per
-run: the wall time of its child, that child's peak resident set size
-(``ru_maxrss`` of the waited-for child) and the first 16 hex digits of the
-sha256 of its contigs file. Inputs are written by a child process of their
+Four runs, each assembling at order K into DIR/<run>-contigs.fasta:
+``reads``, ``reads-noisy`` and ``reads-noisy-1m`` as they are, and
+``reads-noisy-corrected``, the 10^5 noisy reads corrected first
+(``--correct 3``). Prints one JSON line per run: the wall time of its
+child, that child's peak resident set size (``ru_maxrss`` of the
+waited-for child) and the first 16 hex digits of the sha256 of its contigs
+file. Inputs are written by a child process of their
 own: Linux hands a process's peak RSS on to the children it starts, so this
 process stays small. Run it from the root of the checkout to be timed.
 """
@@ -39,12 +42,14 @@ READ_LENGTH = 100
 INPUTS = {
     "reads": (1_000_000, 2_500_000, 1, 2, 0.0),
     "reads-noisy": (100_000, 1_000_000, 5, 6, 0.01),
+    "reads-noisy-1m": (1_000_000, 2_500_000, 1, 2, 0.01),
 }
 # run name: (input, extra assemble arguments)
 RUNS = {
     "reads": ("reads", []),
     "reads-noisy": ("reads-noisy", []),
     "reads-noisy-corrected": ("reads-noisy", ["--correct", "3"]),
+    "reads-noisy-1m": ("reads-noisy-1m", []),
 }
 
 

@@ -254,6 +254,8 @@ def _cmd_dbg(args) -> int:
         return 0
     # walk
     if args.shortest:
+        if not graph.num_edges:
+            raise AssemblyError(f"{args.graph}: graph has no edges; nothing to cover")
         walk = dbg.shortest_edge_covering_walk(graph)
         spelled = dbg.spell(walk)
         print(f"shortest edge-covering walk: {len(walk.edges)} edges, "

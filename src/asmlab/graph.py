@@ -88,10 +88,13 @@ class DeBruijnGraph:
     :meth:`edge_endpoints` gives every edge's tail and head index;
     ``out_degrees``/``in_degrees`` are numpy arrays. Packed order is string
     order, so every run's heads and every string view (``vertices``,
-    ``edge_kmers``, ``successors``, ...) are sorted. String views are
-    decoded once, when first used, and so is ``adjacency``, the scipy CSR
-    matrix over vertex indices (row ``i`` holds the heads of the out-edges
-    of ``i``) that the covering-walk solver and :meth:`components` search.
+    ``edge_kmers``, ``successors``, ...) are sorted. ``vertices`` and
+    ``edge_kmers`` are decoded once, when first used, and so is
+    ``adjacency``, the scipy CSR matrix over vertex indices (row ``i`` holds
+    the heads of the out-edges of ``i``) that the covering-walk solver and
+    :meth:`components` search. Neighbours follow the de Bruijn rule: the
+    successors of ``v`` are ``v[1:] + c`` for each ``c`` with ``v + c`` an
+    edge, its predecessors ``c + v[:-1]`` with ``c + v`` one.
     """
 
     def __init__(self, k: int, edge_kmers: Iterable[str],
@@ -105,19 +108,19 @@ class DeBruijnGraph:
         for v in isolated:
             if len(v) != k - 1:
                 raise ValueError(f"vertex {v!r} does not have length k-1={k - 1}")
-        self._setup(k, encode_kmers(edges, k), encode_kmers(isolated, k - 1))
+        self._setup(k, sorted_distinct(encode_kmers(edges, k)), encode_kmers(isolated, k - 1))
 
     @classmethod
     def _from_packed(cls, k: int, edges: np.ndarray,
                      isolated_vertices: np.ndarray) -> "DeBruijnGraph":
-        """The graph of packed k-mers ``edges`` (any order, repeats allowed)
-        and packed (k-1)-mers ``isolated_vertices``, both ``uint64``."""
+        """The graph of packed k-mers ``edges``, ascending and distinct, and
+        packed (k-1)-mers ``isolated_vertices`` (any order, repeats
+        allowed), both ``uint64``."""
         graph = cls.__new__(cls)
         graph._setup(k, edges, isolated_vertices)
         return graph
 
     def _setup(self, k: int, edges: np.ndarray, isolated: np.ndarray) -> None:
-        edges = sorted_distinct(edges)
         tails, heads = edges >> 2, edges & ((1 << (2 * (k - 1))) - 1)
         vertices = sorted_distinct(np.concatenate((tails, heads, isolated)))
         n = len(vertices)
@@ -145,14 +148,8 @@ class DeBruijnGraph:
         return tuple(decode_kmers(self.packed_edges, self.k))
 
     @cached_property
-    def _successor_names(self) -> list[tuple[str, ...]]:
-        return _neighbour_names(self.vertices, self._offsets, self._heads)
-
-    @cached_property
-    def _predecessor_names(self) -> list[tuple[str, ...]]:
-        by_head = np.argsort(self._heads, kind="stable")  # within one head, by tail
-        offsets = np.concatenate(([0], np.cumsum(self.in_degrees)))
-        return _neighbour_names(self.vertices, offsets, self.edge_endpoints()[0][by_head])
+    def _edge_set(self) -> frozenset[str]:
+        return frozenset(self.edge_kmers)
 
     @cached_property
     def adjacency(self):
@@ -168,16 +165,14 @@ class DeBruijnGraph:
         return len(self.packed_edges)
 
     def has_edge(self, kmer: str) -> bool:
-        # every vertex has length k-1, so only a k-mer can match
-        return kmer[1:] in self.successors(kmer[:-1])
+        return kmer in self._edge_set
 
+    # a string of any length but k-1 extends to no k-mer, so it has no neighbour
     def successors(self, v: str) -> tuple[str, ...]:
-        i = self.vertex_index.get(v)
-        return () if i is None else self._successor_names[i]
+        return tuple([v[1:] + c for c in ALPHABET if v + c in self._edge_set])
 
     def predecessors(self, v: str) -> tuple[str, ...]:
-        i = self.vertex_index.get(v)
-        return () if i is None else self._predecessor_names[i]
+        return tuple([c + v[:-1] for c in ALPHABET if c + v in self._edge_set])
 
     def out_degree(self, v: str) -> int:
         i = self.vertex_index.get(v)
@@ -247,13 +242,6 @@ class DeBruijnGraph:
     def __repr__(self) -> str:
         return (f"DeBruijnGraph(k={self.k}, vertices={len(self.packed_vertices)}, "
                 f"edges={self.num_edges})")
-
-
-def _neighbour_names(names: tuple[str, ...], offsets: np.ndarray,
-                     neighbours: np.ndarray) -> list[tuple[str, ...]]:
-    offsets, neighbours = offsets.tolist(), neighbours.tolist()
-    return [tuple([names[j] for j in neighbours[a:b]])
-            for a, b in zip(offsets, offsets[1:])]
 
 
 def build(reads: ReadSet, k: int) -> DeBruijnGraph:

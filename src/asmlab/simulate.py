@@ -360,26 +360,19 @@ def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
     changed = np.zeros(rows, dtype=bool)
     # the other bases of each current base, ascending
     others = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], dtype=np.uint64)
-    # windows left of the scan never change again, so a row whose last weak
-    # window is behind it is done
-    last_weak = _last_weak(counts < threshold)
-    work = np.flatnonzero(last_weak >= 0)
     for i in range(n):
         lo, hi = max(0, i - k + 1), min(i, n - k)
-        work = work[last_weak[work] >= lo]
-        if not len(work):
-            break
         # every window is a key, so a score is at least 1 and a bound of 1
         # never beats it; a bound that beats the score puts a weak window
         # over i, because the bound is at most the threshold
-        sel = work[bound[work, i] > 1]
+        sel = np.flatnonzero(bound[:, i] > 1)
         best_score = counts[sel, lo:hi + 1].min(axis=1)
         can = bound[sel, i] > best_score
         sel, best_score = sel[can], best_score[can]
         if not len(sel):
             continue
-        # a selected row has a weak window at or after lo, so window lo is
-        # inside it; its windows past last_start are padding
+        # a selected row has a weak window over i, so window lo is inside
+        # it; its windows past last_start are padding
         span = np.arange(lo, hi + 1)
         padding = span > last_start[sel, None]
         shifts = (2 * (k - 1 - (i - span))).astype(np.uint64)
@@ -404,15 +397,8 @@ def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
         packs[hit, lo:hi + 1] = cleared[moved] | (base[:, None] << shifts)
         counts[hit, lo:hi + 1] = found[moved, pick]
         changed[hit] = True
-        last_weak[hit] = _last_weak(counts[hit] < threshold)
         # a changed window hands its new key's bound to the column it ends
         # at (columns past a read's end are never tried)
         later = span + k - 1 > i
         bound[hit[:, None], span[later] + k - 1] = last_bound[found_at[moved, pick][:, later]]
     return (counts >= threshold).all(axis=1), changed
-
-
-def _last_weak(weak: np.ndarray) -> np.ndarray:
-    """Index of each row's last weak window, -1 for a row with none."""
-    last = weak.shape[1] - 1 - np.argmax(weak[:, ::-1], axis=1)
-    return np.where(weak.any(axis=1), last, -1)

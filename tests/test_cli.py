@@ -340,6 +340,19 @@ class TestBadInput:
         assert main(["dbg", "walk", "--graph", str(graph), "--shortest"]) == 1
         assert line in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("k=3\nv=AC\n", "bad.edges: graph has no edges; nothing to cover"),
+        ("k=3\nACG\nACT\n", "graph has 2 sinks (CG, CT)"),
+        ("k=3\nACG\nTTA\n", "weakly-connected components"),
+    ], ids=["no-edges", "two-sinks", "two-components"])
+    def test_uncoverable_edge_list_is_data_error(self, tmp_path, capsys, text, message):
+        """A fixture whose graph has no covering walk is data: exit 1."""
+        graph = tmp_path / "bad.edges"
+        graph.write_text(text)
+        assert main(["dbg", "walk", "--graph", str(graph), "--shortest"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "spells" not in captured.out
+
     def test_empty_fastq_header_is_data_error(self, tmp_path, capsys):
         reads = tmp_path / "reads.fq"
         reads.write_text("@\nACGT\n+\nIIII\n")

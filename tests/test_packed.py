@@ -2,8 +2,10 @@
 against the frozen string-keyed implementations in ``helpers``."""
 
 import gzip
+import itertools
 import random
 import tracemalloc
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -77,9 +79,34 @@ def assert_same_graph(graph: dbg.DeBruijnGraph, ref: ReferenceDeBruijnGraph) -> 
         [ref.successors(v) for v in ref.vertices]
     assert [graph.predecessors(v) for v in ref.vertices] == \
         [ref.predecessors(v) for v in ref.vertices]
+    assert [(graph.out_degree(v), graph.in_degree(v)) for v in ref.vertices] == \
+        [(ref.out_degree(v), ref.in_degree(v)) for v in ref.vertices]
     assert graph.isolated_vertices() == ref.isolated_vertices()
     assert (graph.sources(), graph.sinks()) == (ref.sources(), ref.sinks())
     assert all(graph.has_edge(e) for e in ref.edge_kmers)
+    assert_nothing_off_the_graph(graph)
+
+
+def _first_absent(length: int, present: set[str]) -> Optional[str]:
+    words = ("".join(w) for w in itertools.product(SYMBOLS, repeat=length))
+    return next((w for w in words if w not in present), None)
+
+
+def assert_nothing_off_the_graph(graph: dbg.DeBruijnGraph) -> None:
+    """A string that is not a vertex has no neighbours and degree 0: an
+    absent (k-1)-mer, strings of other lengths, one holding a symbol outside
+    ACGT, and the empty string. Only the graph's k-mers are edges."""
+    k, vertices, edges = graph.k, set(graph.vertices), set(graph.edge_kmers)
+    strangers = ["", "A" * (k - 2), "A" * k, "N" * (k - 1), "C" * (k - 2) + "n"]
+    strangers += [v[:-1] + "N" for v in graph.vertices[:2]]
+    strangers += [w for w in [_first_absent(k - 1, vertices)] if w is not None]
+    for w in strangers:
+        assert (graph.successors(w), graph.predecessors(w)) == ((), ()), w
+        assert (graph.out_degree(w), graph.in_degree(w)) == (0, 0), w
+    not_edges = [*graph.vertices, *(w for w in strangers if len(w) != k), "A" * (k + 1),
+                 *(e + e[0] for e in edges)]
+    not_edges += [w for w in [_first_absent(k, edges)] if w is not None]
+    assert not any(graph.has_edge(w) for w in not_edges)
 
 
 def assert_same_unitigs(graph: dbg.DeBruijnGraph, ref: ReferenceDeBruijnGraph) -> None:
@@ -114,12 +141,47 @@ def test_packed_layer_matches_string_layer_on_seeded_read_sets():
         components = graph.weakly_connected_components()
         assert components == ref.weakly_connected_components()
         assert graph.components() == [graph.subgraph(c) for c in components]
-        for comp in components:
-            sub, ref_sub = graph.subgraph(comp), ref.subgraph(comp)
-            assert (sub.edge_kmers, sub.vertices) == (ref_sub.edge_kmers, ref_sub.vertices)
+        for part, comp in zip(graph.components(), components):
+            assert_same_graph(part, ref.subgraph(comp))
+            assert_same_graph(graph.subgraph(comp), ref.subgraph(comp))
+        half = random.Random(seed).sample(ref.vertices, len(ref.vertices) // 2)
+        assert_same_graph(graph.subgraph(half), ref.subgraph(half))
         cycles_only += bool(ref.vertices) and not (ref.sources() or ref.sinks()
                                                    or ref.isolated_vertices())
     assert cycles_only >= 100 and rejected >= 1
+
+
+def test_setup_is_handed_ascending_distinct_edges(monkeypatch):
+    """``_setup`` sorts nothing: ``build`` (with reads of k-1 and k symbols),
+    ``components()`` and ``subgraph()`` hand it strictly ascending edges,
+    and the string constructor sorts once, whatever order and repeats its
+    edges come in."""
+    real, handed = dbg.DeBruijnGraph._setup, []
+
+    def checked(self, k, edges, isolated):
+        assert (edges[1:] > edges[:-1]).all()
+        handed.append(len(edges))
+        real(self, k, edges, isolated)
+
+    monkeypatch.setattr(dbg.DeBruijnGraph, "_setup", checked)
+    graph = dbg.build(ReadSet.of("TGGCA", "ACGTT", "CCC", "AA", "ACGTT", "GGCAT"), 3)
+    assert graph.isolated_vertices() == ["AA"] and graph.has_edge("CCC")
+    parts = graph.components()
+    assert len(parts) == 3 and len(handed) == 4
+    graph.subgraph(graph.vertices[1::2])
+    assert len(handed) == 5
+    rng = random.Random(7)
+    for seed in range(0, 300, 3):
+        reads, k = _read_set(seed)
+        edges = list(reference_build(reads, k).edge_kmers) if reads.lengths.max() >= k else []
+        shuffled = edges * rng.randint(1, 3)
+        rng.shuffle(shuffled)
+        graph = dbg.DeBruijnGraph(k, shuffled, ["A" * (k - 1)])
+        assert graph == dbg.DeBruijnGraph(k, sorted(set(shuffled)), ["A" * (k - 1)])
+        assert_same_graph(graph, ReferenceDeBruijnGraph(k, shuffled, ["A" * (k - 1)]))
+        if edges:
+            graph.components()
+            graph.subgraph(graph.vertices[::2])
 
 
 @pytest.mark.parametrize("method,contigs", [
