@@ -176,9 +176,11 @@ def _load_genome_arg(args) -> DnaString:
 def _cmd_simulate(args) -> int:
     if args.read_length is None or args.read_length < 1:
         raise ValueError("--len must be a positive integer")
-    genome = _load_genome_arg(args)
     if not args.idealized and args.num is None:
         raise ValueError("--num is required unless --idealized is given")
+    if not args.idealized and args.num < 1:
+        raise ValueError(f"--num must be a positive integer, got {args.num}")
+    genome = _load_genome_arg(args)
     gaps = parse_gaps(" ".join(args.gap)) if args.gap and not args.idealized else ()
     if args.genome:  # a genome file too short for the reads is a data error
         check_genome(args.genome, genome, args.read_length, gaps)
@@ -192,6 +194,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scs(args) -> int:
+    if args.read_len is not None and args.read_len < 1:
+        raise ValueError(f"--read-len must be a positive integer, got {args.read_len}")
     reads = read_reads(args.reads)
     result = exact_scs(reads) if args.exact else greedy_scs(reads)
     write_fasta(

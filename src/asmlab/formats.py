@@ -76,13 +76,6 @@ def _open_for_write(sink: Source):
     return sink, False
 
 
-def _parse(source: Source) -> tuple[Iterable[str], ReadSet]:
-    """The header lines (stripped, marker included) and the sequences of a
-    FASTA or FASTQ file: the one shape every reader is built on."""
-    text = _read_text(source)
-    return _parse_fastq(text) if text.lstrip().startswith("@") else _parse_fasta(text)
-
-
 def read_fasta(source: Source) -> list[FastaRecord]:
     """Parse FASTA (or FASTQ, whose quality lines are only checked to be as
     long as their sequence lines).
@@ -118,29 +111,46 @@ def _symbol_error(pieces: list[str], lines: Iterable[int], where: str) -> FastaP
         f"invalid symbol {piece[pos]!r} in {where} (alphabet is {ALPHABET})", line=line_no)
 
 
-def _parse_fasta(text: str) -> tuple[Iterable[str], ReadSet]:
-    """The header lines of a FASTA text, looked up only when iterated, and
-    the records' sequences.
+def _parse(source: Source) -> tuple[Iterable[str], ReadSet]:
+    """The header lines (stripped, marker included) of a FASTA or FASTQ file,
+    looked up only when iterated, and the records' sequences: the one shape
+    every reader is built on.
 
-    The lines are split and stripped once, and the sequence lines are
-    joined and encoded once (uppercased and encoded again only if a symbol
-    is outside the alphabet), so no string is made per record. The
-    checks of each record run in this order: an empty header, a symbol
-    outside the alphabet, an empty sequence. The first record in file order
-    that fails one is reported, after data before the first header.
+    The lines are split and stripped once. A record is a header line and its
+    sequence lines: in FASTA every line up to the next header, in FASTQ the
+    one line after it. A FASTQ record is four lines, and its quality line may
+    itself begin with '@' or '+', so records start at every fourth nonblank
+    line; that is exact up to the first record that fails a check, since
+    every record before it is four nonblank lines in a row. The sequence
+    lines are joined and encoded once (uppercased and encoded again only if
+    a symbol is outside the alphabet), so no string is made per record. Each
+    check is one boolean column over the records, in the order a
+    record-by-record parser runs them, and the first record in file order
+    that fails one is reported, after FASTA data before the first header.
     """
-    lines = list(map(str.strip, text.splitlines()))
+    raw = _read_text(source).splitlines()
+    lines = list(map(str.strip, raw))
     lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-    # the first symbol of every line ('' for an empty one)
-    is_head = np.array(lines, dtype="U1") == ">"
-    heads = np.flatnonzero(is_head)
-    preamble = lengths[:heads[0]] if len(heads) else lengths
-    if preamble.any():
-        raise FastaParseError("sequence data before any '>' header",
-                              line=int(np.flatnonzero(preamble)[0]) + 1)
-    if not len(heads):
-        return [], ReadSet(())
-    is_body = ~is_head  # the lines before the first header are empty
+    fastq = next(filter(None, lines), "").startswith("@")
+    # the first symbol of every line ('' for an empty one): as written in
+    # FASTQ, whose header and separator must open their lines, and after
+    # stripping in FASTA
+    first = np.array(raw if fastq else lines, dtype="U1")
+    del raw
+    if fastq:
+        heads = np.flatnonzero(lengths)[::4]
+        ends = np.minimum(heads + 2, len(lines))
+    else:
+        heads = np.flatnonzero(first == ">")
+        preamble = lengths[:heads[0]] if len(heads) else lengths
+        if preamble.any():
+            raise FastaParseError("sequence data before any '>' header",
+                                  line=int(np.flatnonzero(preamble)[0]) + 1)
+        ends = np.append(heads[1:], len(lines))
+    # record r holds the sequence lines [heads[r] + 1, ends[r])
+    counts = ends - heads - 1
+    is_body = np.zeros(len(lines), dtype=bool)
+    is_body[index_ranges(heads + 1, counts)] = True
     body = list(itertools.compress(lines, is_body.tolist()))
     sequence = "".join(body)
     sizes = lengths[is_body]
@@ -154,70 +164,48 @@ def _parse_fasta(text: str) -> tuple[Iterable[str], ReadSet]:
                                 count=len(body))
         codes = symbol_codes(sequence)
     invalid = np.flatnonzero(codes == 255)
-    # record r holds body lines [r_lines[r], r_lines[r + 1]), and its
-    # symbols are sequence[bounds[r]:bounds[r + 1]]
-    r_lines = np.append(heads, len(lines)) - np.arange(len(heads) + 1)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))[r_lines]
-    starts, ends = bounds[:-1], bounds[1:]
+    # record r's symbols are sequence[bounds[r]:bounds[r + 1]]
+    bounds = np.concatenate(([0], np.cumsum(sizes)))[np.concatenate(([0], np.cumsum(counts)))]
+    starts, stops = bounds[:-1], bounds[1:]
     bad = np.zeros(len(heads), dtype=bool)
     bad[np.searchsorted(bounds, invalid, side="right") - 1] = True
-    failing = (lengths[heads] == 1) | (starts == ends) | bad
+    if fastq:
+        last = len(lines) - 1
+        checks = {"@": first[heads] != "@", "truncated": heads + 3 > last,
+                  "+": first[np.minimum(heads + 2, last)] != "+",
+                  "header": lengths[heads] == 1, "empty": starts == stops, "symbol": bad,
+                  "quality": lengths[np.minimum(heads + 3, last)] != stops - starts}
+    else:
+        checks = {"header": lengths[heads] == 1, "symbol": bad, "empty": starts == stops}
+    failing = np.logical_or.reduce(list(checks.values()))
     if failing.any():
         r = int(np.argmax(failing))
-        raise _record_error(lines, heads, r, bool(bad[r]))
-    return map(lines.__getitem__, heads), ReadSet.from_codes(codes, ends - starts)
+        check = next(name for name, fails in checks.items() if fails[r])
+        raise _record_error(check, lines, int(heads[r]), int(ends[r]))
+    return map(lines.__getitem__, heads), ReadSet.from_codes(codes, stops - starts)
 
 
-def _record_error(lines: list[str], heads: np.ndarray, r: int, bad: bool) -> FastaParseError:
-    """The error of record ``r``, the first that fails a check; ``bad`` says
-    whether it holds a symbol outside the alphabet."""
-    head = int(heads[r])
-    end = int(heads[r + 1]) if r + 1 < len(heads) else len(lines)
-    fields = lines[head][1:].split(None, 1)
-    if not fields:
-        return FastaParseError("empty FASTA header", line=head + 1)
-    body = lines[head + 1:end]
-    if bad:
-        return _symbol_error([line.upper() for line in body], range(head + 2, end + 1),
-                             f"record {fields[0]!r}")
-    return FastaParseError(f"record {fields[0]!r} has an empty sequence", line=head + 1)
-
-
-def _parse_fastq(text: str) -> tuple[list[str], ReadSet]:
-    """The header lines of a FASTQ text and the records' sequences, joined
-    and encoded once."""
-    lines = text.splitlines()
-    headers: list[str] = []
-    sequences: list[str] = []
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        if not lines[i].startswith("@"):
-            raise FastaParseError("expected '@' FASTQ header", line=i + 1)
-        if i + 3 >= len(lines):
-            raise FastaParseError("truncated FASTQ record", line=i + 1)
-        parts = lines[i][1:].strip().split(None, 1)
-        seq = lines[i + 1].strip().upper()
-        if not lines[i + 2].startswith("+"):
-            raise FastaParseError("expected '+' FASTQ separator", line=i + 3)
-        if not parts:
-            raise FastaParseError("empty FASTQ header", line=i + 1)
-        if not seq:
-            raise FastaParseError(f"record {parts[0]!r} has an empty sequence", line=i + 2)
-        if first_invalid(seq) >= 0:
-            raise _symbol_error([seq], [i + 2], f"record {parts[0]!r}")
-        quality = lines[i + 3].strip()
-        if len(quality) != len(seq):
-            raise FastaParseError(
-                f"record {parts[0]!r} has {len(quality)} quality symbols "
-                f"for {len(seq)} bases", line=i + 4)
-        headers.append(lines[i].strip())
-        sequences.append(seq)
-        i += 4
-    return headers, ReadSet.from_codes(symbol_codes("".join(sequences)),
-                                       read_lengths(sequences))
+def _record_error(check: str, lines: list[str], head: int, end: int) -> FastaParseError:
+    """The error of the record with header line ``head`` and sequence lines
+    up to ``end`` (0-based, exclusive) for ``check``, the first check it
+    fails: the message and line a record-by-record parser gives."""
+    if check == "@":
+        return FastaParseError("expected '@' FASTQ header", line=head + 1)
+    if check == "truncated":
+        return FastaParseError("truncated FASTQ record", line=head + 1)
+    if check == "+":
+        return FastaParseError("expected '+' FASTQ separator", line=head + 3)
+    fastq = lines[head].startswith("@")
+    if check == "header":
+        return FastaParseError(f"empty {'FASTQ' if fastq else 'FASTA'} header", line=head + 1)
+    name = repr(lines[head][1:].split(None, 1)[0])
+    body = [line.upper() for line in lines[head + 1:end]]
+    if check == "empty":  # FASTQ names the sequence line, FASTA the header
+        return FastaParseError(f"record {name} has an empty sequence", line=head + 1 + fastq)
+    if check == "symbol":
+        return _symbol_error(body, range(head + 2, end + 1), f"record {name}")
+    return FastaParseError(f"record {name} has {len(lines[head + 3])} quality symbols "
+                           f"for {len(body[0])} bases", line=head + 4)
 
 
 def _layout(headers: list[str], codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -57,6 +57,14 @@ class TestSimulate:
                      "--reads", str(tmp_path / "x.fasta")])
         assert code == 2
 
+    @pytest.mark.parametrize("num", ["0", "-1"])
+    def test_nonpositive_num_is_usage_error(self, tmp_path, capsys, gtrue_fasta, num):
+        reads = tmp_path / "x.fasta"
+        assert main(["simulate", "--genome", str(gtrue_fasta), "--num", num, "--len", "3",
+                     "--reads", str(reads)]) == 2
+        assert f"--num must be a positive integer, got {num}" in capsys.readouterr().err
+        assert not reads.exists()
+
     def test_planted_repeat_flag(self, tmp_path):
         out = tmp_path / "r.fasta"
         genome_out = tmp_path / "g.fasta"
@@ -109,6 +117,16 @@ class TestScs:
                      "--out", str(out), "--read-len", "3"]) == 0
         assert len(read_fasta(out)[0].sequence) == 16
         assert "within bound 4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("read_len", ["0", "-1"])
+    def test_nonpositive_read_len_is_usage_error(self, tmp_path, capsys, gtrue_reads,
+                                                 read_len):
+        out = tmp_path / "scs.fasta"
+        assert main(["scs", "--reads", str(gtrue_reads), "--exact", "--out", str(out),
+                     "--read-len", read_len]) == 2
+        assert f"--read-len must be a positive integer, got {read_len}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "scs.fasta.trace").exists()
 
     def test_greedy_flag(self, tmp_path, gtrue_reads):
         out = tmp_path / "scs.fasta"

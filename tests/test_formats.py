@@ -341,6 +341,13 @@ class TestFastqMatchesFrozenParser:
     @example("@r1\nACGT\n+\nIIII\n@r2\nAC\n+\n")  # a truncated record
     @example("@r1\nACGT\n-\nIIII\n")  # a bad '+' line
     @example("@r1\nACGT\n+\nIIIII\n")  # a quality length mismatch
+    @example("@r1\nACGT\n+\n@III\n@r2\nAC\n+r2\n+I\n")  # quality lines opening with '@', '+'
+    @example("@r1\nACGT\n+\n@@@\n@r2\nAC\n+\nII\n")  # ... and one that is short
+    @example("@a\nA\n+\nI\n@b\nC\n+\nI\n@c\nG\n\n+\nI\n")  # a blank line in the third record
+    @example("@r1\r\nACGT\r\n+\r\n@III\r\n@r2 d\r\nacgt\r\n+\r\nIIII\r\n")  # CRLF endings
+    @example("@r1\nACGT\n+\nIIII\n\n \n@r2\nAC\n+\n")  # truncated after blank lines
+    @example("".join(f"@r{i}\n{'ACGT'[i % 4] * (i % 7 + 1)}\n+\n{'@' * (i % 7 + 1)}\n"
+                     for i in range(60)))  # 60 valid records
     def test_same_records_or_same_error(self, text):
         expected = _outcome(lambda: reference_parse_fastq(text))
         assert _outcome(lambda: read_fasta(io.StringIO(text))) == expected
