@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from asmlab.formats import read_reads
 from asmlab.sequence import (
+    MAX_K,
     DnaString,
     KmerSpectrum,
     ReadSet,
@@ -18,6 +19,7 @@ from asmlab.sequence import (
     first_invalid,
     from_codes,
     is_common_superstring,
+    kmer_codes,
     longest_repeat,
     max_overlap,
     spectrum,
@@ -125,6 +127,25 @@ class TestKmer:
         packed = encode_kmers(kmers, k)
         assert packed.tolist() == [encode_kmer(x) for x in kmers]
         assert decode_kmers(packed, k) == kmers
+
+    @pytest.mark.parametrize("k", range(1, MAX_K + 1))
+    def test_vectorized_decode_matches_scalar_decode(self, k):
+        # the DOT oracle names vertices through decode_kmers, so the
+        # vectorized decoders answer to the scalar one at every width
+        rng = np.random.default_rng(k)
+        packed = np.concatenate((rng.integers(0, 4 ** k, size=300, dtype=np.uint64),
+                                 np.array([0, 4 ** k - 1], dtype=np.uint64)))
+        expected = [decode_kmer(value, k) for value in packed.tolist()]
+        assert decode_kmers(packed, k) == expected
+        assert kmer_codes(packed, k).tolist() == [list(to_codes(text)) for text in expected]
+
+    def test_vectorized_decode_of_nothing(self):
+        empty = np.zeros(0, dtype=np.uint64)
+        for k in (1, 4, MAX_K):
+            assert decode_kmers(empty, k) == []
+            assert kmer_codes(empty, k).shape == (0, k)
+        # width 0: unitigs of order 2 spell no symbol of their first vertex's prefix
+        assert kmer_codes(np.array([0, 3], dtype=np.uint64), 0).shape == (2, 0)
 
     def test_vectorized_encode_checks_length_and_symbols(self):
         with pytest.raises(ValueError, match="'ACG' does not have length 2"):
