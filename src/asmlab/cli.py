@@ -176,12 +176,17 @@ def _load_genome_arg(args) -> DnaString:
 def _cmd_simulate(args) -> int:
     if args.read_length is None or args.read_length < 1:
         raise ValueError("--len must be a positive integer")
-    if not args.idealized and args.num is None:
-        raise ValueError("--num is required unless --idealized is given")
-    if not args.idealized and args.num < 1:
-        raise ValueError(f"--num must be a positive integer, got {args.num}")
+    gaps = ()
+    if not args.idealized:  # idealized reads ignore --num, --error-rate and --gap
+        if args.num is None:
+            raise ValueError("--num is required unless --idealized is given")
+        if args.num < 1:
+            raise ValueError(f"--num must be a positive integer, got {args.num}")
+        if not 0.0 <= args.error_rate < 1.0:
+            raise ValueError(f"--error-rate must be in [0, 1), got {args.error_rate}")
+        gaps = parse_gaps(" ".join(args.gap))
+        simulate.check_gaps(gaps)
     genome = _load_genome_arg(args)
-    gaps = parse_gaps(" ".join(args.gap)) if args.gap and not args.idealized else ()
     if args.genome:  # a genome file too short for the reads is a data error
         check_genome(args.genome, genome, args.read_length, gaps)
     num_reads = None if args.idealized else args.num
@@ -217,10 +222,10 @@ def _cmd_scs(args) -> int:
 
 def _cmd_assemble(args) -> int:
     dbg.check_order(args.k)
+    if args.correct is not None and args.correct < 1:
+        raise ValueError("--correct MINMULT must be >= 1")
     reads = read_reads(args.reads)
     if args.correct is not None:
-        if args.correct < 1:
-            raise ValueError("--correct MINMULT must be >= 1")
         lengths = reads.lengths
         short = np.flatnonzero(lengths < args.k)
         if len(short):

@@ -46,7 +46,6 @@ from asmlab.errors import (
 from asmlab.sequence import (
     ALPHABET,
     MAX_K,
-    SYMBOL_BYTES,
     ReadSet,
     decode_kmer,
     decode_kmers,
@@ -54,7 +53,7 @@ from asmlab.sequence import (
     first_invalid,
     in_sorted,
     joined_codes,
-    kmer_codes,
+    kmer_symbols,
     read_lengths,
     sorted_distinct,
     spectrum_of_set,
@@ -854,7 +853,8 @@ def _write_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tuple,
     """Write one DOT line per ``width``-mer of ``packed``: a fixed-width head
     of ``pieces`` (literal bytes, or a (start, stop) slice of the k-mer's
     symbols) and the tail ``tails[kinds[i]]``. Each batch of lines is laid
-    out in one byte buffer and written at once."""
+    out in one byte buffer, from one symbol matrix and one gather of the
+    tails padded to the longest, and written at once."""
     template, fields = b"", []
     for piece in pieces:
         if isinstance(piece, bytes):
@@ -864,17 +864,18 @@ def _write_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tuple,
             template += bytes(piece[1] - piece[0])
     head = len(template)
     tail_widths = np.array([len(tail) for tail in tails])
+    tail_table = np.zeros((len(tails), tail_widths.max()), dtype=np.uint8)
+    for row, tail in zip(tail_table, tails):
+        row[:len(tail)] = np.frombuffer(tail, dtype=np.uint8)
     for at in range(0, len(packed), _DOT_BATCH):
-        codes = kmer_codes(packed[at:at + _DOT_BATCH], width)
+        symbols = kmer_symbols(packed[at:at + _DOT_BATCH], width)
         kind = kinds[at:at + _DOT_BATCH]
         ends = head + tail_widths[kind]
         lines = np.empty((len(kind), ends.max()), dtype=np.uint8)
         lines[:, :head] = np.frombuffer(template, dtype=np.uint8)
         for column, start, stop in fields:
-            lines[:, column:column + stop - start] = SYMBOL_BYTES[codes[:, start:stop]]
-        for t in np.unique(kind).tolist():
-            tail = np.frombuffer(tails[t], dtype=np.uint8)
-            lines[kind == t, head:head + len(tail)] = tail
+            lines[:, column:column + stop - start] = symbols[:, start:stop]
+        lines[:, head:] = tail_table[:, :lines.shape[1] - head].take(kind, axis=0)
         if ends.min() < lines.shape[1]:  # lines of several lengths: drop the padding
             lines = lines[np.arange(lines.shape[1]) < ends[:, None]]
         handle.write(lines.tobytes().decode("ascii"))

@@ -27,6 +27,10 @@ for _v, _c in enumerate(ALPHABET):
     _ENCODE[ord(_c)] = _v
 _DECODE = bytes.maketrans(bytes(range(len(ALPHABET))), ALPHABET.encode("ascii"))
 SYMBOL_BYTES = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)  # byte of each code
+# byte value -> the four 2-bit codes it packs, first symbol in the high bits,
+# and their symbols: a packed byte unpacks in one lookup
+_BYTE_CODES = np.arange(256, dtype=np.uint8)[:, None] >> np.array([6, 4, 2, 0], dtype=np.uint8) & 3
+_BYTE_SYMBOLS = SYMBOL_BYTES[_BYTE_CODES]
 
 
 def _raw_codes(text: str) -> bytes:
@@ -210,19 +214,36 @@ def encode_kmers(kmers: Sequence[str], k: int) -> np.ndarray:
     return packed
 
 
+def _unpack(packed: np.ndarray, width: int, table: np.ndarray) -> np.ndarray:
+    """The first ``width`` symbols of every packed k-mer of ``packed``, one
+    row per k-mer, through a byte table of four columns.
+
+    Each k-mer is shifted to the top of its ``uint64`` and read as 8
+    big-endian bytes, whatever the host's byte order, so one ``take``
+    through the table unpacks four symbols per byte.
+    """
+    if not width:  # a shift by 64 is undefined
+        return np.empty((len(packed), 0), dtype=np.uint8)
+    top = (packed << np.uint64(64 - 2 * width)).astype(">u8")
+    return table.take(top.view(np.uint8), axis=0).reshape(len(packed), 32)[:, :width]
+
+
 def kmer_codes(packed: np.ndarray, k: int) -> np.ndarray:
     """The 2-bit codes of every k-mer of ``packed``: a ``uint8`` matrix with
     one row of k codes per k-mer."""
-    codes = np.empty((len(packed), k), dtype=np.uint8)
-    for j in range(k):
-        codes[:, j] = (packed >> (2 * (k - 1 - j))) & 3
-    return codes
+    return _unpack(packed, k, _BYTE_CODES)
+
+
+def kmer_symbols(packed: np.ndarray, k: int) -> np.ndarray:
+    """The ASCII bytes of every k-mer of ``packed``: a ``uint8`` matrix with
+    one row of k symbols per k-mer."""
+    return _unpack(packed, k, _BYTE_SYMBOLS)
 
 
 def decode_kmers(packed: np.ndarray, k: int) -> list[str]:
     """Inverse of :func:`encode_kmers`: every k-mer of ``packed`` decoded in
     one vectorized pass."""
-    text = from_codes(kmer_codes(packed, k))
+    text = kmer_symbols(packed, k).tobytes().decode("ascii")
     return [text[i:i + k] for i in range(0, len(text), k)]
 
 

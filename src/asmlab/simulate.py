@@ -245,7 +245,10 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
     that one symbol. The bounds are computed once per spectrum key, clipped
     to ``min_multiplicity`` (:func:`_sibling_bounds`). Each batch looks up
     every window once; a column then costs one trial lookup of the other
-    three bases, for only the reads whose bound beats their minimum.
+    three bases, for only the reads whose bound beats their minimum. A
+    tried read's minimum is at least 1, so a base that wins beats 1 on
+    every window over its column: the trials search only the keys seen at
+    least twice.
     """
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
@@ -257,6 +260,14 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
         raise ValueError(f"read {short[0]} is shorter than k={k}")
     spectrum = spectrum_of_set(reads, k)
     bounds = _sibling_bounds(spectrum, min_multiplicity)
+    keys, counts = spectrum.keys, spectrum.multiplicities
+    repeated = counts >= 2
+    trials = KmerSpectrum(k, keys[repeated], counts[repeated])
+    trial_bounds = bounds[0][repeated]
+    # a window's own count matters only below the threshold, so the full
+    # spectrum is kept with its counts capped there, in the bounds' type
+    capped = KmerSpectrum(k, keys, np.minimum(counts, min_multiplicity).astype(bounds[0].dtype))
+    del spectrum, counts, repeated
     codes = reads.codes.copy()  # the corrected reads, written back batch by batch
     keep = np.ones(len(reads), dtype=bool)
     fixed = 0
@@ -266,7 +277,8 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
         at = (reads.offsets[batch][:, None] + np.arange(ends[-1]))[inside]  # store positions
         matrix = np.zeros(inside.shape, dtype=np.uint8)
         matrix[inside] = reads.codes[at]
-        kept, changed = _correct_batch(matrix, ends, k, min_multiplicity, spectrum, bounds)
+        kept, changed = _correct_batch(matrix, ends, k, min_multiplicity, capped, bounds,
+                                       trials, trial_bounds)
         keep[batch] = kept
         fixed += np.count_nonzero(kept & changed)
         codes[at] = matrix[inside]
@@ -327,23 +339,30 @@ def _largest_other(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
-                   spectrum: KmerSpectrum,
-                   bounds: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+                   capped: KmerSpectrum,
+                   bounds: tuple[np.ndarray, np.ndarray], trials: KmerSpectrum,
+                   trial_bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Correct the reads of a code matrix in place (one read per row, row r
-    holding ``ends[r]`` bases and then padding), given the spectrum's
-    :func:`_sibling_bounds`; return which rows are kept and which changed.
+    holding ``ends[r]`` bases and then padding), given the spectrum with its
+    counts capped at the threshold, its :func:`_sibling_bounds`, its keys
+    seen at least twice (``trials``) and their last-symbol bounds; return
+    which rows are kept and which changed.
 
     A base that wins column i beats the current minimum count on every
     window over i, the window that ends at i (i >= k-1) or starts at i
     among them, and that window's count with the base swapped in is at most
     the window's sibling bound. So a row whose bound at a column does not
     beat its current minimum skips the column without a lookup; the rows
-    that pass look up all three other bases at once.
+    that pass look up all three other bases at once, among the ``trials``:
+    a window seen once never beats a minimum of at least 1. A column is
+    tried only while its minimum is below the threshold, which the cap
+    leaves as it is; a tried base's counts are exact, since the bases are
+    compared with each other.
     """
     rows, n = codes.shape
     packs = window_packs(codes, k)
-    at = spectrum.indices_of(packs)  # a read's every window is a key; padding may not be
-    counts = spectrum.multiplicities[at]
+    at = capped.indices_of(packs)  # a read's every window is a key; padding may not be
+    counts = capped.multiplicities[at].astype(np.int64)
     # a window running into the padding counts as occurring without limit:
     # it is never weak and never lowers a score
     last_start = ends - k
@@ -358,6 +377,8 @@ def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
     bound[:, :head] = np.where(padded[:, :head], threshold, first_bound[at[:, :head]])
     del at
     changed = np.zeros(rows, dtype=bool)
+    if not len(trials):  # no key is seen twice, so no base can win
+        return (counts >= threshold).all(axis=1), changed
     # the other bases of each current base, ascending
     others = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], dtype=np.uint64)
     for i in range(n):
@@ -378,8 +399,8 @@ def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
         shifts = (2 * (k - 1 - (i - span))).astype(np.uint64)
         cleared = packs[sel, lo:hi + 1] & ~(np.uint64(3) << shifts)
         bases = others[codes[sel, i]]  # one trial lookup: every other base of every row
-        found_at = spectrum.indices_of(cleared[:, None] | (bases[:, :, None] << shifts))
-        found = np.where(found_at >= 0, spectrum.multiplicities[found_at], 0)
+        found_at = trials.indices_of(cleared[:, None] | (bases[:, :, None] << shifts))
+        found = np.where(found_at >= 0, trials.multiplicities[found_at], 0)
         found[np.broadcast_to(padding[:, None], found.shape)] = _PADDING_COUNT
         # ascending bases, each taken only when strictly better: the current
         # base wins ties, and so does the lowest of equally good others
@@ -400,5 +421,5 @@ def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
         # a changed window hands its new key's bound to the column it ends
         # at (columns past a read's end are never tried)
         later = span + k - 1 > i
-        bound[hit[:, None], span[later] + k - 1] = last_bound[found_at[moved, pick][:, later]]
+        bound[hit[:, None], span[later] + k - 1] = trial_bounds[found_at[moved, pick][:, later]]
     return (counts >= threshold).all(axis=1), changed

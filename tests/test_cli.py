@@ -443,6 +443,28 @@ class TestBadInput:
             main(["stage", "--stage", "1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("args,message", [
+        (["assemble", "--reads", "{missing}", "-k", "5", "--method", "unitig",
+          "--correct", "0", "--out", "{out}"], "--correct MINMULT must be >= 1"),
+        (["simulate", "--genome", "{missing}", "--num", "5", "--len", "3",
+          "--error-rate", "1.5", "--reads", "{out}"], "--error-rate must be in [0, 1), got 1.5"),
+        (["simulate", "--genome", "{missing}", "--num", "5", "--len", "3",
+          "--gap", "5:3", "--reads", "{out}"], "bad gap interval [5, 3)"),
+    ], ids=["assemble-correct-0", "simulate-error-rate", "simulate-gap"])
+    def test_usage_error_is_decided_before_the_input_is_read(self, tmp_path, capsys, args,
+                                                            message):
+        # the input does not exist: a usage error must not wait for it
+        paths = {"missing": tmp_path / "missing.fasta", "out": tmp_path / "out.fasta"}
+        assert main([arg.format(**paths) for arg in args]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_idealized_reads_ignore_error_rate_and_gaps(self, tmp_path, gtrue_fasta):
+        out = tmp_path / "x.fasta"
+        assert main(["simulate", "--genome", str(gtrue_fasta), "--idealized", "--len", "3",
+                     "--error-rate", "1.5", "--gap", "5:3", "--reads", str(out)]) == 0
+        assert len(read_fasta(out)) == 17
+
     def test_read_too_short_to_correct_is_data_error(self, tmp_path, capsys):
         # the first read shorter than k is named, wherever it is
         for fasta, record in [(">r1\nACGTACGT\n>r2\nACG\n", "record 2 has 3 nt"),

@@ -716,6 +716,39 @@ class TestExportDotMatchesReference:
         walk = dbg.walk_of(maximal_unitigs(graph).spellings[-1], graph)
         self.assert_same(graph, walk)
 
+    @pytest.mark.parametrize("k", range(2, 32))
+    def test_every_order(self, k):
+        # vertex and edge widths under one byte, at a byte boundary and past it
+        genome = random_genome(120, seed=100 + k)
+        graph = dbg.build(idealized_reads(genome, 40), k)
+        self.assert_same(graph)
+        self.assert_unitig_contigs_same(graph)
+        self.assert_same(graph, dbg.walk_of(genome[10:50], graph))
+
+    def test_one_fill_for_every_vertex(self, monkeypatch):
+        # one sequence names every vertex: each batch has one tail, not the plain one
+        genome = random_genome(200, seed=21)
+        graph = dbg.build(ReadSet.of(genome), 9)
+        monkeypatch.setattr(dbg, "_DOT_BATCH", 64)
+        self.assert_sequences_same(graph, [genome])
+        assert dot_text(graph, [genome]).count("fillcolor") == len(graph.packed_vertices)
+
+    @pytest.mark.parametrize("filled", [0, 1], ids=["plain-then-filled", "filled-then-plain"])
+    def test_kinds_change_at_a_batch_boundary(self, monkeypatch, filled):
+        batch = 8
+        graph = error_graph(300, 7, seed=4)
+        names = graph.vertices
+        assert len(names) > 3 * batch
+        # each name is its own sequence; nine empty ones after it keep every
+        # named vertex on the palette's first colour
+        texts = [text for name in names[filled * batch:(filled + 1) * batch]
+                 for text in (name, *[""] * (len(dbg._PALETTE) - 1))]
+        monkeypatch.setattr(dbg, "_DOT_BATCH", batch)
+        self.assert_sequences_same(graph, texts)
+        lines = dot_text(graph, texts).splitlines()[1:len(names) + 1]
+        assert ["fillcolor" in line for line in lines] == [
+            filled * batch <= i < (filled + 1) * batch for i in range(len(names))]
+
     @PROPERTY
     @given(genomes, st.integers(min_value=2, max_value=5), st.data())
     def test_random_graphs_and_groups(self, genome, k, data):

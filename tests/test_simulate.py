@@ -300,6 +300,28 @@ class TestCorrectReadsMatchesReference:
         monkeypatch.setattr("asmlab.simulate._CORRECT_BATCH", batch)
         assert correct_reads(reads, k, threshold) == expected
 
+    def test_most_keys_seen_once(self):
+        # 3 % errors at 20x: the trials search a small part of the keys
+        genome = anchored_genome(3000, 100, 17)
+        prof = SimulationProfile(genome_length=len(genome), num_reads=640, read_length=100,
+                                 error_rate=0.03, seed=18)
+        reads = uniform_reads(genome, prof)
+        assert np.mean(spectrum_of_set(reads, 21).multiplicities == 1) > 0.8
+        out = correct_reads(reads, 21, 3)
+        assert out != reads
+        assert out == reference_correct_reads(reads, 21, 3)
+
+    @pytest.mark.parametrize("threshold", [2, 3])
+    def test_no_key_seen_twice(self, threshold):
+        # reads under 2k-2 nt leave columns that no window's bound covers,
+        # so they are tried against an empty set of keys seen twice
+        rng = np.random.default_rng(19)
+        reads = ReadSet([random_genome(int(n), seed=i)
+                         for i, n in enumerate(rng.integers(21, 50, size=40))])
+        assert spectrum_of_set(reads, 21).multiplicities.max() == 1
+        assert correct_reads(reads, 21, threshold) == reference_correct_reads(reads, 21,
+                                                                              threshold)
+
 
 def test_many_batches_match_the_frozen_batch_corrector(monkeypatch):
     """20,000 noisy reads against the corrector that tried every base at
