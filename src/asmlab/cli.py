@@ -157,25 +157,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_genome_arg(args) -> DnaString:
-    if args.genome:
-        if args.plant_repeat:
-            raise ValueError("--plant-repeat only applies to --random-length genomes")
-        return read_genome(args.genome)
-    planted = None
-    if args.plant_repeat:
-        length, _, copies = args.plant_repeat.partition(",")
-        if not _:
-            raise ValueError("--plant-repeat expects LEN,COPIES")
-        planted = (int(length), int(copies))
-    if args.random_length is None or args.random_length < 1:
-        raise ValueError("--random-length must be a positive integer")
-    return simulate.random_genome(args.random_length, planted, seed=args.seed)
-
-
 def _cmd_simulate(args) -> int:
     if args.read_length is None or args.read_length < 1:
         raise ValueError("--len must be a positive integer")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    if not args.genome and (args.random_length is None or args.random_length < 1):
+        raise ValueError("--random-length must be a positive integer")
+    planted = None
+    if args.plant_repeat:
+        if args.genome:
+            raise ValueError("--plant-repeat only applies to --random-length genomes")
+        length, _, copies = args.plant_repeat.partition(",")
+        try:
+            planted = int(length), int(copies)
+        except ValueError:
+            raise ValueError(f"--plant-repeat expects LEN,COPIES as two integers, "
+                             f"got {args.plant_repeat!r}") from None
     gaps = ()
     if not args.idealized:  # idealized reads ignore --num, --error-rate and --gap
         if args.num is None:
@@ -186,9 +184,11 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"--error-rate must be in [0, 1), got {args.error_rate}")
         gaps = parse_gaps(" ".join(args.gap))
         simulate.check_gaps(gaps)
-    genome = _load_genome_arg(args)
     if args.genome:  # a genome file too short for the reads is a data error
+        genome = read_genome(args.genome)
         check_genome(args.genome, genome, args.read_length, gaps)
+    else:
+        genome = simulate.random_genome(args.random_length, planted, seed=args.seed)
     num_reads = None if args.idealized else args.num
     reads = sample_reads(genome, args.read_length, num_reads, args.error_rate, gaps, args.seed)
     write_reads(reads, args.reads)

@@ -13,6 +13,7 @@ from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
+from asmlab import graph as dbg
 from asmlab.errors import ConfigError, FastaParseError
 from asmlab.graph import DeBruijnGraph
 from asmlab.sequence import (
@@ -22,10 +23,11 @@ from asmlab.sequence import (
     DnaString,
     ReadSet,
     first_invalid,
+    folded_codes,
     index_ranges,
     read_lengths,
     symbol_batches,
-    symbol_codes,
+    write_kmer_lines,
 )
 from asmlab.simulate import allowed_starts, check_gaps
 from asmlab.unitig import ContigSet
@@ -122,11 +124,11 @@ def _parse(source: Source) -> tuple[Iterable[str], ReadSet]:
     itself begin with '@' or '+', so records start at every fourth nonblank
     line; that is exact up to the first record that fails a check, since
     every record before it is four nonblank lines in a row. The sequence
-    lines are joined and encoded once (uppercased and encoded again only if
-    a symbol is outside the alphabet), so no string is made per record. Each
-    check is one boolean column over the records, in the order a
-    record-by-record parser runs them, and the first record in file order
-    that fails one is reported, after FASTA data before the first header.
+    lines are joined and encoded once, lowercase read as uppercase, so no
+    string is made per record. Each check is one boolean column over the
+    records, in the order a record-by-record parser runs them, and the
+    first record in file order that fails one is reported, after FASTA data
+    before the first header.
     """
     raw = _read_text(source).splitlines()
     lines = list(map(str.strip, raw))
@@ -151,21 +153,11 @@ def _parse(source: Source) -> tuple[Iterable[str], ReadSet]:
     counts = ends - heads - 1
     is_body = np.zeros(len(lines), dtype=bool)
     is_body[index_ranges(heads + 1, counts)] = True
-    body = list(itertools.compress(lines, is_body.tolist()))
-    sequence = "".join(body)
-    sizes = lengths[is_body]
-    codes = symbol_codes(sequence)
-    if codes.max(initial=0) == 255:  # only a symbol outside A/C/G/T changes when uppercased
-        sequence = sequence.upper()
-        if len(sequence) != sizes.sum():
-            # a symbol grew when uppercased ('\u00df' -> 'SS'; none shrinks),
-            # so the extents come from the uppercased lines
-            sizes = np.fromiter(map(len, map(str.upper, body)), dtype=np.intp,
-                                count=len(body))
-        codes = symbol_codes(sequence)
+    codes = folded_codes("".join(itertools.compress(lines, is_body.tolist())))
     invalid = np.flatnonzero(codes == 255)
-    # record r's symbols are sequence[bounds[r]:bounds[r + 1]]
-    bounds = np.concatenate(([0], np.cumsum(sizes)))[np.concatenate(([0], np.cumsum(counts)))]
+    # record r's symbols are codes[bounds[r]:bounds[r + 1]]
+    line_ends = np.concatenate(([0], np.cumsum(lengths[is_body])))
+    bounds = line_ends[np.concatenate(([0], np.cumsum(counts)))]
     starts, stops = bounds[:-1], bounds[1:]
     bad = np.zeros(len(heads), dtype=bool)
     bad[np.searchsorted(bounds, invalid, side="right") - 1] = True
@@ -283,14 +275,16 @@ def read_reads(source: Source) -> ReadSet:
 
 def write_edge_list(graph: DeBruijnGraph, sink: Source) -> None:
     """Reproducible fixture format: ``k=<int>`` then one sorted k-mer per
-    line, then one ``v=<vertex>`` line per isolated vertex."""
+    line, then one ``v=<vertex>`` line per isolated vertex, laid out from
+    the packed k-mers as DOT lines are."""
+    k = graph.k
+    lone = graph.packed_vertices[(graph.in_degrees == 0) & (graph.out_degrees == 0)]
     handle, owned = _open_for_write(sink)
     try:
-        handle.write(f"k={graph.k}\n")
-        for e in graph.edge_kmers:
-            handle.write(e + "\n")
-        for v in graph.isolated_vertices():
-            handle.write(f"v={v}\n")
+        handle.write(f"k={k}\n")
+        for packed, width, head in ((graph.packed_edges, k, b""), (lone, k - 1, b"v=")):
+            write_kmer_lines(handle, packed, width, (head, (0, width)), (b"\n",),
+                             np.zeros(len(packed), dtype=np.uint8), dbg._DOT_BATCH)
     finally:
         if owned:
             handle.close()
@@ -395,7 +389,10 @@ def parse_gaps(value: str) -> tuple[tuple[int, int], ...]:
         start, _, end = chunk.partition(":")
         if not _:
             raise ValueError(f"gap {chunk!r} must look like START:END")
-        out.append((int(start), int(end)))
+        try:
+            out.append((int(start), int(end)))
+        except ValueError:
+            raise ValueError(f"gap {chunk!r} must have integer bounds START:END") from None
     return tuple(out)
 
 

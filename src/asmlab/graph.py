@@ -53,12 +53,13 @@ from asmlab.sequence import (
     first_invalid,
     in_sorted,
     joined_codes,
-    kmer_symbols,
+    key_indices,
     read_lengths,
     sorted_distinct,
     spectrum_of_set,
     symbol_codes,
     window_packs,
+    write_kmer_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -841,44 +842,11 @@ _PALETTE = (
 )
 
 
-_DOT_BATCH = 1 << 14  # DOT lines laid out per write: bounds the buffer on any graph
+_DOT_BATCH = 1 << 14  # DOT and edge-list lines laid out per write: bounds the buffer
 _PLAIN_TAIL = b"];\n"
 _FILL_TAILS = (_PLAIN_TAIL,
                *(b' style=filled fillcolor="%s"];\n' % c.encode("ascii") for c in _PALETTE))
 _WALK_TAILS = (_PLAIN_TAIL, b' color="red" penwidth=2.0];\n')
-
-
-def _write_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tuple,
-                 tails: tuple[bytes, ...], kinds: np.ndarray) -> None:
-    """Write one DOT line per ``width``-mer of ``packed``: a fixed-width head
-    of ``pieces`` (literal bytes, or a (start, stop) slice of the k-mer's
-    symbols) and the tail ``tails[kinds[i]]``. Each batch of lines is laid
-    out in one byte buffer, from one symbol matrix and one gather of the
-    tails padded to the longest, and written at once."""
-    template, fields = b"", []
-    for piece in pieces:
-        if isinstance(piece, bytes):
-            template += piece
-        else:
-            fields.append((len(template), *piece))
-            template += bytes(piece[1] - piece[0])
-    head = len(template)
-    tail_widths = np.array([len(tail) for tail in tails])
-    tail_table = np.zeros((len(tails), tail_widths.max()), dtype=np.uint8)
-    for row, tail in zip(tail_table, tails):
-        row[:len(tail)] = np.frombuffer(tail, dtype=np.uint8)
-    for at in range(0, len(packed), _DOT_BATCH):
-        symbols = kmer_symbols(packed[at:at + _DOT_BATCH], width)
-        kind = kinds[at:at + _DOT_BATCH]
-        ends = head + tail_widths[kind]
-        lines = np.empty((len(kind), ends.max()), dtype=np.uint8)
-        lines[:, :head] = np.frombuffer(template, dtype=np.uint8)
-        for column, start, stop in fields:
-            lines[:, column:column + stop - start] = symbols[:, start:stop]
-        lines[:, head:] = tail_table[:, :lines.shape[1] - head].take(kind, axis=0)
-        if ends.min() < lines.shape[1]:  # lines of several lengths: drop the padding
-            lines = lines[np.arange(lines.shape[1]) < ends[:, None]]
-        handle.write(lines.tobytes().decode("ascii"))
 
 
 def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
@@ -898,25 +866,26 @@ def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
     bold = np.zeros(graph.num_edges, dtype=np.intp)  # index into _WALK_TAILS
     if isinstance(highlight, Walk):
         if highlight.graph.k == k:  # a walk of another order has none of these edges
-            walk = encode_kmers(highlight.edges, k)
-            walk = walk[in_sorted(graph.packed_edges, walk)]
-            bold[np.searchsorted(graph.packed_edges, walk)] = 1
+            at = key_indices(graph.packed_edges, encode_kmers(highlight.edges, k))
+            bold[at[at >= 0]] = 1
     elif highlight is not None:
         store = highlight if isinstance(highlight, ReadSet) else ReadSet(highlight)
-        ends = store.offsets[1:]
         windows = window_packs(store.codes, k - 1)
-        at = np.arange(len(windows))
-        group = np.searchsorted(ends, at, side="right")
-        named = (at + k - 1 <= ends[group]) & in_sorted(graph.packed_vertices, windows)
+        # the sequence of every symbol: a window lies in one sequence when
+        # its first and last symbols do
+        owner = np.repeat(np.arange(len(store)), store.lengths)
+        group = owner[:len(windows)]
+        at = key_indices(graph.packed_vertices, windows)
+        named = (group == owner[k - 2:]) & (at >= 0)
         # groups rise along the windows: the largest naming a vertex is the last
         last = np.full(len(fill), -1)
-        np.maximum.at(last, np.searchsorted(graph.packed_vertices, windows[named]),
-                      group[named])
+        np.maximum.at(last, at[named], group[named])
         fill[last >= 0] = 1 + last[last >= 0] % len(_PALETTE)
     handle.write("digraph debruijn {\n")
-    _write_lines(handle, graph.packed_vertices, k - 1,
-                 (b'    "', (0, k - 1), b'" [label="', (0, k - 1), b'"'), _FILL_TAILS, fill)
-    _write_lines(handle, graph.packed_edges, k,
-                 (b'    "', (0, k - 1), b'" -> "', (1, k), b'" [label="', (0, k), b'"'),
-                 _WALK_TAILS, bold)
+    write_kmer_lines(handle, graph.packed_vertices, k - 1,
+                     (b'    "', (0, k - 1), b'" [label="', (0, k - 1), b'"'), _FILL_TAILS,
+                     fill, _DOT_BATCH)
+    write_kmer_lines(handle, graph.packed_edges, k,
+                     (b'    "', (0, k - 1), b'" -> "', (1, k), b'" [label="', (0, k), b'"'),
+                     _WALK_TAILS, bold, _DOT_BATCH)
     handle.write("}\n")

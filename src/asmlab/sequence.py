@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -25,6 +25,11 @@ _PACK_CHUNK = 1 << 14
 _ENCODE = bytearray([255]) * 256
 for _v, _c in enumerate(ALPHABET):
     _ENCODE[ord(_c)] = _v
+# the same, with a/c/g/t read as A/C/G/T: no other symbol uppercases to one of
+# A/C/G/T, so this reads a text as its uppercasing reads
+_FOLDED = bytearray(_ENCODE)
+for _v, _c in enumerate(ALPHABET.lower()):
+    _FOLDED[ord(_c)] = _v
 _DECODE = bytes.maketrans(bytes(range(len(ALPHABET))), ALPHABET.encode("ascii"))
 SYMBOL_BYTES = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)  # byte of each code
 # byte value -> the four 2-bit codes it packs, first symbol in the high bits,
@@ -33,20 +38,26 @@ _BYTE_CODES = np.arange(256, dtype=np.uint8)[:, None] >> np.array([6, 4, 2, 0], 
 _BYTE_SYMBOLS = SYMBOL_BYTES[_BYTE_CODES]
 
 
-def _raw_codes(text: str) -> bytes:
+def _raw_codes(text: str, table: bytes) -> bytes:
     # one byte per symbol: a non-ASCII symbol becomes b"?", which maps to 255
-    return text.encode("ascii", "replace").translate(_ENCODE)
+    return text.encode("ascii", "replace").translate(table)
 
 
 def first_invalid(text: str) -> int:
     """Position of the first symbol of ``text`` outside A/C/G/T, or -1."""
-    return _raw_codes(text).find(255)
+    return _raw_codes(text, _ENCODE).find(255)
 
 
 def symbol_codes(text: str) -> np.ndarray:
     """The code of every symbol of ``text`` as a ``uint8`` array, 255 for a
     symbol outside A/C/G/T."""
-    return np.frombuffer(_raw_codes(text), dtype=np.uint8)
+    return np.frombuffer(_raw_codes(text, _ENCODE), dtype=np.uint8)
+
+
+def folded_codes(text: str) -> np.ndarray:
+    """:func:`symbol_codes` of ``text`` uppercased, without uppercasing it:
+    a/c/g/t read as A/C/G/T, and every other symbol outside A/C/G/T is 255."""
+    return np.frombuffer(_raw_codes(text, _FOLDED), dtype=np.uint8)
 
 
 def _invalid_symbol(text: str, pos: int) -> ValueError:
@@ -58,7 +69,7 @@ def _invalid_symbol(text: str, pos: int) -> ValueError:
 
 def to_codes(text: str) -> bytes:
     """The 2-bit codes (0-3, one byte per symbol) of an A/C/G/T string."""
-    codes = _raw_codes(text)
+    codes = _raw_codes(text, _ENCODE)
     pos = codes.find(255)
     if pos >= 0:
         raise _invalid_symbol(text, pos)
@@ -189,7 +200,7 @@ def joined_codes(texts: Sequence[str]) -> np.ndarray:
     """The codes of ``texts`` laid end to end; a symbol outside the alphabet
     is reported at its position in its own string."""
     joined = "".join(texts)
-    codes = _raw_codes(joined)
+    codes = _raw_codes(joined, _ENCODE)
     pos = codes.find(255)
     if pos >= 0:
         for text in texts:
@@ -206,12 +217,7 @@ def encode_kmers(kmers: Sequence[str], k: int) -> np.ndarray:
     for kmer in kmers:
         if len(kmer) != k:
             raise ValueError(f"k-mer {kmer!r} does not have length {k}")
-    codes = joined_codes(kmers).reshape(len(kmers), k)
-    packed = np.zeros(len(kmers), dtype=np.uint64)
-    for j in range(k):
-        packed <<= 2
-        packed |= codes[:, j]
-    return packed
+    return window_packs(joined_codes(kmers).reshape(len(kmers), k), k).ravel()
 
 
 def _unpack(packed: np.ndarray, width: int, table: np.ndarray) -> np.ndarray:
@@ -245,6 +251,39 @@ def decode_kmers(packed: np.ndarray, k: int) -> list[str]:
     one vectorized pass."""
     text = kmer_symbols(packed, k).tobytes().decode("ascii")
     return [text[i:i + k] for i in range(0, len(text), k)]
+
+
+def write_kmer_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tuple,
+                     tails: tuple[bytes, ...], kinds: np.ndarray, batch: int) -> None:
+    """Write one line per ``width``-mer of ``packed``: a fixed-width head of
+    ``pieces`` (literal bytes, or a (start, stop) slice of the k-mer's
+    symbols) and the tail ``tails[kinds[i]]``. Each ``batch`` of lines is
+    laid out in one byte buffer, from one symbol matrix and one gather of
+    the tails padded to the longest, and written at once."""
+    template, fields = b"", []
+    for piece in pieces:
+        if isinstance(piece, bytes):
+            template += piece
+        else:
+            fields.append((len(template), *piece))
+            template += bytes(piece[1] - piece[0])
+    head = len(template)
+    tail_widths = np.array([len(tail) for tail in tails])
+    tail_table = np.zeros((len(tails), tail_widths.max()), dtype=np.uint8)
+    for row, tail in zip(tail_table, tails):
+        row[:len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+    for at in range(0, len(packed), batch):
+        symbols = kmer_symbols(packed[at:at + batch], width)
+        kind = kinds[at:at + batch]
+        ends = head + tail_widths[kind]
+        lines = np.empty((len(kind), ends.max()), dtype=np.uint8)
+        lines[:, :head] = np.frombuffer(template, dtype=np.uint8)
+        for column, start, stop in fields:
+            lines[:, column:column + stop - start] = symbols[:, start:stop]
+        lines[:, head:] = tail_table[:, :lines.shape[1] - head].take(kind, axis=0)
+        if ends.min() < lines.shape[1]:  # lines of several lengths: drop the padding
+            lines = lines[np.arange(lines.shape[1]) < ends[:, None]]
+        handle.write(lines.tobytes().decode("ascii"))
 
 
 def window_packs(codes: np.ndarray, k: int) -> np.ndarray:
@@ -303,31 +342,29 @@ def _pack_block(codes: np.ndarray, k: int, out: np.ndarray) -> None:
         power, m = doubled, 2 * m
 
 
-def in_sorted(keys: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """Whether each value of ``packed`` (any shape) is one of ``keys``, an
-    ascending array of distinct values; one ``searchsorted`` pass."""
-    flat = packed.ravel()
-    found = np.zeros(len(flat), dtype=bool)
-    if len(keys):
-        order, _, hit = _sorted_lookup(keys, flat)
-        found[order] = hit
-    return found.reshape(packed.shape)
-
-
-def _sorted_lookup(keys: np.ndarray,
-                   flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Search the nonempty ascending ``keys`` for each value of ``flat``:
-    the order that sorts the queries and, for the queries in that order,
-    the index of the first key not below each and whether it is equal.
+def key_indices(keys: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """The index in ``keys``, an ascending array of distinct values, of each
+    value of ``packed`` (any shape), -1 for a value that is not a key; one
+    ``searchsorted`` pass, the one search of packed k-mers among keys.
 
     The queries are sorted first, so the search visits the keys in order:
     several times faster than random probes once the keys outgrow the cache.
     """
-    order = np.argsort(flat)
-    wanted = flat[order]
-    at = np.searchsorted(keys, wanted)
-    np.minimum(at, len(keys) - 1, out=at)
-    return order, at, keys[at] == wanted
+    flat = packed.ravel()
+    found = np.full(len(flat), -1, dtype=np.intp)
+    if len(keys):
+        order = np.argsort(flat)
+        wanted = flat[order]
+        at = np.searchsorted(keys, wanted)
+        np.minimum(at, len(keys) - 1, out=at)
+        found[order] = np.where(keys[at] == wanted, at, -1)
+    return found.reshape(packed.shape)
+
+
+def in_sorted(keys: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """Whether each value of ``packed`` (any shape) is one of ``keys``, an
+    ascending array of distinct values (see :func:`key_indices`)."""
+    return key_indices(keys, packed) >= 0
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -495,8 +532,7 @@ class KmerSpectrum:
 
     def multiplicities_of(self, packed: np.ndarray) -> np.ndarray:
         """The occurrence count of every packed k-mer of a ``uint64`` array
-        (any shape), 0 for a non-member; one ``searchsorted`` pass.
-        """
+        (any shape), 0 for a non-member (see :func:`key_indices`)."""
         at = self.indices_of(packed)
         if not len(self.keys):
             return np.zeros(at.shape, dtype=np.int64)
@@ -504,13 +540,8 @@ class KmerSpectrum:
 
     def indices_of(self, packed: np.ndarray) -> np.ndarray:
         """The index in ``keys`` of every packed k-mer of a ``uint64`` array
-        (any shape), -1 for a non-member; one ``searchsorted`` pass."""
-        flat = packed.ravel()
-        found = np.full(len(flat), -1, dtype=np.intp)
-        if len(self.keys):
-            order, at, hit = _sorted_lookup(self.keys, flat)
-            found[order] = np.where(hit, at, -1)
-        return found.reshape(packed.shape)
+        (any shape), -1 for a non-member (see :func:`key_indices`)."""
+        return key_indices(self.keys, packed)
 
     def total_count(self) -> int:
         return int(self.multiplicities.sum())

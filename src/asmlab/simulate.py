@@ -22,6 +22,7 @@ from asmlab.sequence import (
     KmerSpectrum,
     ReadSet,
     from_codes,
+    key_indices,
     spectrum_of_set,
     to_codes,
     window_packs,
@@ -262,11 +263,10 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
     bounds = _sibling_bounds(spectrum, min_multiplicity)
     keys, counts = spectrum.keys, spectrum.multiplicities
     repeated = counts >= 2
-    trials = KmerSpectrum(k, keys[repeated], counts[repeated])
-    trial_bounds = bounds[0][repeated]
-    # a window's own count matters only below the threshold, so the full
-    # spectrum is kept with its counts capped there, in the bounds' type
-    capped = KmerSpectrum(k, keys, np.minimum(counts, min_multiplicity).astype(bounds[0].dtype))
+    trials = keys[repeated], counts[repeated], bounds[0][repeated]
+    # a window's own count matters only below the threshold, so the keys are
+    # kept with their counts capped there, in the bounds' type
+    capped = keys, np.minimum(counts, min_multiplicity).astype(bounds[0].dtype)
     del spectrum, counts, repeated
     codes = reads.codes.copy()  # the corrected reads, written back batch by batch
     keep = np.ones(len(reads), dtype=bool)
@@ -278,7 +278,7 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
         matrix = np.zeros(inside.shape, dtype=np.uint8)
         matrix[inside] = reads.codes[at]
         kept, changed = _correct_batch(matrix, ends, k, min_multiplicity, capped, bounds,
-                                       trials, trial_bounds)
+                                       trials)
         keep[batch] = kept
         fixed += np.count_nonzero(kept & changed)
         codes[at] = matrix[inside]
@@ -339,14 +339,13 @@ def _largest_other(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
-                   capped: KmerSpectrum,
-                   bounds: tuple[np.ndarray, np.ndarray], trials: KmerSpectrum,
-                   trial_bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   capped: tuple[np.ndarray, np.ndarray], bounds: tuple[np.ndarray, np.ndarray],
+                   trials: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Correct the reads of a code matrix in place (one read per row, row r
-    holding ``ends[r]`` bases and then padding), given the spectrum with its
-    counts capped at the threshold, its :func:`_sibling_bounds`, its keys
-    seen at least twice (``trials``) and their last-symbol bounds; return
-    which rows are kept and which changed.
+    holding ``ends[r]`` bases and then padding), given the spectrum's keys
+    and their counts capped at the threshold, its :func:`_sibling_bounds`,
+    and its keys seen at least twice (``trials``) with their counts and
+    last-symbol bounds; return which rows are kept and which changed.
 
     A base that wins column i beats the current minimum count on every
     window over i, the window that ends at i (i >= k-1) or starts at i
@@ -361,8 +360,9 @@ def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
     """
     rows, n = codes.shape
     packs = window_packs(codes, k)
-    at = capped.indices_of(packs)  # a read's every window is a key; padding may not be
-    counts = capped.multiplicities[at].astype(np.int64)
+    keys, capped_counts = capped
+    at = key_indices(keys, packs)  # a read's every window is a key; padding may not be
+    counts = capped_counts[at].astype(np.int64)
     # a window running into the padding counts as occurring without limit:
     # it is never weak and never lowers a score
     last_start = ends - k
@@ -377,7 +377,8 @@ def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
     bound[:, :head] = np.where(padded[:, :head], threshold, first_bound[at[:, :head]])
     del at
     changed = np.zeros(rows, dtype=bool)
-    if not len(trials):  # no key is seen twice, so no base can win
+    trial_keys, trial_counts, trial_bounds = trials
+    if not len(trial_keys):  # no key is seen twice, so no base can win
         return (counts >= threshold).all(axis=1), changed
     # the other bases of each current base, ascending
     others = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], dtype=np.uint64)
@@ -399,8 +400,8 @@ def _correct_batch(codes: np.ndarray, ends: np.ndarray, k: int, threshold: int,
         shifts = (2 * (k - 1 - (i - span))).astype(np.uint64)
         cleared = packs[sel, lo:hi + 1] & ~(np.uint64(3) << shifts)
         bases = others[codes[sel, i]]  # one trial lookup: every other base of every row
-        found_at = trials.indices_of(cleared[:, None] | (bases[:, :, None] << shifts))
-        found = np.where(found_at >= 0, trials.multiplicities[found_at], 0)
+        found_at = key_indices(trial_keys, cleared[:, None] | (bases[:, :, None] << shifts))
+        found = np.where(found_at >= 0, trial_counts[found_at], 0)
         found[np.broadcast_to(padding[:, None], found.shape)] = _PADDING_COUNT
         # ascending bases, each taken only when strictly better: the current
         # base wins ties, and so does the lowest of equally good others

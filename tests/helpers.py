@@ -1179,6 +1179,29 @@ def reference_write_fasta(records: Iterable[FastaRecord], sink) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Frozen line-by-line edge-list writer
+# ---------------------------------------------------------------------------
+# write_edge_list as it was before it laid its lines out from the packed
+# k-mers (one decoded string and one write per line). Kept verbatim, except
+# for its name.
+
+
+def reference_write_edge_list(graph: DeBruijnGraph, sink) -> None:
+    """Reproducible fixture format: ``k=<int>`` then one sorted k-mer per
+    line, then one ``v=<vertex>`` line per isolated vertex."""
+    handle, owned = _open_for_write(sink)
+    try:
+        handle.write(f"k={graph.k}\n")
+        for e in graph.edge_kmers:
+            handle.write(e + "\n")
+        for v in graph.isolated_vertices():
+            handle.write(f"v={v}\n")
+    finally:
+        if owned:
+            handle.close()
+
+
+# ---------------------------------------------------------------------------
 # Frozen chain-walk unitigs
 # ---------------------------------------------------------------------------
 # maximal_unitigs as it was before one depth-first search replaced the

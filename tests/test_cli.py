@@ -450,7 +450,20 @@ class TestBadInput:
           "--error-rate", "1.5", "--reads", "{out}"], "--error-rate must be in [0, 1), got 1.5"),
         (["simulate", "--genome", "{missing}", "--num", "5", "--len", "3",
           "--gap", "5:3", "--reads", "{out}"], "bad gap interval [5, 3)"),
-    ], ids=["assemble-correct-0", "simulate-error-rate", "simulate-gap"])
+        (["simulate", "--genome", "{missing}", "--num", "5", "--len", "3",
+          "--seed", "-1", "--reads", "{out}"], "--seed must be a non-negative integer, got -1"),
+        (["simulate", "--genome", "{missing}", "--idealized", "--len", "3",
+          "--seed", "-1", "--reads", "{out}"], "--seed must be a non-negative integer, got -1"),
+        (["simulate", "--random-length", "100", "--num", "5", "--len", "3",
+          "--seed", "-1", "--reads", "{out}"], "--seed must be a non-negative integer, got -1"),
+        (["simulate", "--random-length", "100", "--plant-repeat", "3,x", "--num", "5",
+          "--len", "3", "--reads", "{out}"],
+         "--plant-repeat expects LEN,COPIES as two integers, got '3,x'"),
+        (["simulate", "--genome", "{missing}", "--num", "5", "--len", "3",
+          "--gap", "2:x", "--reads", "{out}"], "gap '2:x' must have integer bounds START:END"),
+    ], ids=["assemble-correct-0", "simulate-error-rate", "simulate-gap", "simulate-seed",
+            "simulate-seed-idealized", "simulate-seed-random", "simulate-plant-repeat",
+            "simulate-gap-bound"])
     def test_usage_error_is_decided_before_the_input_is_read(self, tmp_path, capsys, args,
                                                             message):
         # the input does not exist: a usage error must not wait for it

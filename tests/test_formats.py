@@ -24,7 +24,13 @@ from asmlab.formats import (
 )
 from asmlab.sequence import DnaString, ReadSet
 from asmlab.unitig import ContigSet
-from helpers import reference_parse_fasta, reference_parse_fastq, reference_write_fasta
+from asmlab.simulate import random_genome
+from helpers import (
+    reference_parse_fasta,
+    reference_parse_fastq,
+    reference_write_edge_list,
+    reference_write_fasta,
+)
 
 PROPERTY = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -172,6 +178,63 @@ class TestEdgeList:
             read_edge_list(io.StringIO("ACG\n"))
 
 
+def _edge_list_texts(graph) -> tuple[str, str]:
+    written, frozen = io.StringIO(), io.StringIO()
+    write_edge_list(graph, written)
+    reference_write_edge_list(graph, frozen)
+    return written.getvalue(), frozen.getvalue()
+
+
+class TestEdgeListMatchesLineByLine:
+    """``write_edge_list`` against the frozen one-line-per-write writer."""
+
+    @pytest.mark.parametrize("reads,k,text", [
+        (("ACGTA",), 6, "k=6\nv=ACGTA\n"),
+        (("ACG", "TTA", "ACG"), 4, "k=4\nv=ACG\nv=TTA\n"),
+    ], ids=["one-vertex", "vertices"])
+    def test_no_edges(self, reads, k, text):
+        # reads of k-1 symbols alone: every line is an isolated vertex
+        graph = dbg.build(ReadSet.of(*reads), k)
+        assert graph.num_edges == 0
+        written, frozen = _edge_list_texts(graph)
+        assert written == frozen == text
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 16, 17, 31])
+    def test_edges_and_isolated_vertices(self, k):
+        genome = random_genome(300, seed=k)
+        reads = ReadSet.of(genome, genome[5:5 + k - 1], "A" * (k - 1), genome[:k - 2])
+        graph = dbg.build(reads, k)
+        written, frozen = _edge_list_texts(graph)
+        assert written == frozen
+        assert written.count("\nv=") == len(graph.isolated_vertices())
+
+    def test_isolated_vertices_without_edges_of_their_own(self):
+        # the isolated vertices' lines come after every edge, in sorted order
+        graph = dbg.build(ReadSet.of("ACGTT", "TTTT", "GGGG", "AAAA"), 5)
+        written, frozen = _edge_list_texts(graph)
+        assert written == frozen
+        assert written.splitlines()[-3:] == ["v=AAAA", "v=GGGG", "v=TTTT"]
+
+    @pytest.mark.parametrize("extra", [0, 3, 8], ids=["batch-edge", "mid-batch", "batch"])
+    def test_batch_boundaries(self, monkeypatch, extra):
+        monkeypatch.setattr(dbg, "_DOT_BATCH", 8)
+        # 24 edges, three full batches, then `extra` isolated vertices
+        genome = random_genome(30, seed=3)
+        lone = [v for v in ("A" * 6, "C" * 6, "G" * 6, "T" * 6, "ACACAC", "CACACA",
+                            "GTGTGT", "TGTGTG") if v not in genome][:extra]
+        graph = dbg.build(ReadSet.of(genome, *lone), 7)
+        assert graph.num_edges == 24 and len(graph.isolated_vertices()) == extra
+        written, frozen = _edge_list_texts(graph)
+        assert written == frozen
+
+    def test_file_sink(self, tmp_path):
+        graph = dbg.build(ReadSet.of(random_genome(200, seed=9), "CCCC"), 5)
+        written, frozen = tmp_path / "a.edges", tmp_path / "b.edges"
+        write_edge_list(graph, written)
+        reference_write_edge_list(graph, frozen)
+        assert written.read_bytes() == frozen.read_bytes()
+
+
 class TestConfig:
     def test_basic_keys(self):
         cfg = read_config(io.StringIO(
@@ -190,6 +253,13 @@ class TestConfig:
         assert parse_gaps("5:9") == ((5, 9),)
         with pytest.raises(ValueError, match="START:END"):
             parse_gaps("59")
+
+    def test_gap_bound_that_is_not_an_integer_names_the_gap(self):
+        with pytest.raises(ValueError, match=re.escape("gap '2:x' must have integer bounds")):
+            parse_gaps("1:2, 2:x")
+        with pytest.raises(ConfigError, match=re.escape(
+                "line 2: key 'gaps': gap 'y:4' must have integer bounds START:END")):
+            read_config(io.StringIO("k = 5\ngaps = y:4\n"))
 
     def test_error_rate_range(self):
         with pytest.raises(ValueError, match="error_rate"):

@@ -17,14 +17,18 @@ from asmlab.sequence import (
     encode_kmer,
     encode_kmers,
     first_invalid,
+    folded_codes,
     from_codes,
+    in_sorted,
     is_common_superstring,
+    key_indices,
     kmer_codes,
     longest_repeat,
     max_overlap,
     spectrum,
     spectrum_of_set,
     spectrum_subset_check,
+    symbol_codes,
     to_codes,
 )
 from conftest import G_SCS, G_SOL, G_TRUE
@@ -178,6 +182,19 @@ class TestCodes:
         with pytest.raises(ValueError, match="'X' at position 2"):
             to_codes("ACXT")
 
+    def test_only_acgt_in_either_case_uppercase_to_the_alphabet(self):
+        # folding a/c/g/t by table reads a text as its uppercasing reads:
+        # no other code point uppercases to a nonempty string of A/C/G/T
+        folding = [chr(cp) for cp in range(0x110000)
+                   if (up := chr(cp).upper()) and up.strip("ACGT") == ""]
+        assert folding == sorted("acgtACGT")
+
+    def test_folded_codes_are_the_codes_of_the_uppercased_text(self):
+        # every code point that uppercases to one symbol, surrogates included
+        text = "".join(c for c in map(chr, range(0x110000)) if len(c.upper()) == 1)
+        assert np.array_equal(folded_codes(text), symbol_codes(text.upper()))
+        assert folded_codes("acgtACGTn").tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 255]
+
 
 def _is_symbol(value) -> bool:
     return isinstance(value, (str, bytes)) and len(value) == 1 and value.upper() in (
@@ -220,6 +237,53 @@ def test_only_sequence_module_knows_the_alphabet():
             if use is not None:
                 offenders.append(f"{path.name}:{node.lineno} {use}")
     assert offenders == []
+
+
+def _dict_indices(keys: np.ndarray, packed: np.ndarray) -> list:
+    """The reference for key_indices: a dict from each key to its index."""
+    index = {key: i for i, key in enumerate(keys.tolist())}
+    return np.vectorize(lambda value: index.get(value, -1), otypes=[np.intp])(packed).tolist()
+
+
+class TestKeyIndices:
+    """``key_indices``, the one search of packed k-mers among sorted keys."""
+
+    keys = np.array([3, 7, 8, 20, 4 ** 31 - 1], dtype=np.uint64)
+
+    @pytest.mark.parametrize("queries", [
+        [], [3], [0], [2, 1, 0], [21, 4 ** 31 - 2, 4 ** 31 - 1], [9, 10, 19],
+        [8, 8, 3, 8, 0, 3], [20, 7, 3, 8, 4 ** 31 - 1],
+    ], ids=["none", "first", "below-first", "all-below", "above-last", "all-absent",
+            "repeated", "every-key"])
+    def test_matches_a_dict(self, queries):
+        packed = np.array(queries, dtype=np.uint64)
+        found = key_indices(self.keys, packed)
+        assert found.dtype == np.intp and found.shape == packed.shape
+        assert found.tolist() == _dict_indices(self.keys, packed)
+        assert in_sorted(self.keys, packed).tolist() == (found >= 0).tolist()
+
+    def test_no_keys(self):
+        packed = np.arange(6, dtype=np.uint64).reshape(2, 3)
+        assert key_indices(self.keys[:0], packed).tolist() == [[-1] * 3] * 2
+        assert key_indices(self.keys[:0], packed[:0]).shape == (0, 3)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 1, 6), (0, 4)])
+    def test_any_shape(self, shape):
+        rng = np.random.default_rng(len(shape))
+        keys = np.unique(rng.integers(0, 64, size=30, dtype=np.uint64))
+        packed = rng.integers(0, 70, size=shape, dtype=np.uint64)
+        assert key_indices(keys, packed).tolist() == _dict_indices(keys, packed)
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 4 ** 5 - 1), max_size=40, unique=True),
+           st.lists(st.integers(0, 4 ** 5 - 1), max_size=60))
+    def test_random_keys_and_queries(self, keys, queries):
+        keys = np.array(sorted(keys), dtype=np.uint64)
+        packed = np.array(queries, dtype=np.uint64)
+        assert key_indices(keys, packed).tolist() == _dict_indices(keys, packed)
+        # the same queries as a 2-D view that is not contiguous
+        pairs = packed[:len(packed) // 2 * 2].reshape(-1, 2)[:, ::-1]
+        assert key_indices(keys, pairs).tolist() == _dict_indices(keys, pairs)
 
 
 class TestSpectrum:
