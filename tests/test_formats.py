@@ -208,8 +208,7 @@ class TestEdgeListMatchesLineByLine:
         assert written == frozen
         assert written.count("\nv=") == len(graph.isolated_vertices())
 
-    def test_isolated_vertices_without_edges_of_their_own(self):
-        # the isolated vertices' lines come after every edge, in sorted order
+    def test_isolated_vertices_come_last_in_sorted_order(self):
         graph = dbg.build(ReadSet.of("ACGTT", "TTTT", "GGGG", "AAAA"), 5)
         written, frozen = _edge_list_texts(graph)
         assert written == frozen
