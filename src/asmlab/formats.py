@@ -82,9 +82,9 @@ def read_fasta(source: Source) -> list[FastaRecord]:
     """Parse FASTA (or FASTQ, whose quality lines are only checked to be as
     long as their sequence lines).
 
-    Sequence lines are concatenated and uppercased. Any symbol outside
-    A/C/G/T (explicitly including N) is a parse error naming the line
-    and the byte.
+    Sequence lines are concatenated, with a/c/g/t read as A/C/G/T. Any
+    other symbol outside A/C/G/T (explicitly including N) is a parse error
+    naming the line and the byte.
     """
     headers, sequences = _parse(source)
     records = []
@@ -293,11 +293,13 @@ def write_edge_list(graph: DeBruijnGraph, sink: Source) -> None:
 def read_edge_list(source: Source) -> DeBruijnGraph:
     """Inverse of :func:`write_edge_list`. A header whose order is not an
     integer in [2, MAX_K], a label outside A/C/G/T and a label of the wrong
-    length are each a :class:`FastaParseError` naming its line."""
+    length are each a :class:`FastaParseError` naming its line, and so is a
+    missing header (line 1 of an empty file)."""
     text = _read_text(source)
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("k="):
-        raise ValueError("edge-list fixture must start with a 'k=<int>' header")
+        raise FastaParseError("edge-list fixture must start with a 'k=<int>' header",
+                              line=lines[0][0] if lines else 1)
     header_line, header = lines[0]
     try:
         k = int(header[2:])

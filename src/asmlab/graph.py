@@ -82,10 +82,9 @@ class DeBruijnGraph:
 
     ``packed_edges`` is the sorted ``uint64`` array of distinct k-mer codes.
     ``packed_vertices`` is the sorted array of their (k-1)-prefix and suffix
-    codes plus any isolated vertices; vertex ``i`` is ``vertices[i]``, and
-    ``vertex_index`` maps a vertex back to ``i``. Edges are sorted by tail,
-    so the out-edges of ``i`` are a run of edge indices, and
-    :meth:`edge_endpoints` gives every edge's tail and head index;
+    codes plus any isolated vertices; vertex ``i`` is ``vertices[i]``. Edges
+    are sorted by tail, so the out-edges of ``i`` are a run of edge indices,
+    and :meth:`edge_endpoints` gives every edge's tail and head index;
     ``out_degrees``/``in_degrees`` are numpy arrays. Packed order is string
     order, so every run's heads and every string view (``vertices``,
     ``edge_kmers``, ``successors``, ...) are sorted. ``vertices`` and
@@ -94,21 +93,15 @@ class DeBruijnGraph:
     the heads of the out-edges of ``i``) that the covering-walk solver and
     :meth:`components` search. Neighbours follow the de Bruijn rule: the
     successors of ``v`` are ``v[1:] + c`` for each ``c`` with ``v + c`` an
-    edge, its predecessors ``c + v[:-1]`` with ``c + v`` one.
+    edge, its predecessors ``c + v[:-1]`` with ``c + v`` one, and
+    ``out_degree``/``in_degree`` count them.
     """
 
     def __init__(self, k: int, edge_kmers: Iterable[str],
                  isolated_vertices: Iterable[str] = ()):
         check_order(k)
-        edges = list(edge_kmers)
-        for e in edges:
-            if len(e) != k:
-                raise ValueError(f"edge {e!r} does not have length k={k}")
-        isolated = list(isolated_vertices)
-        for v in isolated:
-            if len(v) != k - 1:
-                raise ValueError(f"vertex {v!r} does not have length k-1={k - 1}")
-        self._setup(k, sorted_distinct(encode_kmers(edges, k)), encode_kmers(isolated, k - 1))
+        self._setup(k, sorted_distinct(encode_kmers(list(edge_kmers), k)),
+                    encode_kmers(list(isolated_vertices), k - 1))
 
     @classmethod
     def _from_packed(cls, k: int, edges: np.ndarray,
@@ -138,10 +131,6 @@ class DeBruijnGraph:
     @cached_property
     def vertices(self) -> tuple[str, ...]:
         return tuple(decode_kmers(self.packed_vertices, self.k - 1))
-
-    @cached_property
-    def vertex_index(self) -> dict[str, int]:
-        return dict(zip(self.vertices, range(len(self.vertices))))
 
     @cached_property
     def edge_kmers(self) -> tuple[str, ...]:
@@ -175,12 +164,10 @@ class DeBruijnGraph:
         return tuple([c + v[:-1] for c in ALPHABET if c + v in self._edge_set])
 
     def out_degree(self, v: str) -> int:
-        i = self.vertex_index.get(v)
-        return 0 if i is None else int(self.out_degrees[i])
+        return len(self.successors(v))
 
     def in_degree(self, v: str) -> int:
-        i = self.vertex_index.get(v)
-        return 0 if i is None else int(self.in_degrees[i])
+        return len(self.predecessors(v))
 
     def _named(self, mask: np.ndarray) -> list[str]:
         return decode_kmers(self.packed_vertices[mask], self.k - 1)
@@ -222,8 +209,9 @@ class DeBruijnGraph:
         return np.repeat(np.arange(len(self.packed_vertices)), self.out_degrees), self._heads
 
     def subgraph(self, vertex_subset: Iterable[str]) -> "DeBruijnGraph":
-        keep = np.zeros(len(self.packed_vertices), dtype=bool)
-        keep[[i for i in map(self.vertex_index.get, vertex_subset) if i is not None]] = True
+        # a name of another length, or holding a symbol outside ACGT, is no vertex
+        named = [v for v in vertex_subset if len(v) == self.k - 1 and first_invalid(v) < 0]
+        keep = in_sorted(sorted_distinct(encode_kmers(named, self.k - 1)), self.packed_vertices)
         tails, heads = self.edge_endpoints()
         isolated = keep & (self.out_degrees == 0) & (self.in_degrees == 0)
         return DeBruijnGraph._from_packed(self.k, self.packed_edges[keep[tails] & keep[heads]],

@@ -533,15 +533,10 @@ class KmerSpectrum:
     def multiplicities_of(self, packed: np.ndarray) -> np.ndarray:
         """The occurrence count of every packed k-mer of a ``uint64`` array
         (any shape), 0 for a non-member (see :func:`key_indices`)."""
-        at = self.indices_of(packed)
+        at = key_indices(self.keys, packed)
         if not len(self.keys):
             return np.zeros(at.shape, dtype=np.int64)
         return np.where(at >= 0, self.multiplicities[at], 0)
-
-    def indices_of(self, packed: np.ndarray) -> np.ndarray:
-        """The index in ``keys`` of every packed k-mer of a ``uint64`` array
-        (any shape), -1 for a non-member (see :func:`key_indices`)."""
-        return key_indices(self.keys, packed)
 
     def total_count(self) -> int:
         return int(self.multiplicities.sum())
@@ -614,14 +609,13 @@ class RepeatHit(NamedTuple):
 
 
 def _repeat_at_length(g: str, length: int) -> Optional[tuple[int, int]]:
-    """First pair of positions sharing a substring of exactly ``length``, or None.
+    """First pair of positions sharing a substring of exactly ``length``, or None,
+    for ``1 <= length < len(g)``.
 
     Rabin-Karp style rolling hash with an exact comparison on candidate hits,
     so hash collisions cannot produce a false positive.
     """
     n = len(g)
-    if length == 0 or n < length + 1:
-        return None
     mod = (1 << 61) - 1
     base = 1_000_003
     top = pow(base, length - 1, mod)

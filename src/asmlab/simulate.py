@@ -17,10 +17,10 @@ from typing import Optional
 import numpy as np
 
 from asmlab.sequence import (
-    MAX_K,
     DnaString,
     KmerSpectrum,
     ReadSet,
+    check_k,
     from_codes,
     key_indices,
     spectrum_of_set,
@@ -251,8 +251,7 @@ def correct_reads(reads: ReadSet, k: int, min_multiplicity: int) -> ReadSet:
     every window over its column: the trials search only the keys seen at
     least twice.
     """
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+    check_k(k)
     if min_multiplicity < 1:
         raise ValueError(f"min_multiplicity must be >= 1, got {min_multiplicity}")
     lengths = reads.lengths

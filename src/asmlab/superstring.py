@@ -146,11 +146,8 @@ def exact_scs(reads: ReadSet) -> ScsResult:
     for j in range(n):
         dp[1 << j][j] = (0, words[j])
     parent: list[dict[int, tuple[int, int]]] = [dict() for _ in range(1 << n)]
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        if not row:
-            continue
-        for last, (got, text) in row.items():
+    for mask in range(1, full + 1):  # every nonempty subset is reached: each read is seeded
+        for last, (got, text) in dp[mask].items():
             for nxt in range(n):
                 bit = 1 << nxt
                 if mask & bit:

@@ -21,7 +21,7 @@ import numpy as np
 
 from asmlab.errors import AssemblyError
 from asmlab.graph import DeBruijnGraph, Walk, covering_walk_feasibility, walk_of
-from asmlab.sequence import DnaString, ReadSet, kmer_codes
+from asmlab.sequence import DnaString, ReadSet, encode_kmers, in_sorted, kmer_codes
 
 _STATE_BUDGET = 4_000_000  # product states before the oracle answers `unknown`
 _RULER_STRIDE = 32         # every this-many-th vertex is a ruler in chain ranking
@@ -248,11 +248,11 @@ def is_safe_bounded(graph: DeBruijnGraph, candidate: Union[Walk, str]) -> Safety
         raise ValueError("safety is undefined on a graph with no edges")
 
     if isinstance(candidate, str):
-        if candidate not in graph.vertex_index:
-            raise ValueError(f"vertex {candidate!r} is not in the graph")
         if graph.out_degree(candidate) > 0 or graph.in_degree(candidate) > 0:
             # every covering walk traverses some incident edge
             return SafetyVerdict("safe", note="vertex lies on an edge")
+        if candidate not in graph.isolated_vertices():
+            raise ValueError(f"vertex {candidate!r} is not in the graph")
         return SafetyVerdict(
             "unsafe",
             note="isolated vertex: no covering walk spells it",
@@ -384,19 +384,19 @@ def safety_suite(graph: DeBruijnGraph, contigs: ContigSet) -> SafetyReport:
         # a spelled string's (k-1)-mers are vertices and its k-mers edges
         candidate: Union[Walk, str, None]
         if len(text) == graph.k - 1:
-            candidate = text if text in graph.vertex_index else None
+            is_vertex = in_sorted(graph.packed_vertices, encode_kmers([text], graph.k - 1))[0]
+            candidate = text if is_vertex else None
         else:
             candidate = walk_of(text, graph)
         if candidate is None:
             rows.append(SafetyRow(name, "unsafe", None, False))
             continue
-        isolated = (isinstance(candidate, str)
-                    and graph.out_degree(candidate) == graph.in_degree(candidate) == 0)
         verdict = is_safe_bounded(graph, candidate)
+        # a vertex is unsafe only when isolated, and those are exempt
         flagged = (
             verdict.status == "unsafe"
             and contigs.source == "unitig"
-            and not isolated
+            and isinstance(candidate, Walk)
         )
         rows.append(SafetyRow(
             name,

@@ -52,6 +52,12 @@ class TestSimulate:
                      "--len", "0", "--reads", str(tmp_path / "x.fasta")])
         assert code == 2
 
+    def test_zero_random_length_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.fasta"
+        assert main(["simulate", "--random-length", "0", "--len", "3", "--reads", str(out)]) == 2
+        assert "--random-length must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_num_is_usage_error(self, tmp_path, gtrue_fasta):
         code = main(["simulate", "--genome", str(gtrue_fasta), "--len", "3",
                      "--reads", str(tmp_path / "x.fasta")])
@@ -351,6 +357,9 @@ class TestBadInput:
         ("k=3\nACG\nACGT\n", "line 3: edge 'ACGT' has length 4"),
         ("k=x\nACG\n", "line 1: graph order 'x' is not an integer"),
         ("k=32\n" + "A" * 32 + "\n", "line 1: graph order k=32 is outside [2, 31]"),
+        ("ACG\n", "line 1: edge-list fixture must start with a 'k=<int>' header"),
+        ("", "line 1: edge-list fixture must start with a 'k=<int>' header"),
+        ("\n  \nACG\nk=3\n", "line 3: edge-list fixture must start with a 'k=<int>' header"),
     ])
     def test_bad_edge_list_shape_is_data_error(self, tmp_path, capsys, text, line):
         graph = tmp_path / "bad.edges"
@@ -370,6 +379,12 @@ class TestBadInput:
         assert main(["dbg", "walk", "--graph", str(graph), "--shortest"]) == 1
         captured = capsys.readouterr()
         assert message in captured.err and "spells" not in captured.out
+
+    def test_missing_reads_file_is_data_error(self, tmp_path, capsys):
+        reads = tmp_path / "absent.fasta"
+        assert main(["assemble", "--reads", str(reads), "-k", "3", "--method", "unitig",
+                     "--out", str(tmp_path / "c.fasta")]) == 1
+        assert f"No such file or directory: '{reads}'" in capsys.readouterr().err
 
     def test_empty_fastq_header_is_data_error(self, tmp_path, capsys):
         reads = tmp_path / "reads.fq"

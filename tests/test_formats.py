@@ -174,7 +174,7 @@ class TestEdgeList:
             read_edge_list(io.StringIO(text))
 
     def test_header_required(self):
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(FastaParseError, match="^line 1: .* 'k=<int>' header$"):
             read_edge_list(io.StringIO("ACG\n"))
 
 
@@ -294,6 +294,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{re.escape(str(path))}, line 4: "
                            "key 'k' is already set on line 1"):
             read_config(path)
+
+    @pytest.mark.parametrize("value", ["no", "off", "0"])
+    def test_false_spellings(self, value):
+        assert read_config(io.StringIO(f"correct = {value}\n")).correct is False
+
+    def test_bad_boolean_names_its_line(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "line 2: key 'correct': expected a boolean, got 'maybe'")):
+            read_config(io.StringIO("k = 5\ncorrect = maybe\n"))
 
     def test_defaults(self):
         cfg = read_config(io.StringIO(""))

@@ -216,6 +216,11 @@ class TestSpellAndWalkOf:
 
         assert set(spectrum(dbg.spell(walk), g.k).strings()) == set(walk.edges)
 
+    def test_equal_walks_on_equal_graphs_are_one_set_member(self):
+        walks = {dbg.Walk(dbg.DeBruijnGraph(3, edges), ("ACG", "CGT"))
+                 for edges in (["ACG", "CGT"], ["CGT", "ACG", "CGT"])}
+        assert len(walks) == 1
+
 
 class TestIsEdgeCovering:
     def test_full_walk_covers(self, g_true, fig_graph):

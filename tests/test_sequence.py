@@ -308,7 +308,7 @@ class TestSpectrum:
         assert sp == spectrum("", 3) and sp != spectrum("", 2)
         assert sp.multiplicities_of(np.arange(4, dtype=np.uint64).reshape(2, 2)).tolist() \
             == [[0, 0], [0, 0]]
-        assert sp.indices_of(np.arange(4, dtype=np.uint64).reshape(2, 2)).tolist() \
+        assert key_indices(sp.keys, np.arange(4, dtype=np.uint64).reshape(2, 2)).tolist() \
             == [[-1, -1], [-1, -1]]
 
     def test_lookup_past_the_last_key_is_absent(self):
@@ -317,7 +317,7 @@ class TestSpectrum:
         assert sp == spectrum_of_set(["AAA", "AAC"], 3) != spectrum("AAAAC", 3)
         assert sp.multiplicities_of(encode_kmers(["TTT", "AAA", "AAG"], 3)).tolist() \
             == [0, 1, 0]
-        assert sp.indices_of(encode_kmers(["TTT", "AAA", "AAG", "AAC"], 3)).tolist() \
+        assert key_indices(sp.keys, encode_kmers(["TTT", "AAA", "AAG", "AAC"], 3)).tolist() \
             == [-1, 0, -1, 1]
 
     def test_packed_members_are_read_only(self):

@@ -195,6 +195,11 @@ class TestPreconditions:
         assert report.covering_walk_exists
         assert not report.satisfied
 
+    def test_graph_without_edges_fails(self):
+        report = check_safety_preconditions(dbg.DeBruijnGraph(3, [], ["AC"]))
+        assert report.detail == "graph has no edges"
+        assert not report.sources and not report.sinks and not report.satisfied
+
     def test_disjoint_edges_fail(self):
         g = dbg.DeBruijnGraph(3, ["ACG", "TTG"])
         report = check_safety_preconditions(g)
@@ -213,6 +218,11 @@ class TestIsSafeBounded:
     def test_isolated_vertex_unsafe(self):
         g = dbg.build(ReadSet.of("ACGT", "TT"), 3)
         assert is_safe_bounded(g, "TT").status == "unsafe"
+
+    def test_string_that_is_no_vertex_rejected(self, fig_graph):
+        for text in ("GG", "AAT", "aa"):
+            with pytest.raises(ValueError, match=f"vertex '{text}' is not in the graph"):
+                is_safe_bounded(fig_graph, text)
 
     def test_connector_then_top_branch_is_safe_nonunitig(self):
         # every covering walk re-enters the second bubble straight after the
@@ -251,6 +261,24 @@ class TestIsSafeBounded:
         candidate = (edge("j1", "jx1"), edge("jx1", "j2"), edge("j2", "jx2"))
         assert all(walk.edges[i:i + 3] != candidate
                    for i in range(len(walk.edges) - 2))
+
+    def test_candidate_with_a_border_is_unsafe(self):
+        # AC, CA, AC, CG repeats its first edge, so the matcher falls back
+        # along its failure chain; CA, AC, CG covers every edge without it
+        g = dbg.DeBruijnGraph(2, ["AC", "CA", "CG"])
+        verdict = is_safe_bounded(g, dbg.Walk(g, ("AC", "CA", "AC", "CG")))
+        assert verdict.status == "unsafe"
+        assert verdict.witness.edges == ("CA", "AC", "CG")
+        assert dbg.is_edge_covering(verdict.witness)
+
+    def test_past_the_state_budget_is_unknown(self, fig_graph, monkeypatch):
+        monkeypatch.setattr(unitig, "_STATE_BUDGET", 1)
+        verdict = is_safe_bounded(fig_graph, dbg.Walk(fig_graph, ("AAT", "ATT")))
+        assert verdict.status == "unknown" and verdict.witness is None
+        # the two vertex unitigs are still decided; the two walks are not
+        report = safety_suite(fig_graph, unitig_contigs(fig_graph))
+        assert [r.verdict for r in report.rows] == ["safe", "unknown", "unknown", "safe"]
+        assert report.unknown_count == 2 and not report.bug_flags
 
     def test_long_nonunitig_contig_on_running_example(self, fig_graph):
         # trunk, repeat loop, trunk again: safe but spans several unitigs
