@@ -47,7 +47,7 @@ from asmlab.formats import (
 )
 from asmlab.sequence import DnaString, check_k
 from asmlab.superstring import diagnose_overcollapse, exact_scs, greedy_scs
-from asmlab.unitig import ContigSet, unitig_contigs
+from asmlab.unitig import ContigSet, unitig_numbers
 
 ARTIFACT_DIR_ENV = "ASMLAB_ARTIFACTS"
 
@@ -237,9 +237,9 @@ def _cmd_assemble(args) -> int:
     contigs, graph = assemble_contigs(reads, args.k, args.method)
     write_fasta(contigs, args.out)
     if args.dot:
-        highlight = contigs.sequences if args.method == "unitig" else None
+        groups = unitig_numbers(graph) if args.method == "unitig" else None
         with open(args.dot, "w", encoding="ascii", newline="\n") as handle:
-            dbg.export_dot(graph, handle, highlight)
+            dbg.export_dot(graph, handle, groups)
     print(f"wrote {len(contigs)} contig(s) to {args.out}")
     return 0
 
@@ -256,9 +256,9 @@ def _cmd_dbg(args) -> int:
         return 0
     graph = read_edge_list(args.graph)
     if args.dbg_command == "dot":
-        highlight = unitig_contigs(graph).sequences if args.unitigs else None
+        groups = unitig_numbers(graph) if args.unitigs else None
         with open(args.out, "w", encoding="ascii", newline="\n") as handle:
-            dbg.export_dot(graph, handle, highlight)
+            dbg.export_dot(graph, handle, groups)
         print(f"wrote DOT to {args.out}")
         return 0
     # walk

@@ -291,6 +291,9 @@ def assemble_contigs(reads: ReadSet, k: int, method: str) -> tuple[ContigSet, Op
         return unitig_contigs(graph), graph
     if method == "cpp-walk":
         graph = dbg.build(reads, k)
+        if not graph.num_edges:
+            raise AssemblyError(f"no read holds a k-mer at k={k}: the graph has no edges, "
+                                "so cpp-walk has nothing to cover")
         walks = ReadSet(dbg.spell(dbg.shortest_edge_covering_walk(part))
                         for part in graph.components())
         return ContigSet(k, walks, tuple(map("w%d".__mod__, range(len(walks)))),
@@ -348,8 +351,9 @@ _STAGE_KEYS = {
 
 def _check_stage(stage: int, config: StageConfig) -> None:
     """Reject a stage its config cannot run: a missing key is a usage
-    error; simulated reads too short for the graph (shorter than k-1) or
-    for stage-2 correction (shorter than k) are a domain error."""
+    error; simulated reads too short for the graph (shorter than k-1), for
+    cpp-walk's edges or for stage-2 correction (shorter than k) are a
+    domain error."""
     if stage not in _STAGE_KEYS:
         raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
     for need in _STAGE_KEYS[stage]:
@@ -361,6 +365,9 @@ def _check_stage(stage: int, config: StageConfig) -> None:
                             f"{config.read_length} and k={config.k}")
     if stage != 3 and config.method in GRAPH_METHODS and config.read_length < config.k - 1:
         raise AssemblyError(f"method {config.method} needs read_length >= k-1, got "
+                            f"read_length={config.read_length} and k={config.k}")
+    if stage != 3 and config.method == "cpp-walk" and config.read_length == config.k - 1:
+        raise AssemblyError(f"method cpp-walk needs read_length >= k to make an edge, got "
                             f"read_length={config.read_length} and k={config.k}")
 
 

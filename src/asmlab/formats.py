@@ -13,7 +13,6 @@ from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
-from asmlab import graph as dbg
 from asmlab.errors import ConfigError, FastaParseError
 from asmlab.graph import DeBruijnGraph
 from asmlab.sequence import (
@@ -284,7 +283,7 @@ def write_edge_list(graph: DeBruijnGraph, sink: Source) -> None:
         handle.write(f"k={k}\n")
         for packed, width, head in ((graph.packed_edges, k, b""), (lone, k - 1, b"v=")):
             write_kmer_lines(handle, packed, width, (head, (0, width)), (b"\n",),
-                             np.zeros(len(packed), dtype=np.uint8), dbg._DOT_BATCH)
+                             np.zeros(len(packed), dtype=np.uint8))
     finally:
         if owned:
             handle.close()

@@ -53,7 +53,6 @@ from asmlab.sequence import (
     first_invalid,
     in_sorted,
     joined_codes,
-    key_indices,
     read_lengths,
     sorted_distinct,
     spectrum_of_set,
@@ -828,52 +827,29 @@ _PALETTE = (
     "lightblue", "lightsalmon", "palegreen", "plum", "khaki",
     "lightpink", "aquamarine", "wheat", "lightgray", "orange",
 )
-
-
-_DOT_BATCH = 1 << 14  # DOT and edge-list lines laid out per write: bounds the buffer
 _PLAIN_TAIL = b"];\n"
 _FILL_TAILS = (_PLAIN_TAIL,
                *(b' style=filled fillcolor="%s"];\n' % c.encode("ascii") for c in _PALETTE))
-_WALK_TAILS = (_PLAIN_TAIL, b' color="red" penwidth=2.0];\n')
 
 
-def export_dot(graph: DeBruijnGraph, handle: TextIO, highlight=None) -> None:
+def export_dot(graph: DeBruijnGraph, handle: TextIO, groups=None) -> None:
     """Write deterministic DOT text for the graph to an open text handle.
 
-    ``highlight`` may be a :class:`Walk` (its edges are drawn bold red) or
-    spelled sequences, a :class:`ReadSet` store or any iterable of strings
-    (made into one), each of whose (k-1)-windows that is a vertex is filled
-    with the sequence's own color; a vertex named by several sequences
-    takes the last one's. Unitig contigs thus color exactly as the vertex
-    groups of the partition they were spelled from.
-    Lines are spelled from the packed vertices and edges, ``_DOT_BATCH`` at
-    a time; no vertex name is decoded.
+    ``groups``, when given, is an int array with one number per vertex
+    index (the :func:`asmlab.unitig.unitig_numbers` of the graph, say), and
+    vertex i is filled with palette colour ``groups[i]``, wrapping round the
+    palette. Every edge is drawn plain. Lines are spelled from the packed
+    vertices and edges through :func:`write_kmer_lines`; no vertex name is
+    decoded.
     """
     k = graph.k
-    fill = np.zeros(len(graph.packed_vertices), dtype=np.intp)  # index into _FILL_TAILS
-    bold = np.zeros(graph.num_edges, dtype=np.intp)  # index into _WALK_TAILS
-    if isinstance(highlight, Walk):
-        if highlight.graph.k == k:  # a walk of another order has none of these edges
-            at = key_indices(graph.packed_edges, encode_kmers(highlight.edges, k))
-            bold[at[at >= 0]] = 1
-    elif highlight is not None:
-        store = highlight if isinstance(highlight, ReadSet) else ReadSet(highlight)
-        windows = window_packs(store.codes, k - 1)
-        # the sequence of every symbol: a window lies in one sequence when
-        # its first and last symbols do
-        owner = np.repeat(np.arange(len(store)), store.lengths)
-        group = owner[:len(windows)]
-        at = key_indices(graph.packed_vertices, windows)
-        named = (group == owner[k - 2:]) & (at >= 0)
-        # groups rise along the windows: the largest naming a vertex is the last
-        last = np.full(len(fill), -1)
-        np.maximum.at(last, at[named], group[named])
-        fill[last >= 0] = 1 + last[last >= 0] % len(_PALETTE)
+    # an index into _FILL_TAILS per vertex: 0 draws it plain
+    fill = (np.zeros(len(graph.packed_vertices), dtype=np.intp) if groups is None
+            else 1 + groups % len(_PALETTE))
     handle.write("digraph debruijn {\n")
     write_kmer_lines(handle, graph.packed_vertices, k - 1,
-                     (b'    "', (0, k - 1), b'" [label="', (0, k - 1), b'"'), _FILL_TAILS,
-                     fill, _DOT_BATCH)
+                     (b'    "', (0, k - 1), b'" [label="', (0, k - 1), b'"'), _FILL_TAILS, fill)
     write_kmer_lines(handle, graph.packed_edges, k,
                      (b'    "', (0, k - 1), b'" -> "', (1, k), b'" [label="', (0, k), b'"'),
-                     _WALK_TAILS, bold, _DOT_BATCH)
+                     (_PLAIN_TAIL,), np.zeros(graph.num_edges, dtype=np.intp))
     handle.write("}\n")

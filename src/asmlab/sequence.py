@@ -20,6 +20,8 @@ MAX_K = 31  # 2 bits per symbol keeps any k-mer in one 62-bit integer
 _COUNT_BATCH = 1 << 21
 # windows packed per block: keeps the packing temporaries in cache
 _PACK_CHUNK = 1 << 14
+# k-mer text lines laid out per write: bounds the line buffer
+LINE_BATCH = 1 << 14
 
 # byte value -> 2-bit code, 255 for anything outside the alphabet
 _ENCODE = bytearray([255]) * 256
@@ -254,11 +256,11 @@ def decode_kmers(packed: np.ndarray, k: int) -> list[str]:
 
 
 def write_kmer_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tuple,
-                     tails: tuple[bytes, ...], kinds: np.ndarray, batch: int) -> None:
+                     tails: tuple[bytes, ...], kinds: np.ndarray) -> None:
     """Write one line per ``width``-mer of ``packed``: a fixed-width head of
     ``pieces`` (literal bytes, or a (start, stop) slice of the k-mer's
-    symbols) and the tail ``tails[kinds[i]]``. Each ``batch`` of lines is
-    laid out in one byte buffer, from one symbol matrix and one gather of
+    symbols) and the tail ``tails[kinds[i]]``. Each ``LINE_BATCH`` of lines
+    is laid out in one byte buffer, from one symbol matrix and one gather of
     the tails padded to the longest, and written at once."""
     template, fields = b"", []
     for piece in pieces:
@@ -272,9 +274,9 @@ def write_kmer_lines(handle: TextIO, packed: np.ndarray, width: int, pieces: tup
     tail_table = np.zeros((len(tails), tail_widths.max()), dtype=np.uint8)
     for row, tail in zip(tail_table, tails):
         row[:len(tail)] = np.frombuffer(tail, dtype=np.uint8)
-    for at in range(0, len(packed), batch):
-        symbols = kmer_symbols(packed[at:at + batch], width)
-        kind = kinds[at:at + batch]
+    for at in range(0, len(packed), LINE_BATCH):
+        symbols = kmer_symbols(packed[at:at + LINE_BATCH], width)
+        kind = kinds[at:at + LINE_BATCH]
         ends = head + tail_widths[kind]
         lines = np.empty((len(kind), ends.max()), dtype=np.uint8)
         lines[:, :head] = np.frombuffer(template, dtype=np.uint8)

@@ -119,18 +119,12 @@ def _chain_ranks(link: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.n
     return head, rank
 
 
-def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
-    """Extract every maximal unitig; works on any graph, including
-    disconnected ones and isolated vertices (singleton unitigs).
-
-    Works on vertex indices and the degree arrays: an edge whose tail has
-    one out-edge and whose head has one in-edge links the two, and the
-    unitigs are the chains of links, ranked by :func:`_chain_ranks`. A
-    vertex that no link enters starts a unitig, and a pure cycle starts at
-    its smallest vertex. The unitigs, spelled straight into codes, are
-    ordered by first vertex: these are distinct (k-1)-mers in string
-    order, so their spellings sort alike.
-    """
+def _chains(graph: DeBruijnGraph) -> tuple[np.ndarray, np.ndarray]:
+    """For every vertex index, the first vertex of its maximal unitig and
+    its distance from it: an edge whose tail has one out-edge and whose
+    head has one in-edge links the two, and the unitigs are the chains of
+    links, ranked by :func:`_chain_ranks`. A vertex that no link enters
+    starts a unitig, and a pure cycle starts at its smallest vertex."""
     n = len(graph.packed_vertices)
     tails, heads = graph.edge_endpoints()
     chained = (graph.out_degrees == 1)[tails] & (graph.in_degrees == 1)[heads]
@@ -138,7 +132,28 @@ def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
     link[tails[chained]] = heads[chained]
     starts = np.ones(n, dtype=bool)
     starts[heads[chained]] = False
-    head, rank = _chain_ranks(link, starts)
+    return _chain_ranks(link, starts)
+
+
+def unitig_numbers(graph: DeBruijnGraph) -> np.ndarray:
+    """For every vertex index, the number of the maximal unitig that holds
+    it, in the order of :func:`maximal_unitigs`: a unitig's number is its
+    first vertex's rank among all first vertices."""
+    head = _chains(graph)[0]
+    return (np.cumsum(head == np.arange(len(head))) - 1)[head]
+
+
+def maximal_unitigs(graph: DeBruijnGraph) -> UnitigPartition:
+    """Extract every maximal unitig; works on any graph, including
+    disconnected ones and isolated vertices (singleton unitigs).
+
+    Works on vertex indices and the degree arrays, through :func:`_chains`.
+    The unitigs, spelled straight into codes, are ordered by first vertex:
+    these are distinct (k-1)-mers in string order, so their spellings sort
+    alike.
+    """
+    n = len(graph.packed_vertices)
+    head, rank = _chains(graph)
     sizes = np.bincount(head, minlength=n)
     firsts = np.flatnonzero(sizes)
     sizes = sizes[firsts]

@@ -212,6 +212,17 @@ class TestAssemble:
                      "--method", "cpp-walk", "--out", str(tmp_path / "x.fasta")])
         assert code == 1
 
+    def test_cpp_walk_on_a_graph_with_no_edges_is_data_error(self, tmp_path, capsys):
+        # reads of k-1 symbols make isolated vertices only: nothing to cover
+        reads = tmp_path / "reads.fasta"
+        write_fasta([FastaRecord("r1", DnaString("ACGT")),
+                     FastaRecord("r2", DnaString("TTGA"))], reads)
+        out = tmp_path / "walk.fasta"
+        assert main(["assemble", "--reads", str(reads), "-k", "5",
+                     "--method", "cpp-walk", "--out", str(out)]) == 1
+        assert "at k=5: the graph has no edges" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_correct_flag(self, tmp_path):
         from asmlab.simulate import idealized_reads, random_genome
 
@@ -612,6 +623,18 @@ class TestBadInput:
                      "--out-dir", str(out_dir)]) == 1
         assert (f"error: method {method} needs read_length >= k-1, got read_length=10 "
                 "and k=31") in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_cpp_walk_reads_of_k_minus_one_are_data_error(self, tmp_path, capsys, stage):
+        cfg = tmp_path / "stage.cfg"
+        cfg.write_text("genome_length = 200\nread_length = 10\nnum_reads = 20\nk = 11\n"
+                       "method = cpp-walk\nseed = 1\n")
+        out_dir = tmp_path / "s"
+        assert main(["stage", "--stage", str(stage), "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == 1
+        assert ("error: method cpp-walk needs read_length >= k to make an edge, got "
+                "read_length=10 and k=11") in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_superstring_shorter_than_k_minus_one_is_data_error(self, tmp_path, capsys):

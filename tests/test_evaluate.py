@@ -19,7 +19,13 @@ from asmlab.evaluate import (
 from asmlab.formats import FastaRecord, StageConfig, write_fasta
 from asmlab.sequence import ReadSet
 from asmlab.simulate import SimulationProfile, random_genome, uniform_reads
-from asmlab.unitig import ContigSet, UnitigPartition, maximal_unitigs, unitig_contigs
+from asmlab.unitig import (
+    ContigSet,
+    UnitigPartition,
+    maximal_unitigs,
+    unitig_contigs,
+    unitig_numbers,
+)
 from helpers import (
     ContigMetrics,
     coverage_marking_oracle,
@@ -215,7 +221,7 @@ class TestContigStore:
             reports = [evaluate(contigs, genome, 15), evaluate_without_truth(contigs, 15)]
             texts = [(r.to_json(), r.to_text()) for r in reports]
             dot = io.StringIO()
-            dbg.export_dot(graph, dot, contigs.sequences)
+            dbg.export_dot(graph, dot, unitig_numbers(graph))
         assert len(contigs) > 100
         expected = [row_evaluate(contigs, genome, 15), row_evaluate_without_truth(contigs, 15)]
         assert texts == [(r.to_json(), r.to_text()) for r in expected]

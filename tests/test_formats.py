@@ -216,7 +216,7 @@ class TestEdgeListMatchesLineByLine:
 
     @pytest.mark.parametrize("extra", [0, 3, 8], ids=["batch-edge", "mid-batch", "batch"])
     def test_batch_boundaries(self, monkeypatch, extra):
-        monkeypatch.setattr(dbg, "_DOT_BATCH", 8)
+        monkeypatch.setattr(sequence, "LINE_BATCH", 8)
         # 24 edges, three full batches, then `extra` isolated vertices
         genome = random_genome(30, seed=3)
         lone = [v for v in ("A" * 6, "C" * 6, "G" * 6, "T" * 6, "ACACAC", "CACACA",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from asmlab import graph as dbg
+from asmlab import sequence
 from asmlab.errors import (
     AssemblyError,
     DisconnectedGraphError,
@@ -22,7 +23,7 @@ from asmlab.simulate import (
     random_genome,
     uniform_reads,
 )
-from asmlab.unitig import maximal_unitigs, unitig_contigs
+from asmlab.unitig import maximal_unitigs, unitig_numbers
 from helpers import (
     _string_bfs_tree,
     all_optimal_covering_spellings,
@@ -581,9 +582,9 @@ class TestBubbleGraph:
         assert count == 4
 
 
-def dot_text(graph, highlight=None) -> str:
+def dot_text(graph, groups=None) -> str:
     handle = io.StringIO()
-    dbg.export_dot(graph, handle, highlight)
+    dbg.export_dot(graph, handle, groups)
     return handle.getvalue()
 
 
@@ -598,16 +599,8 @@ class TestExportDot:
         text = dot_text(g)
         assert text.startswith("digraph") and text.rstrip().endswith("}")
 
-    def test_walk_highlight(self, g_true, fig_graph):
-        walk = dbg.walk_of(g_true, fig_graph)
-        text = dot_text(fig_graph, highlight=walk)
-        assert 'color="red"' in text
-
     def test_partition_highlight(self, fig_graph):
-        from asmlab.unitig import maximal_unitigs
-
-        partition = maximal_unitigs(fig_graph)
-        text = dot_text(fig_graph, highlight=partition.spellings)
+        text = dot_text(fig_graph, unitig_numbers(fig_graph))
         assert "fillcolor" in text
         # vertices of one unitig share a color
         trunk_lines = [ln for ln in text.splitlines()
@@ -626,6 +619,25 @@ def reference_dot_text(graph, highlight=None) -> str:
     return handle.getvalue()
 
 
+def vertex_groups(graph, groups) -> list[list[str]]:
+    """Group j holds the vertices numbered j: the frozen writer's groups,
+    which it colours as :func:`dbg.export_dot` colours ``groups``."""
+    named = [[] for _ in range(int(groups.max()) + 1 if len(groups) else 0)]
+    for name, number in zip(graph.vertices, groups.tolist()):
+        named[number].append(name)
+    return named
+
+
+def vertex_lines(graph, kinds) -> str:
+    """The DOT vertex lines laid out by ``write_kmer_lines`` alone, with the
+    fill tail ``kinds[i]`` on vertex i: 0 plain, j the palette's (j-1)th."""
+    handle, k = io.StringIO(), graph.k
+    sequence.write_kmer_lines(handle, graph.packed_vertices, k - 1,
+                              (b'    "', (0, k - 1), b'" [label="', (0, k - 1), b'"'),
+                              dbg._FILL_TAILS, kinds)
+    return handle.getvalue()
+
+
 def error_graph(genome_length: int, k: int, seed: int) -> dbg.DeBruijnGraph:
     """A graph of reads with substitution errors: many short unitigs."""
     genome = random_genome(genome_length, seed=seed)
@@ -638,88 +650,60 @@ class TestExportDotMatchesReference:
     """The DOT laid out from the packed arrays is byte for byte the DOT of
     the frozen line-by-line writer."""
 
-    def assert_same(self, graph, highlight=None):
-        assert dot_text(graph, highlight) == reference_dot_text(graph, highlight)
+    def assert_same(self, graph):
+        assert dot_text(graph) == reference_dot_text(graph)
 
-    def assert_sequences_same(self, graph, texts):
-        # a sequence colors as the group of its (k-1)-windows
-        k = graph.k
-        groups = [[t[j:j + k - 1] for j in range(len(t) - k + 2)] for t in texts]
-        assert dot_text(graph, texts) == reference_dot_text(graph, groups)
+    def assert_groups_same(self, graph, groups):
+        assert dot_text(graph, groups) == reference_dot_text(graph, vertex_groups(graph, groups))
 
-    def assert_unitig_contigs_same(self, graph):
-        # unitig contigs color as the named unitigs of their partition
-        assert (dot_text(graph, unitig_contigs(graph).sequences)
+    def assert_unitigs_same(self, graph):
+        # unitig numbers color as the named unitigs of the partition
+        assert (dot_text(graph, unitig_numbers(graph))
                 == reference_dot_text(graph, maximal_unitigs(graph).unitigs))
 
-    def test_running_example_in_every_mode(self, g_true, fig_graph):
+    def test_running_example_in_every_mode(self, fig_graph):
         self.assert_same(fig_graph)
-        self.assert_same(fig_graph, dbg.walk_of(g_true, fig_graph))
-        self.assert_unitig_contigs_same(fig_graph)
+        self.assert_unitigs_same(fig_graph)
 
     def test_empty_graph(self):
         self.assert_same(dbg.DeBruijnGraph(3, []))
-        self.assert_sequences_same(dbg.DeBruijnGraph(3, []), ["AC", "ACG"])
+        self.assert_unitigs_same(dbg.DeBruijnGraph(3, []))
 
     def test_isolated_vertices(self):
         graph = dbg.DeBruijnGraph(4, ["ACGT", "CGTA"], isolated_vertices=["TTT", "AAA"])
         assert graph.isolated_vertices() == ["AAA", "TTT"]
         self.assert_same(graph)
-        self.assert_unitig_contigs_same(graph)
+        self.assert_unitigs_same(graph)
 
     @pytest.mark.parametrize("k", [2, 31])
     def test_smallest_and_largest_order(self, k):
         genome = random_genome(300, seed=k)
         graph = dbg.build(idealized_reads(genome, 40), k)
         self.assert_same(graph)
-        self.assert_unitig_contigs_same(graph)
-        walk = dbg.walk_of(genome[:60], graph)
-        self.assert_same(graph, walk)
+        self.assert_unitigs_same(graph)
 
-    def test_walk_of_another_graph(self, g_true, fig_graph):
-        # edges the exported graph lacks, or of another order, are not drawn
-        other = dbg.build(ReadSet.of("AATTCCAGCTGATTCCAGTA"), 3)
-        self.assert_same(fig_graph, dbg.walk_of("AGTA", other))
-        self.assert_same(fig_graph, dbg.walk_of("AATTCC", dbg.build(ReadSet.of(g_true), 4)))
-
-    def test_palette_wraps_and_the_last_group_wins(self):
+    def test_palette_wraps(self):
         graph = error_graph(600, 9, seed=3)
-        partition = maximal_unitigs(graph)
-        unitigs = partition.unitigs
-        assert len(unitigs) > 2 * len(dbg._PALETTE)
-        # vertices named again by later sequences, and sequences too short
-        # to name a vertex or naming none
-        texts = [*partition.spellings, unitigs[0][0], unitigs[5][-1] + "A",
-                 "ACGT", "", "ACGTACGTACGTACGT"]
-        self.assert_sequences_same(graph, texts)
-        assert dot_text(graph, texts).count("fillcolor") == len(graph.packed_vertices)
-        self.assert_unitig_contigs_same(graph)
-
-    @PROPERTY
-    @given(genomes, st.integers(min_value=2, max_value=5), st.data())
-    def test_contigs_color_as_groups_of_their_windows(self, genome, k, data):
-        # slices of the genome share vertices (a later contig's color wins);
-        # free text mostly names no vertex
-        graph = dbg.build(ReadSet.of(genome), k)
-        slices = st.integers(0, len(genome) - k + 1).flatmap(
-            lambda s: st.integers(s + k - 1, len(genome)).map(lambda e: genome[s:e]))
-        free = st.text(alphabet="ACGT", min_size=k - 1, max_size=10)
-        texts = data.draw(st.lists(st.one_of(slices, free), max_size=12))
-        self.assert_sequences_same(graph, texts)
+        numbers = unitig_numbers(graph)
+        assert numbers.max() + 1 > 2 * len(dbg._PALETTE)
+        self.assert_unitigs_same(graph)
+        assert dot_text(graph, numbers).count("fillcolor") == len(graph.packed_vertices)
+        # numbers far past the palette, and numbers no vertex takes
+        self.assert_groups_same(graph, 3 * numbers + 41)
 
     def test_more_lines_than_one_batch(self):
-        genome = random_genome(dbg._DOT_BATCH + 2000, seed=8)
+        genome = random_genome(sequence.LINE_BATCH + 2000, seed=8)
         graph = dbg.build(idealized_reads(genome, 40), 15)
-        assert len(graph.packed_vertices) > dbg._DOT_BATCH
+        assert len(graph.packed_vertices) > sequence.LINE_BATCH
         self.assert_same(graph)
-        self.assert_sequences_same(graph, maximal_unitigs(graph).spellings[::3])
+        self.assert_unitigs_same(graph)
 
     def test_batch_boundaries_inside_highlights(self, monkeypatch):
         graph = error_graph(300, 7, seed=4)
-        monkeypatch.setattr(dbg, "_DOT_BATCH", 7)
-        self.assert_unitig_contigs_same(graph)
-        walk = dbg.walk_of(maximal_unitigs(graph).spellings[-1], graph)
-        self.assert_same(graph, walk)
+        for batch in (7, 8):
+            monkeypatch.setattr(sequence, "LINE_BATCH", batch)
+            self.assert_same(graph)
+            self.assert_unitigs_same(graph)
 
     @pytest.mark.parametrize("k", range(2, 32))
     def test_every_order(self, k):
@@ -727,16 +711,17 @@ class TestExportDotMatchesReference:
         genome = random_genome(120, seed=100 + k)
         graph = dbg.build(idealized_reads(genome, 40), k)
         self.assert_same(graph)
-        self.assert_unitig_contigs_same(graph)
-        self.assert_same(graph, dbg.walk_of(genome[10:50], graph))
+        self.assert_unitigs_same(graph)
 
     def test_one_fill_for_every_vertex(self, monkeypatch):
-        # one sequence names every vertex: each batch has one tail, not the plain one
-        genome = random_genome(200, seed=21)
-        graph = dbg.build(ReadSet.of(genome), 9)
-        monkeypatch.setattr(dbg, "_DOT_BATCH", 64)
-        self.assert_sequences_same(graph, [genome])
-        assert dot_text(graph, [genome]).count("fillcolor") == len(graph.packed_vertices)
+        # every line has the same tail, not the plain one
+        graph = dbg.build(ReadSet.of(random_genome(200, seed=21)), 9)
+        monkeypatch.setattr(sequence, "LINE_BATCH", 64)
+        kinds = np.ones(len(graph.packed_vertices), dtype=np.intp)
+        text = vertex_lines(graph, kinds)
+        assert text == "".join(reference_dot_text(graph, [graph.vertices]).splitlines(True)[
+            1:len(kinds) + 1])
+        assert text.count("fillcolor") == len(kinds)
 
     @pytest.mark.parametrize("filled", [0, 1], ids=["plain-then-filled", "filled-then-plain"])
     def test_kinds_change_at_a_batch_boundary(self, monkeypatch, filled):
@@ -744,13 +729,12 @@ class TestExportDotMatchesReference:
         graph = error_graph(300, 7, seed=4)
         names = graph.vertices
         assert len(names) > 3 * batch
-        # each name is its own sequence; nine empty ones after it keep every
-        # named vertex on the palette's first colour
-        texts = [text for name in names[filled * batch:(filled + 1) * batch]
-                 for text in (name, *[""] * (len(dbg._PALETTE) - 1))]
-        monkeypatch.setattr(dbg, "_DOT_BATCH", batch)
-        self.assert_sequences_same(graph, texts)
-        lines = dot_text(graph, texts).splitlines()[1:len(names) + 1]
+        kinds = np.zeros(len(names), dtype=np.intp)
+        kinds[filled * batch:(filled + 1) * batch] = 1  # the palette's first colour
+        monkeypatch.setattr(sequence, "LINE_BATCH", batch)
+        lines = vertex_lines(graph, kinds).splitlines(True)
+        reference = reference_dot_text(graph, [names[filled * batch:(filled + 1) * batch]])
+        assert lines == reference.splitlines(True)[1:len(names) + 1]
         assert ["fillcolor" in line for line in lines] == [
             filled * batch <= i < (filled + 1) * batch for i in range(len(names))]
 
@@ -758,9 +742,8 @@ class TestExportDotMatchesReference:
     @given(genomes, st.integers(min_value=2, max_value=5), st.data())
     def test_random_graphs_and_groups(self, genome, k, data):
         graph = dbg.build(ReadSet.of(genome), k)
-        # vertex names laid end to end: each names itself and the windows
-        # across its joins
-        names = st.lists(st.sampled_from(list(graph.vertices)), max_size=4).map("".join)
-        texts = data.draw(st.lists(names, max_size=14))
+        numbers = st.integers(min_value=0, max_value=3 * len(dbg._PALETTE))
+        groups = data.draw(st.lists(numbers, min_size=len(graph.packed_vertices),
+                                    max_size=len(graph.packed_vertices)))
         self.assert_same(graph)
-        self.assert_sequences_same(graph, texts)
+        self.assert_groups_same(graph, np.array(groups, dtype=np.intp))

@@ -23,7 +23,7 @@ from asmlab.simulate import (
     random_genome,
     uniform_reads,
 )
-from asmlab.unitig import maximal_unitigs, unitig_contigs
+from asmlab.unitig import maximal_unitigs, unitig_contigs, unitig_numbers
 from helpers import (
     ReferenceDeBruijnGraph,
     reference_build,
@@ -151,6 +151,24 @@ def test_packed_layer_matches_string_layer_on_seeded_read_sets():
     assert cycles_only >= 100 and rejected >= 1
 
 
+def test_unitig_numbers_index_the_reference_unitigs():
+    """Vertex i's number is the index of the reference unitig that holds
+    it, on the seeded read sets: k from 2 to 31, isolated vertices and
+    graphs of pure cycles."""
+    lone = cycles_only = 0
+    for seed in range(600):
+        reads, k = _read_set(seed)
+        if all(len(r) < k - 1 for r in reads):
+            continue
+        graph, ref = dbg.build(reads, k), reference_build(reads, k)
+        holder = {v: i for i, path in enumerate(reference_maximal_unitigs(ref)) for v in path}
+        assert unitig_numbers(graph).tolist() == [holder[v] for v in ref.vertices]
+        lone += bool(ref.isolated_vertices())
+        cycles_only += bool(ref.vertices) and not (ref.sources() or ref.sinks() or
+                                                   ref.isolated_vertices())
+    assert lone >= 50 and cycles_only >= 100
+
+
 def test_setup_is_handed_ascending_distinct_edges(monkeypatch):
     """``_setup`` sorts nothing: ``build`` (with reads of k-1 and k symbols),
     ``components()`` and ``subgraph()`` hand it strictly ascending edges,
@@ -198,6 +216,12 @@ def test_assembly_never_decodes_vertex_names(monkeypatch, method, contigs):
     assembled, graph = assemble_contigs(reads, 3, method)
     assert list(assembled) == contigs
     assert len(graph.components()) == 2
+
+
+def test_cpp_walk_with_no_edges_names_k():
+    # reads of k-1 symbols: isolated vertices, no edge to cover
+    with pytest.raises(AssemblyError, match="k=5: the graph has no edges"):
+        assemble_contigs(ReadSet.of("ACGT", "TTGA"), 5, "cpp-walk")
 
 
 def test_read_path_makes_no_string_per_read(monkeypatch, tmp_path):
